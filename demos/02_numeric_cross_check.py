@@ -2,15 +2,18 @@
 Numeric backward induction as an independent cross-check
 ========================================================
 
-Solves the leader/follower game without touching the closed forms: grid
-refinement over the leader box with the retailer's best response computed
-at every candidate, then local polish. For the manufacturer-led and
+Solves the leader/follower game without touching the closed forms. The
+retailer's best response is computed numerically at every probe; the
+manufacturer's reduced profit is quadratic, so one central-difference
+stencil gives its gradient and Hessian exactly and a Newton step lands on
+the optimum. For the manufacturer-led and
 retailer-led models the numeric optimum lands on the closed forms to ten
 significant digits; for the joint model it reveals that the published
 expressions are not the solution of the stated game.
 """
 
 from dcclsc import (
+    BoxBoundary,
     ModelId,
     OracleConfig,
     Params,
@@ -21,6 +24,7 @@ from dcclsc import (
     solve_stackelberg_numeric,
     stationarity_residuals,
 )
+from dcclsc.oracle import default_leader_box
 
 # -- follower exactness ------------------------------------------------------
 params = Params(alpha=0.9, c_m=0.15, c_r=0.12, s=0.02)
@@ -61,7 +65,17 @@ print(f"  leader reduced eigenvalues:   {[round(e, 4) for e in soc.leader_reduce
 print(f"  negative definite (follower, leader): "
       f"({soc.follower_negative_definite}, {soc.leader_negative_definite})")
 
-# a custom config widens the search box or tightens tolerances when needed
-cfg = OracleConfig(refinement_rounds=7, leader_tol=1e-10)
-print(f"\ncustom config example: {cfg.refinement_rounds} rounds, "
-      f"leader tolerance {cfg.leader_tol}")
+# the default search box scales with the costs, so costly parameters (here
+# the retailer-led figure's) solve without hitting its edge; an explicit
+# leader_box narrows or widens it
+fig4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
+print(f"\ndefault box at the retailer-led figure parameters: "
+      f"{default_leader_box(fig4)['p_r']}")
+solved = solve_stackelberg_numeric(ModelId.R, fig4).decisions.as_dict()
+closed = equilibrium(ModelId.R, fig4).decisions.as_dict()
+print(f"  max |numeric - closed| = {max(abs(solved[k] - closed[k]) for k in closed):.2e}")
+narrow = {name: (-1.0, 3.0) for name in ("p_m", "p_r", "w", "b_r", "t")}
+try:
+    solve_stackelberg_numeric(ModelId.R, fig4, OracleConfig(leader_box=narrow))
+except BoxBoundary as exc:
+    print(f"  with the fixed box (-1, 3): {exc}")

@@ -323,8 +323,9 @@ def audit_uniqueness(theorem: str, params: Params,
     """Audit an equilibrium-uniqueness theorem numerically.
 
     Combines the second-order verdicts at the numeric solution with a
-    multistart probe: ``n_starts`` seeded random leader points are refined
-    locally and must all land on the same optimum within 10x leader_tol.
+    multistart probe: the exact leader solve, restarted from ``n_starts``
+    seeded random points of the search box, must land on the same optimum
+    within 10x leader_tol every time.
     """
     theorem = theorem.upper()
     model = _THEOREM_MODEL[theorem]
@@ -338,8 +339,8 @@ def audit_uniqueness(theorem: str, params: Params,
     x_star = np.array([getattr(eq.decisions, n) for n in names])
     spread = 0.0
     for _ in range(n_starts):
-        start = {n: float(rng.uniform(*cfg.box(n))) for n in names}
-        refined = oracle._polish(model, start, params, cfg, variant)
+        start = {n: float(rng.uniform(*cfg.box(n, params))) for n in names}
+        refined = oracle.solve_leader(model, params, cfg, variant, centre=start)
         arrived = np.array([refined[n] for n in names])
         spread = max(spread, float(np.max(np.abs(arrived - x_star))))
     converged = spread <= 10.0 * max(cfg.leader_tol, 1e-9)

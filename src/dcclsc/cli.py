@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep, table4, verify, simulate.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure
-(including ill-posed numeric instances), 3 singular evaluation.
+Exit codes: 0 success, 1 usage or domain error (including an output path
+that cannot be written), 2 verification failure (including ill-posed
+numeric instances), 3 singular evaluation.
 
 A flat key=value config file can preload any flag of the chosen subcommand
 (``--config run.cfg``); explicit flags always win. Reports go to stdout,
@@ -58,13 +59,11 @@ def build_parser() -> _Parser:
     solve.add_argument("--model", required=True, help="m, r, or mr")
     _add_param_flags(solve)
     solve.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD,
-                       help="half-width of the singularity guard band on alpha")
+                       help="half-width (>= 0) of the singularity guard band on alpha")
     solve.add_argument("--variant", choices=sorted(_VARIANTS), default="adopted",
                        help="joint-model segment-3 demand variant")
     solve.add_argument("--verify", action="store_true",
                        help="also solve numerically and report deltas")
-    solve.add_argument("--clamped", action="store_true",
-                       help="numeric verification on clamped segment masses")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--out", help="write the payload here instead of stdout")
@@ -217,15 +216,14 @@ def cmd_solve(args) -> int:
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
     if args.verify:
-        cfg = oracle.OracleConfig(leader_box=suites.WIDE_BOX, seed=args.seed,
-                                  clamped=args.clamped)
+        cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params),
+                                  seed=args.seed)
         numeric = oracle.solve_stackelberg_numeric(model, params, cfg, variant)
         deltas = {name: numeric.decisions.as_dict()[name] - value
                   for name, value in eq.decisions.as_dict().items()}
         payload["oracle"] = {
             "decisions": numeric.decisions.as_dict(),
             "deltas_vs_closed_form": deltas,
-            "clamped": args.clamped,
             "config": cfg.as_dict(),
         }
         if model is ModelId.MR:
@@ -440,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConcave, BoxBoundary) as exc:
         print(f"numeric verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

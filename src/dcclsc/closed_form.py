@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market
-from .errors import Singularity
+from .errors import OutOfDomain, Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium
 from .params import DecisionSet, ModelId, Params
 
@@ -48,6 +48,8 @@ def singularity_distance(model: ModelId, alpha: float) -> float:
 
 
 def _guard(model: ModelId, alpha: float, guard: float) -> float:
+    if not guard >= 0.0:
+        raise OutOfDomain.single("guard", guard, "must be >= 0")
     dist = singularity_distance(model, alpha)
     if dist < guard:
         raise Singularity(f"model {ModelId(model).value} equilibrium", alpha, dist, guard)

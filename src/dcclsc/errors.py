@@ -56,7 +56,7 @@ class NonConcave(DcclscError):
 
 
 class BoxBoundary(DcclscError):
-    """A numeric optimum lies on the search box after final refinement.
+    """A numeric optimum lies on the edge of the search box or beyond it.
 
     Signals an ill-posed instance: the caller should widen the box rather
     than accept a silently truncated solution.
@@ -67,6 +67,6 @@ class BoxBoundary(DcclscError):
         self.value = value
         self.box = box
         super().__init__(
-            f"optimum for {variable} lies on the search box {box} (value {value!r}); "
+            f"optimum for {variable} lies on or outside the search box {box} (value {value!r}); "
             "widen the box"
         )

@@ -18,15 +18,13 @@ other is kept behind an explicit ``MrDemandVariant.AS_PRINTED`` switch so
 numeric audits can adjudicate between them.
 
 The ``segment_masses`` and ``profit_values`` kernels accept scalars or numpy
-arrays; the numeric solver evaluates them over whole search grids at once.
+arrays; the numeric solver evaluates them over whole difference stencils at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
 from .params import DecisionSet, ModelId, Params
@@ -202,21 +200,13 @@ def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
 
 
 def profit_values(model: ModelId, p_m, p_r, w, b_m, b_r, t, params: Params,
-                  variant: MrDemandVariant = MrDemandVariant.ADOPTED,
-                  clamp: bool = False):
-    """Raw profit kernel; broadcasts over array-valued decisions.
+                  variant: MrDemandVariant = MrDemandVariant.ADOPTED):
+    """Raw profit kernel on unclamped masses; broadcasts over array-valued decisions.
 
-    Returns (pi_m, pi_r). With ``clamp`` the segment masses are clipped to
-    [0, 1] before entering the profit terms (never the default; clamping is
-    an explicit mode of the numeric solver only).
+    Returns (pi_m, pi_r).
     """
     model = ModelId(model)
     q1, q2, q3, q4 = segment_masses(model, p_m, p_r, b_m, b_r, params.alpha, variant)
-    if clamp:
-        q1 = np.clip(q1, 0.0, 1.0)
-        q2 = np.clip(q2, 0.0, 1.0)
-        q3 = np.clip(q3, 0.0, 1.0)
-        q4 = np.clip(q4, 0.0, 1.0) if q4 is not None else None
     c_m, delta, s = params.c_m, params.delta, params.s
     base_m = (p_m - c_m) * q1 + (w - c_m) * q2
     base_r = (p_r - w) * q2

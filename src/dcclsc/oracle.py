@@ -1,20 +1,21 @@
 """Numeric ground truth: backward-induction Stackelberg solver and choice simulation.
 
 Nothing in this module evaluates the closed-form equilibrium expressions.
-The leader problem is maximized by iterated grid refinement over a box (the
-box halves around the incumbent each round), then polished locally with
-Newton steps assembled purely from central finite differences; the follower
-best response is recomputed at every leader candidate, vectorized over whole
-grids. All profit surfaces are exactly quadratic in the unclamped default
-mode, so the finite-difference steps carry no truncation error and land on
-stationary points to roundoff, while probed second differences expose
-non-concave regions (NonConcave) instead of chasing them.
+Segment masses enter the profits unclamped, so every profit is exactly
+quadratic in the decisions and the retailer's best response is affine in the
+leader's variables. The solver uses that structure, and only profit
+evaluations, to solve each game exactly:
 
-The explicit clamped mode clips segment masses to [0, 1] before they enter
-profits; that objective is kinked, so there the follower and the polish fall
-back to golden-section coordinate sweeps, and an objective left without a
-strict interior maximum by the clamping is refused rather than pinned at a
-bracket edge. Reports always state which mode produced them.
+1. the retailer's best response is one Newton step built from central
+   differences at a fixed anchor, vectorized over arrays of leader points;
+2. the manufacturer's reduced profit (best response substituted) is
+   evaluated once, vectorized, on a central-difference stencil around the
+   centre of the search box, which gives its gradient and Hessian exactly;
+3. a Hessian that is not negative definite raises NonConcave;
+4. one Newton step, plus at most one clean-up step, lands on the stationary
+   point to roundoff;
+5. a point outside the search box or on its edge raises BoxBoundary, so an
+   ill-posed instance is reported rather than truncated.
 
 ``monte_carlo_demand`` simulates the discrete-choice model directly from the
 utility definitions and fixed tie-breaking rules, providing the independent
@@ -24,7 +25,8 @@ check on the closed-form segment masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,16 +50,20 @@ FOLLOWER_FIELDS = {
     ModelId.MR: ("p_r", "b_r"),
 }
 
-_PRICE_BOX = (-1.0, 3.0)
-_SUBSIDY_BOX = (0.0, 2.0)
+#: Base search interval; the default box scales it with the cost level.
+_BASE_BOX = (-1.0, 3.0)
 
 
-def default_leader_box() -> dict[str, tuple[float, float]]:
-    """Default per-variable search intervals: prices/wholesale [-1, 3], subsidies and transfer [0, 2]."""
-    return {
-        "p_m": _PRICE_BOX, "p_r": _PRICE_BOX, "w": _PRICE_BOX,
-        "b_m": _SUBSIDY_BOX, "b_r": _SUBSIDY_BOX, "t": _SUBSIDY_BOX,
-    }
+def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
+    """Default search intervals: [-1, 3] scaled by (1 + c_m + s), for every variable.
+
+    Equilibrium prices and subsidies grow with the unit cost and the
+    government subsidy, so a fixed box would cut off the optimum at costly
+    parameters (the figure presets reach p_r above 16).
+    """
+    scale = 1.0 + params.c_m + params.s
+    box = (_BASE_BOX[0] * scale, _BASE_BOX[1] * scale)
+    return {name: box for name in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
 
 @dataclass(frozen=True)
@@ -66,65 +72,40 @@ class OracleConfig:
 
     Parameters
     ----------
-    follower_tol : float
-        Follower-stage tolerance. The unclamped follower step is exact on
-        the quadratic objective (residuals around 1e-12, below any practical
-        setting); the clamped-mode coordinate sweeps iterate until their
-        update falls under this bound.
     leader_tol : float
-        Convergence tolerance of the leader polish.
-    leader_box : mapping of variable name to (lo, hi)
+        Step size below which the leader's Newton step counts as converged;
+        a larger first step is followed by one clean-up step.
+    leader_box : mapping of variable name to (lo, hi), optional
         Search intervals; the solver raises ``BoxBoundary`` rather than
-        silently truncating when the optimum lands on an edge.
-    refinement_rounds : int
-        Number of grid rounds; the box halves around the incumbent each round.
-    grid_points_per_round : int
-        Points per dimension per round; odd so the box center is a node.
+        silently truncating when the optimum lies on or beyond an edge.
+        None (the default) derives the box from the parameters via
+        :func:`default_leader_box`.
     seed : int
         Substream root for everything stochastic (Monte Carlo, multistart).
     mc_samples : int
         Default sample count for the choice simulation.
-    clamped : bool
-        Evaluate profits on masses clipped to [0, 1] instead of the raw
-        linear forms. Off by default; reports always state the mode.
     """
 
-    follower_tol: float = 1e-10
     leader_tol: float = 1e-8
-    leader_box: Mapping[str, tuple[float, float]] = field(default_factory=default_leader_box)
-    refinement_rounds: int = 6
-    grid_points_per_round: int = 33
+    leader_box: Mapping[str, tuple[float, float]] | None = None
     seed: int = 0
     mc_samples: int = 1_000_000
-    clamped: bool = False
 
     def __post_init__(self):
-        violations = []
-        if not self.follower_tol > 0:
-            violations.append(Violation("follower_tol", self.follower_tol, "must be > 0"))
         if not self.leader_tol > 0:
-            violations.append(Violation("leader_tol", self.leader_tol, "must be > 0"))
-        if self.grid_points_per_round < 5 or self.grid_points_per_round % 2 == 0:
-            violations.append(Violation("grid_points_per_round", self.grid_points_per_round,
-                                        "must be >= 5 and odd"))
-        if self.refinement_rounds < 1:
-            violations.append(Violation("refinement_rounds", self.refinement_rounds, "must be >= 1"))
-        if violations:
-            raise OutOfDomain(violations)
+            raise OutOfDomain.single("leader_tol", self.leader_tol, "must be > 0")
 
-    def box(self, name: str) -> tuple[float, float]:
-        return tuple(self.leader_box[name])
+    def box(self, name: str, params: Params) -> tuple[float, float]:
+        box = self.leader_box if self.leader_box is not None else default_leader_box(params)
+        return tuple(box[name])
 
     def as_dict(self) -> dict:
+        box = self.leader_box
         return {
-            "follower_tol": self.follower_tol,
             "leader_tol": self.leader_tol,
-            "leader_box": {k: list(v) for k, v in self.leader_box.items()},
-            "refinement_rounds": self.refinement_rounds,
-            "grid_points_per_round": self.grid_points_per_round,
+            "leader_box": None if box is None else {k: list(v) for k, v in box.items()},
             "seed": self.seed,
             "mc_samples": self.mc_samples,
-            "clamped": self.clamped,
         }
 
 
@@ -155,6 +136,9 @@ class SocReport:
 _EIG_THRESHOLD = -1e-9
 _STEP = 0.25
 _FOLLOWER_ANCHOR = {"p_r": 1.0, "b_r": 0.5}
+#: Step of the leader's central-difference stencil; any step is exact on a
+#: quadratic, and a wide one keeps roundoff in the differences small.
+_LEADER_STEP = 0.5
 
 
 def _assemble(model: ModelId, **named) -> dict:
@@ -164,27 +148,20 @@ def _assemble(model: ModelId, **named) -> dict:
     return slots
 
 
-def _pi_r(model: ModelId, dec: dict, params: Params, variant: MrDemandVariant,
-          clamp: bool):
+def _profits(model: ModelId, dec: dict, params: Params, variant: MrDemandVariant):
     return market.profit_values(model, dec["p_m"], dec["p_r"], dec["w"], dec["b_m"],
-                                dec["b_r"], dec["t"], params, variant, clamp)[1]
-
-
-def _pi_m(model: ModelId, dec: dict, params: Params, variant: MrDemandVariant,
-          clamp: bool):
-    return market.profit_values(model, dec["p_m"], dec["p_r"], dec["w"], dec["b_m"],
-                                dec["b_r"], dec["t"], params, variant, clamp)[0]
+                                dec["b_r"], dec["t"], params, variant)
 
 
 def _follower_curvatures(model: ModelId, params: Params,
                          variant: MrDemandVariant) -> tuple[float, float | None, float | None]:
     """Second differences of the retailer profit at a fixed anchor.
 
-    The unclamped profit is quadratic in the follower variables, so these
-    curvatures (scaled by the step squared) are position-independent and
-    decide concavity globally. Raises NonConcave when the follower Hessian
-    is not negative definite; for model R that happens for alpha <= 1/5 and
-    for model MR for alpha <= 1/4.
+    The profit is quadratic in the follower variables, so these curvatures
+    (scaled by the step squared) are position-independent and decide
+    concavity globally. Raises NonConcave when the follower Hessian is not
+    negative definite; for model R that happens for alpha <= 1/5 and for
+    model MR for alpha <= 1/4.
     """
     h = _STEP
     anchor = _assemble(model, p_m=1.0, w=1.0, b_m=0.5, t=0.5)
@@ -192,7 +169,7 @@ def _follower_curvatures(model: ModelId, params: Params,
     def f(p_r, b_r):
         d = dict(anchor)
         d["p_r"], d["b_r"] = p_r, b_r
-        return float(_pi_r(model, d, params, variant, clamp=False))
+        return float(_profits(model, d, params, variant)[1])
 
     p0, b0 = _FOLLOWER_ANCHOR["p_r"], _FOLLOWER_ANCHOR["b_r"]
     c_pp = f(p0 + h, b0) - 2.0 * f(p0, b0) + f(p0 - h, b0)
@@ -212,25 +189,19 @@ def _follower_curvatures(model: ModelId, params: Params,
     return c_pp, c_bb, c_pb
 
 
-def _follower_solve(model: ModelId, leader: dict, params: Params, cfg: OracleConfig,
+def _follower_solve(model: ModelId, leader: dict, params: Params,
                     variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> dict:
     """Best response of the retailer, vectorized over leader-valued arrays.
 
-    In the default unclamped mode the objective is exactly quadratic, so a
-    single step built from central differences at a fixed anchor (a
-    finite-difference Newton step with the constant probed curvature) is
-    exact up to roundoff. The clamped mode falls back to golden-section
-    coordinate sweeps.
+    The objective is exactly quadratic, so a single step built from central
+    differences at a fixed anchor (a finite-difference Newton step with the
+    constant probed curvature) is exact up to roundoff.
     """
     model = ModelId(model)
-    shape = np.broadcast(*(np.asarray(v) for v in leader.values())).shape
 
     def objective(p_r, b_r):
         dec = _assemble(model, **leader, p_r=p_r, b_r=b_r)
-        return _pi_r(model, dec, params, variant, cfg.clamped)
-
-    if cfg.clamped:
-        return _follower_solve_clamped(model, objective, shape, cfg)
+        return _profits(model, dec, params, variant)[1]
 
     c_pp, c_bb, c_pb = _follower_curvatures(model, params, variant)
     h = _STEP
@@ -247,63 +218,6 @@ def _follower_solve(model: ModelId, leader: dict, params: Params, cfg: OracleCon
     }
 
 
-def _follower_solve_clamped(model: ModelId, objective, shape, cfg: OracleConfig) -> dict:
-    """Golden-section coordinate sweeps for the kinked clamped-mode objective.
-
-    Clamping removes the demand feedback from several profit terms, which can
-    leave the objective linear (hence maximizer-free) along a coordinate; a
-    non-negative second difference at the returned point raises NonConcave
-    rather than silently pinning at the bracket edge.
-    """
-    brackets = {
-        "p_r": (cfg.box("p_r")[0] - 1.0, cfg.box("p_r")[1] + 1.0),
-        "b_r": (cfg.box("b_r")[0] - 1.0, cfg.box("b_r")[1] + 1.0),
-    }
-    p_r = np.full(shape, _FOLLOWER_ANCHOR["p_r"])
-    fields = FOLLOWER_FIELDS[ModelId(model)]
-    b_r = np.full(shape, _FOLLOWER_ANCHOR["b_r"]) if "b_r" in fields else None
-    for _ in range(40):
-        new_p = _golden(lambda x: objective(x, b_r), brackets["p_r"], shape)
-        new_b = (_golden(lambda x: objective(new_p, x), brackets["b_r"], shape)
-                 if b_r is not None else None)
-        change = np.max(np.abs(new_p - p_r))
-        if new_b is not None:
-            change = max(change, np.max(np.abs(new_b - b_r)))
-        p_r, b_r = new_p, new_b
-        if change < max(cfg.follower_tol, 1e-9):
-            break
-    h = 1e-3
-    curv_p = objective(p_r + h, b_r) - 2.0 * objective(p_r, b_r) + objective(p_r - h, b_r)
-    worst = float(np.max(curv_p))
-    if b_r is not None:
-        curv_b = (objective(p_r, b_r + h) - 2.0 * objective(p_r, b_r)
-                  + objective(p_r, b_r - h))
-        worst = max(worst, float(np.max(curv_b)))
-    if worst >= -1e-12:
-        raise NonConcave(
-            "clamped retailer objective has no strict interior maximum along "
-            f"some coordinate (worst second difference {worst:.3e})")
-    out = {"p_r": p_r}
-    if b_r is not None:
-        out["b_r"] = b_r
-    return out
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(f, bracket: tuple[float, float], shape, iters: int = 70):
-    lo = np.full(shape, bracket[0])
-    hi = np.full(shape, bracket[1])
-    for _ in range(iters):
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        keep_left = f(x1) >= f(x2)
-        hi = np.where(keep_left, x2, hi)
-        lo = np.where(keep_left, lo, x1)
-    return (lo + hi) / 2.0
-
-
 def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
                            params: Params, cfg: OracleConfig | None = None,
                            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> dict[str, float]:
@@ -312,102 +226,107 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     ``leader_vars`` must contain exactly the leader's variables for the
     model: {w, p_m, b_m} for M, {w, p_m, t} for R, {w, p_m, b_m, t} for MR.
     Raises NonConcave when the retailer objective has no interior maximum.
+    The follower step needs no tuning, so ``cfg`` is accepted but unused.
     """
     model = ModelId(model)
-    cfg = cfg or OracleConfig()
     expected = set(LEADER_FIELDS[model])
     got = set(leader_vars)
     if got != expected:
         raise OutOfDomain([Violation("leader_vars", float("nan"),
                                      f"model {model.value} leader sets {sorted(expected)}, got {sorted(got)}")])
     leader = {k: float(v) for k, v in leader_vars.items()}
-    sol = _follower_solve(model, leader, params, cfg, variant)
+    sol = _follower_solve(model, leader, params, variant)
     return {k: float(v) for k, v in sol.items()}
 
 
 def _reduced_leader_profit(model: ModelId, leader: dict, params: Params,
-                           cfg: OracleConfig, variant: MrDemandVariant):
-    follower = _follower_solve(model, leader, params, cfg, variant)
+                           variant: MrDemandVariant):
+    follower = _follower_solve(model, leader, params, variant)
     dec = _assemble(model, **leader, **follower)
-    return _pi_m(model, dec, params, variant, cfg.clamped)
+    return _profits(model, dec, params, variant)[0]
 
 
-def _leader_grid_round(model: ModelId, boxes: dict, params: Params, cfg: OracleConfig,
-                       variant: MrDemandVariant) -> tuple[dict, float]:
-    names = LEADER_FIELDS[ModelId(model)]
-    axes = [np.linspace(boxes[n][0], boxes[n][1], cfg.grid_points_per_round) for n in names]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    leader = {n: m.ravel() for n, m in zip(names, mesh)}
-    profit = _reduced_leader_profit(model, leader, params, cfg, variant)
-    profit = np.where(np.isfinite(profit), profit, -np.inf)
-    best = int(np.argmax(profit))
-    return {n: float(leader[n][best]) for n in names}, float(profit[best])
+def _leader_objective(model: ModelId, params: Params, variant: MrDemandVariant) -> Callable:
+    """Reduced leader profit over an (n, k) array of leader points."""
+    names = LEADER_FIELDS[model]
+
+    def f(points: np.ndarray) -> np.ndarray:
+        leader = {n: points[:, i] for i, n in enumerate(names)}
+        return _reduced_leader_profit(model, leader, params, variant)
+
+    return f
 
 
-def _polish(model: ModelId, start: Mapping[str, float], params: Params,
-            cfg: OracleConfig, variant: MrDemandVariant,
-            max_iters: int = 40) -> dict[str, float]:
-    """Local refinement of the reduced leader profit from ``start``.
+def _stencil_offsets(k: int) -> np.ndarray:
+    """Unit central-difference stencil in k dimensions.
 
-    Unclamped profits are quadratic in the leader variables once the
-    follower is substituted, so Newton steps built from central-difference
-    gradients and a constant finite-difference Hessian land on the
-    stationary point to within roundoff in one or two iterations. Steps are
-    clipped into the configured box. Raises NonConcave when the reduced
-    Hessian is not negative definite.
+    Rows: the origin, then +e_i, -e_i for each i, then e_i + e_j, e_i - e_j,
+    -e_i + e_j, -e_i - e_j for each pair i < j; 1 + 2k + 2k(k-1) rows in all.
+    """
+    eye = np.eye(k)
+    rows = [np.zeros(k)]
+    for i in range(k):
+        rows += [eye[i], -eye[i]]
+    for i, j in combinations(range(k), 2):
+        rows += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
+    return np.array(rows)
+
+
+def _central_differences(f: Callable, x0: np.ndarray, h: float,
+                         hessian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient (and Hessian) of f at x0 from one vectorized stencil evaluation.
+
+    ``f`` maps an (n, k) array of points to n values. Central differences
+    carry no truncation error on a quadratic, whatever the step.
+    """
+    k = len(x0)
+    offsets = _stencil_offsets(k)
+    if not hessian:
+        offsets = offsets[:1 + 2 * k]
+    vals = f(x0 + h * offsets)
+    plus, minus = vals[1:1 + 2 * k:2], vals[2:1 + 2 * k:2]
+    grad = (plus - minus) / (2.0 * h)
+    if not hessian:
+        return grad, None
+    H = np.diag((plus - 2.0 * vals[0] + minus) / (h * h))
+    corners = vals[1 + 2 * k:].reshape(-1, 4)
+    for (i, j), (pp, pm, mp, mm) in zip(combinations(range(k), 2), corners):
+        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return grad, H
+
+
+def solve_leader(model: ModelId, params: Params, cfg: OracleConfig | None = None,
+                 variant: MrDemandVariant = MrDemandVariant.ADOPTED,
+                 centre: Mapping[str, float] | None = None) -> dict[str, float]:
+    """Stationary point of the leader's reduced profit (follower substituted).
+
+    The reduced profit is exactly quadratic, so its gradient and Hessian are
+    read from one central-difference stencil around ``centre`` (default: the
+    centre of the search box), and one Newton step lands on the stationary
+    point; a step longer than ``leader_tol`` is followed by one clean-up
+    step from a fresh gradient, which removes the roundoff of the first.
+    Raises NonConcave unless every Hessian eigenvalue is negative. The
+    result is not checked against the search box.
     """
     model = ModelId(model)
+    cfg = cfg or OracleConfig()
     names = LEADER_FIELDS[model]
-    k = len(names)
-    x = np.array([float(start[n]) for n in names])
-    lo = np.array([cfg.box(n)[0] for n in names])
-    hi = np.array([cfg.box(n)[1] for n in names])
-
-    def f(vec):
-        leader = {n: vec[i] for i, n in enumerate(names)}
-        return float(_reduced_leader_profit(model, leader, params, cfg, variant))
-
-    if cfg.clamped:
-        return _polish_clamped(names, f, x, lo, hi, cfg)
-
-    h = 1e-4
-    H = _fd_hessian(f, x, h)
+    if centre is None:
+        x = np.array([sum(cfg.box(n, params)) / 2.0 for n in names])
+    else:
+        x = np.array([float(centre[n]) for n in names])
+    f = _leader_objective(model, params, variant)
+    grad, H = _central_differences(f, x, _LEADER_STEP)
     eigs = np.linalg.eigvalsh(H)
     if not np.all(eigs < 0.0):
         raise NonConcave(
             "leader reduced profit not concave: finite-difference Hessian "
             f"eigenvalues {np.array2string(eigs, precision=4)}")
-
-    hg = 1e-6
-    for _ in range(max_iters):
-        grad = np.empty(k)
-        for i in range(k):
-            xp = x.copy(); xp[i] += hg
-            xm = x.copy(); xm[i] -= hg
-            grad[i] = (f(xp) - f(xm)) / (2.0 * hg)
-        step = np.linalg.solve(H, -grad)
-        x = np.clip(x + step, lo, hi)
-        if np.max(np.abs(step)) < cfg.leader_tol:
-            break
-    return {n: float(x[i]) for i, n in enumerate(names)}
-
-
-def _polish_clamped(names, f, x, lo, hi, cfg: OracleConfig,
-                    max_sweeps: int = 60) -> dict[str, float]:
-    """Golden-section coordinate sweeps for the kinked clamped-mode objective."""
-    for _ in range(max_sweeps):
-        change = 0.0
-        for i in range(len(names)):
-            def section(z, i=i):
-                vec = np.array(x, copy=True)
-                vec[i] = float(z)
-                return f(vec)
-
-            new = float(_golden(lambda z: np.float64(section(z)), (lo[i], hi[i]), ()))
-            change = max(change, abs(new - x[i]))
-            x[i] = new
-        if change < max(cfg.leader_tol, 1e-7):
-            break
+    step = np.linalg.solve(H, -grad)
+    x = x + step
+    if np.max(np.abs(step)) >= cfg.leader_tol:
+        grad, _ = _central_differences(f, x, _LEADER_STEP, hessian=False)
+        x = x + np.linalg.solve(H, -grad)
     return {n: float(x[i]) for i, n in enumerate(names)}
 
 
@@ -417,43 +336,27 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     """Numeric Stackelberg equilibrium by backward induction.
 
     The manufacturer's profit, with the retailer replaced by its computed
-    best response, is maximized by ``refinement_rounds`` rounds of grid
-    search (box halved around the incumbent each round) followed by local
-    polish to ``leader_tol``. Deterministic for a fixed config.
+    best response, is maximized exactly by :func:`solve_leader` from the
+    centre of the search box. Deterministic for a fixed config.
 
     Raises
     ------
     BoxBoundary
-        when the optimum lies on the leader box after final refinement.
+        when the optimum lies outside the leader box or on its edge.
     NonConcave
         when either stage's objective has no interior maximum.
     """
     model = ModelId(model)
     cfg = cfg or OracleConfig()
-    names = LEADER_FIELDS[model]
-    original = {n: cfg.box(n) for n in names}
-    boxes = dict(original)
-    incumbent = None
-    for _round in range(cfg.refinement_rounds):
-        incumbent, _ = _leader_grid_round(model, boxes, params, cfg, variant)
-        next_boxes = {}
-        for n in names:
-            width = (boxes[n][1] - boxes[n][0]) * 0.5
-            lo0, hi0 = original[n]
-            lo = min(max(incumbent[n] - width / 2.0, lo0), hi0 - width)
-            next_boxes[n] = (lo, lo + width)
-        boxes = next_boxes
-
-    leader = _polish(model, incumbent, params, cfg, variant)
-
-    for n in names:
-        lo0, hi0 = original[n]
-        edge = 1e-6 * max(1.0, hi0 - lo0)
-        if leader[n] - lo0 <= edge or hi0 - leader[n] <= edge:
-            raise BoxBoundary(n, leader[n], (lo0, hi0))
+    leader = solve_leader(model, params, cfg, variant)
+    for n, value in leader.items():
+        lo, hi = cfg.box(n, params)
+        edge = 1e-6 * max(1.0, hi - lo)
+        if value - lo <= edge or hi - value <= edge:
+            raise BoxBoundary(n, value, (lo, hi))
 
     follower = {k: float(v) for k, v in
-                _follower_solve(model, leader, params, cfg, variant).items()}
+                _follower_solve(model, leader, params, variant).items()}
     decisions = DecisionSet(model=model, **leader, **follower)
 
     from .closed_form import singularity_distance
@@ -462,28 +365,10 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
                             singularity_distance(model, params.alpha), variant=variant)
 
 
-def _fd_hessian(f: Callable, x0: np.ndarray, h: float) -> np.ndarray:
-    n = len(x0)
-    H = np.empty((n, n))
-    f0 = f(x0)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                xp = x0.copy(); xp[i] += h
-                xm = x0.copy(); xm[i] -= h
-                H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / (h * h)
-            else:
-                xpp = x0.copy(); xpp[i] += h; xpp[j] += h
-                xpm = x0.copy(); xpm[i] += h; xpm[j] -= h
-                xmp = x0.copy(); xmp[i] -= h; xmp[j] += h
-                xmm = x0.copy(); xmm[i] -= h; xmm[j] -= h
-                H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h * h)
-    return H
-
-
 def _richardson_hessian(f: Callable, x0: np.ndarray, h: float) -> np.ndarray:
     # one Richardson extrapolation step: eliminates the O(h^2) error term
-    return (4.0 * _fd_hessian(f, x0, h / 2.0) - _fd_hessian(f, x0, h)) / 3.0
+    return (4.0 * _central_differences(f, x0, h / 2.0)[1]
+            - _central_differences(f, x0, h)[1]) / 3.0
 
 
 def check_soc(model: ModelId, eq: Equilibrium, params: Params,
@@ -493,32 +378,25 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
 
     Central differences with step 1e-4 and one Richardson extrapolation;
     a stage is negative definite iff all its eigenvalues are < -1e-9.
+    The checks need no tuning, so ``cfg`` is accepted but unused.
     """
     model = ModelId(model)
-    cfg = cfg or OracleConfig()
     h = 1e-4
     dec = {k: getattr(eq.decisions, k) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
     f_names = FOLLOWER_FIELDS[model]
 
-    def follower_obj(x):
+    def follower_obj(points):
         d = dict(dec)
-        d.update({n: x[i] for i, n in enumerate(f_names)})
-        return float(_pi_r(model, d, params, variant, cfg.clamped))
+        d.update({n: points[:, i] for i, n in enumerate(f_names)})
+        return _profits(model, d, params, variant)[1]
 
     x_f = np.array([dec[n] for n in f_names], dtype=float)
-    Hf = _richardson_hessian(follower_obj, x_f, h)
-    eig_f = np.linalg.eigvalsh(Hf)
+    eig_f = np.linalg.eigvalsh(_richardson_hessian(follower_obj, x_f, h))
 
-    l_names = LEADER_FIELDS[model]
-
-    def leader_obj(x):
-        leader = {n: x[i] for i, n in enumerate(l_names)}
-        return float(_reduced_leader_profit(model, leader, params, cfg, variant))
-
-    x_l = np.array([dec[n] for n in l_names], dtype=float)
-    Hl = _richardson_hessian(leader_obj, x_l, h)
-    eig_l = np.linalg.eigvalsh(Hl)
+    x_l = np.array([dec[n] for n in LEADER_FIELDS[model]], dtype=float)
+    leader_obj = _leader_objective(model, params, variant)
+    eig_l = np.linalg.eigvalsh(_richardson_hessian(leader_obj, x_l, h))
 
     return SocReport(
         follower_hessian_eigs=tuple(float(e) for e in eig_f),
@@ -612,21 +490,20 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
     Central-difference partials of the retailer profit in the follower's
     variables and of the leader's reduced profit (follower re-solved at each
     perturbation) in the leader's variables, divided by max(1, |profit|).
-    All residuals vanish at a true interior Stackelberg solution.
+    All residuals vanish at a true interior Stackelberg solution. Raises
+    NonConcave when the retailer has no best response to re-solve. The
+    check needs no tuning, so ``cfg`` is accepted but unused.
     """
     model = ModelId(model)
-    cfg = cfg or OracleConfig()
     dec = {k: getattr(decisions, k) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
-    pi_m_val, pi_r_val = market.profit_values(
-        model, dec["p_m"], dec["p_r"], dec["w"], dec["b_m"], dec["b_r"], dec["t"],
-        params, variant, cfg.clamped)
+    pi_m_val, pi_r_val = _profits(model, dec, params, variant)
     out: dict[str, float] = {}
     scale_r = max(1.0, abs(float(pi_r_val)))
     for name in FOLLOWER_FIELDS[model]:
         dp = dict(dec); dp[name] += h
         dm = dict(dec); dm[name] -= h
-        deriv = (float(_pi_r(model, dp, params, variant, cfg.clamped))
-                 - float(_pi_r(model, dm, params, variant, cfg.clamped))) / (2.0 * h)
+        deriv = (float(_profits(model, dp, params, variant)[1])
+                 - float(_profits(model, dm, params, variant)[1])) / (2.0 * h)
         out[f"follower:{name}"] = abs(deriv) / scale_r
 
     scale_m = max(1.0, abs(float(pi_m_val)))
@@ -634,8 +511,8 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
     for name in LEADER_FIELDS[model]:
         lp = dict(leader); lp[name] += h
         lm = dict(leader); lm[name] -= h
-        deriv = (float(_reduced_leader_profit(model, lp, params, cfg, variant))
-                 - float(_reduced_leader_profit(model, lm, params, cfg, variant))) / (2.0 * h)
+        deriv = (float(_reduced_leader_profit(model, lp, params, variant))
+                 - float(_reduced_leader_profit(model, lm, params, variant))) / (2.0 * h)
         out[f"leader:{name}"] = abs(deriv) / scale_m
     return out
 
@@ -649,12 +526,17 @@ def certify_mr_variant(decisions: DecisionSet, params: Params,
                        cfg: OracleConfig | None = None) -> str:
     """Which segment-3 demand variant, if any, makes an MR point stationary.
 
-    Returns "adopted", "as_printed", "both", or "none". The verdict is a
-    deterministic function of (decisions, params).
+    Returns "adopted", "as_printed", "both", or "none"; or
+    "follower_non_concave" when the retailer profit is not concave (alpha
+    <= 1/4), so no Stackelberg point exists to certify against. The verdict
+    is a deterministic function of (decisions, params).
     """
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
-        res = stationarity_residuals(ModelId.MR, decisions, params, variant, cfg)
+        try:
+            res = stationarity_residuals(ModelId.MR, decisions, params, variant, cfg)
+        except NonConcave:
+            return "follower_non_concave"
         if max(res.values()) <= tol:
             passing.append(variant.value)
     if not passing:
@@ -662,6 +544,10 @@ def certify_mr_variant(decisions: DecisionSet, params: Params,
     if len(passing) == 2:
         return "both"
     return passing[0]
+
+
+#: Consecutive guard-band rejections after which ``sample_params`` gives up.
+_MAX_REJECTIONS = 100_000
 
 
 def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.95),
@@ -672,17 +558,25 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     alpha is uniform on ``alpha_range`` excluding ``guard_band``-wide bands
     around the closed-form poles (2/9 and the MR denominator root), c_m is
     uniform on ``c_m_range``, c_r uniform on (0, c_m), s uniform on
-    [0, s_max]. Deterministic given (n, seed).
+    [0, s_max]. Deterministic given (n, seed). Raises OutOfDomain when
+    ``alpha_range`` has no admissible mass, detected as 100,000 consecutive
+    draws inside the guard bands.
     """
-    from .closed_form import MR_UNIT_ROOT
+    from .closed_form import singularity_distance
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    poles = (2.0 / 9.0, MR_UNIT_ROOT)
     out = []
+    rejected = 0
     while len(out) < n:
         alpha = float(rng.uniform(*alpha_range))
-        if any(abs(alpha - p) < guard_band for p in poles):
+        if any(singularity_distance(m, alpha) < guard_band for m in (ModelId.R, ModelId.MR)):
+            rejected += 1
+            if rejected == _MAX_REJECTIONS:
+                raise OutOfDomain.single("alpha_range", alpha_range,
+                                         f"no admissible alpha outside the pole guard "
+                                         f"bands of half-width {guard_band}")
             continue
+        rejected = 0
         c_m = float(rng.uniform(*c_m_range))
         c_r = float(c_m * rng.uniform(0.05, 0.95))
         s = float(rng.uniform(0.0, s_max))

@@ -111,14 +111,13 @@ def _timed(fn):
 
 
 @_timed
-def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3,
-                 clamped: bool = False) -> tuple[RunReport, int]:
+def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> tuple[RunReport, int]:
     """Closed form vs numeric backward induction for models M and R.
 
     Relative deviation per decision variable must stay within ``tol`` on
     every draw.
     """
-    cfg = oracle.OracleConfig(leader_box=WIDE_BOX, seed=seed, clamped=clamped)
+    cfg = oracle.OracleConfig(leader_box=WIDE_BOX, seed=seed)
     draws = oracle.sample_params(samples, seed)
     worst = 0.0
     worst_case = None

@@ -6,7 +6,7 @@ import pytest
 
 from dcclsc.cli import main
 from dcclsc.report import CSV_COLUMNS
-from dcclsc.suites import suite_endpoints, suite_oracle
+from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_oracle
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -50,6 +50,54 @@ class TestSolve:
         assert oracle_block["decisions"]["p_m"] == pytest.approx(1.0102803738, abs=1e-6)
         # printed closed form differs from the numeric optimum here
         assert abs(oracle_block["deltas_vs_closed_form"]["p_r"]) > 1.0
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4"])
+    def test_verify_at_figure_parameters(self, capsys, preset):
+        # the default search box scales with the costs, so the figures'
+        # costly parameters are cross-checked instead of hitting the box
+        model, lo, hi, c_m, c_r, s = FIGURE_PRESETS[preset]
+        for alpha in (lo, 0.5, hi):
+            code, out, _ = run(capsys, "solve", "--model", model.value,
+                               "--alpha", str(alpha), "--cm", str(c_m), "--cr", str(c_r),
+                               "--s", str(s), "--verify")
+            assert code == 0, (preset, alpha)
+            payload = json.loads(out)
+            for name, value in payload["decisions"].items():
+                assert payload["oracle"]["decisions"][name] == pytest.approx(value, rel=1e-3)
+
+    def test_mr_follower_non_concave_is_a_verdict(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.2",
+                           "--cm", "0.5", "--cr", "0.25", "--s", "0.1")
+        assert code == 0
+        assert json.loads(out)["certified_demand_variant"] == "follower_non_concave"
+        csv = tmp_path / "mr.csv"
+        code, _, _ = run(capsys, "sweep", "--model", "mr", "--alpha-from", "0.1",
+                         "--alpha-to", "0.9", "--alpha-step", "0.1", "--cm", "0.5",
+                         "--cr", "0.25", "--s", "0.1", "--out", str(csv))
+        assert code == 0
+        assert len(csv.read_text().splitlines()) == 1 + 9
+
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
+        code, _, err = run(capsys, "solve", "--model", "m", "--alpha", "0.9",
+                           "--cm", "0.15", "--cr", "0.12",
+                           "--out", str(tmp_path / "missing" / "eq.json"))
+        assert code == 1
+        assert "cannot write output" in err
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "sweep", "--preset", "fig3",
+                           "--out", str(tmp_path / "fig3.csv"),
+                           "--plot-dir", str(blocker / "charts"))
+        assert code == 1
+        assert "cannot write output" in err
+
+    def test_negative_guard_rejected(self, capsys):
+        code, _, err = run(capsys, "solve", "--model", "m", "--alpha", "0.9",
+                           "--cm", "0.15", "--cr", "0.12", "--guard", "-0.1")
+        assert code == 1
+        assert "guard" in err
+        code, _, _ = run(capsys, "sweep", "--preset", "fig4", "--guard", "-0.1")
+        assert code == 1
 
     def test_singularity_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", "--model", "r", "--alpha", "0.2222222",

@@ -17,7 +17,7 @@ from dcclsc import (
     validity,
 )
 from dcclsc.closed_form import equilibrium_m
-from dcclsc.market import choice_segment, profit_values, segment_masses
+from dcclsc.market import choice_segment, segment_masses
 
 
 def _dm(p_m=0.3, p_r=0.6, w=0.4, b_m=0.2):
@@ -222,10 +222,3 @@ class TestAlgebraicInvariants:
             assert us["U1"] >= us["U2"] and us["U1"] >= 0.0
         if tradein == 4:
             assert us["U4"] > us["U3"] and us["U4"] >= 0.0
-
-    def test_profit_kernel_clamp_mode(self):
-        p = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
-        d = equilibrium_m(p).decisions
-        raw = profit_values(ModelId.M, d.p_m, d.p_r, d.w, d.b_m, None, None, p)
-        clamped = profit_values(ModelId.M, d.p_m, d.p_r, d.w, d.b_m, None, None, p, clamp=True)
-        assert raw[0] != pytest.approx(clamped[0])  # q1 < 0 makes the modes differ
