@@ -2,14 +2,14 @@
 Numeric backward induction as an independent cross-check
 ========================================================
 
-Solves the leader/follower game without touching the closed forms. The
-retailer's best response is computed numerically at every probe; the
-manufacturer's reduced profit is quadratic, so one central-difference
-stencil gives its gradient and Hessian exactly and a Newton step lands on
-the optimum. For the manufacturer-led and
-retailer-led models the numeric optimum lands on the closed forms to ten
-significant digits; for the joint model it reveals that the published
-expressions are not the solution of the stated game.
+Solves the leader/follower game without touching the closed forms. Every
+profit is quadratic, so one central-difference stencil of the retailer's
+profit identifies its best response exactly, as an affine map of the
+leader's variables; a second stencil gives the gradient and Hessian of the
+manufacturer's reduced profit, and a Newton step lands on the optimum. For
+the manufacturer-led and retailer-led models the numeric optimum lands on
+the closed forms to ten significant digits; for the joint model it reveals
+that the published expressions are not the solution of the stated game.
 """
 
 from dcclsc import (

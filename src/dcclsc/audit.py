@@ -325,13 +325,13 @@ def audit_uniqueness(theorem: str, params: Params,
     Combines the second-order verdicts at the numeric solution with a
     multistart probe: the exact leader solve, restarted from ``n_starts``
     seeded random points of the search box, must land on the same optimum
-    within 10x leader_tol every time.
+    within 10x ``oracle.LEADER_TOL`` every time.
     """
     theorem = theorem.upper()
     model = _THEOREM_MODEL[theorem]
     cfg = cfg or oracle.OracleConfig()
     eq = oracle.solve_stackelberg_numeric(model, params, cfg, variant)
-    soc = oracle.check_soc(model, eq, params, cfg, variant)
+    soc = oracle.check_soc(model, eq, params, variant)
 
     names = oracle.LEADER_FIELDS[model]
     rng = np.random.Generator(np.random.PCG64(
@@ -343,7 +343,7 @@ def audit_uniqueness(theorem: str, params: Params,
         refined = oracle.solve_leader(model, params, cfg, variant, centre=start)
         arrived = np.array([refined[n] for n in names])
         spread = max(spread, float(np.max(np.abs(arrived - x_star))))
-    converged = spread <= 10.0 * max(cfg.leader_tol, 1e-9)
+    converged = spread <= 10.0 * oracle.LEADER_TOL
 
     observed = ("unique" if (converged and soc.follower_negative_definite
                              and soc.leader_negative_definite) else "not_unique")
@@ -354,7 +354,7 @@ def audit_uniqueness(theorem: str, params: Params,
     if failing:
         notes.append("validity caveat: " + ", ".join(failing))
     if model is ModelId.MR:
-        certified = oracle.certify_mr_variant(eq.decisions, params, cfg=cfg)
+        certified = oracle.certify_mr_variant(eq.decisions, params)
         notes.append(f"numeric optimum is stationary under variant: {certified}")
     return AuditVerdict(
         prop_id=theorem, sub_id=None, variable=None, params=params,

@@ -101,9 +101,9 @@ def build_parser() -> _Parser:
     verify.add_argument("--samples", type=int, default=0,
                         help="draws per suite (0 = suite default)")
     verify.add_argument("--seed", type=int, default=0, help="0 = suite default")
-    verify.add_argument("--tol", type=float, default=1e-3)
-    verify.add_argument("--n", type=int, default=1_000_000,
-                        help="Monte Carlo sample count")
+    verify.add_argument("--tol", type=float, help="oracle agreement tolerance "
+                        "(default: the suite's)")
+    verify.add_argument("--n", type=int, help="Monte Carlo sample count (default: the suite's)")
     verify.add_argument("--out", help="write the machine-readable report here")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo choice simulation")
@@ -356,24 +356,16 @@ def cmd_table4(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 0:
         build_parser().error("--samples must be >= 0")
-    if args.suite == "oracle":
-        rep, code = suites.suite_oracle(samples=args.samples or 100,
-                                        seed=args.seed or 42, tol=args.tol)
-        reports = [rep]
-    elif args.suite == "props":
-        rep, code = suites.suite_props(samples=args.samples or 50, seed=args.seed or 7)
-        reports = [rep]
-    elif args.suite == "mc":
-        rep, code = suites.suite_mc(samples=args.samples or 20, seed=args.seed or 1,
-                                    n=args.n)
-        reports = [rep]
-    elif args.suite == "endpoints":
-        rep, code = suites.suite_endpoints(samples=args.samples or 25,
-                                           seed=args.seed or 5)
-        reports = [rep]
+    # only the flags the user set; 0 for --samples or --seed means the suite default
+    given = {"samples": args.samples or None, "seed": args.seed or None,
+             "tol": args.tol, "n": args.n}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    if args.suite == "all":
+        reports, code = suites.suite_all(**overrides)
     else:
-        reports, code = suites.suite_all(samples=args.samples, seed=args.seed,
-                                         tol=args.tol, n=args.n)
+        fn = getattr(suites, f"suite_{args.suite}")
+        rep, code = fn(**suites.suite_options(fn, overrides))
+        reports = [rep]
     for rep in reports:
         print(rep.render_text())
     if args.out:

@@ -17,14 +17,18 @@ contradict each other; the utility-consistent form is the default and the
 other is kept behind an explicit ``MrDemandVariant.AS_PRINTED`` switch so
 numeric audits can adjudicate between them.
 
-The ``segment_masses`` and ``profit_values`` kernels accept scalars or numpy
-arrays; the numeric solver evaluates them over whole difference stencils at once.
+The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
+scalars or numpy arrays; the simulation runs the choice kernel over whole
+chunks of draws, and the numeric solver the profit kernel over whole
+difference stencils at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
 from .params import DecisionSet, ModelId, Params
@@ -121,13 +125,27 @@ class ValidityReport:
         }
 
 
-def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
-              params: Params) -> dict[str, float]:
-    """Per-segment utilities of a (v, u) customer pair.
+def _primary_utilities(d: DecisionSet, v, alpha: float):
+    """(U1, U2): direct- and retail-channel utilities of valuations v; broadcasts."""
+    return alpha * v - d.p_m, v - d.p_r
 
-    v is the primary customer's valuation, u the replacement customer's
-    return-cost valuation; both must lie in [0, 1].
-    """
+
+def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float):
+    """(U3, U4) of return-cost valuations u, U4 None outside the joint model; broadcasts."""
+    if model is ModelId.M:
+        return d.b_m - u, None
+    if model is ModelId.R:
+        return d.b_r - alpha * u, None
+    return d.b_m - u, d.b_r - alpha * u
+
+
+def _choose(x, y):
+    """Masks (x chosen, y chosen): ties go to x, zero utility participates."""
+    chose_x = (x >= y) & (x >= 0.0)
+    return chose_x, ~chose_x & (y >= 0.0)
+
+
+def _check_valuations(v: float, u: float):
     violations = []
     if not 0.0 <= v <= 1.0:
         violations.append(Violation("v", v, "valuations live on [0, 1]"))
@@ -135,45 +153,50 @@ def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
         violations.append(Violation("u", u, "valuations live on [0, 1]"))
     if violations:
         raise OutOfDomain(violations)
-    model = ModelId(model)
-    a = params.alpha
-    out = {"U1": a * v - decisions.p_m, "U2": v - decisions.p_r}
-    if model is ModelId.M:
-        out["U3"] = decisions.b_m - u
-    elif model is ModelId.R:
-        out["U3"] = decisions.b_r - a * u
-    else:
-        out["U3"] = decisions.b_m - u
-        out["U4"] = decisions.b_r - a * u
-    return out
+
+
+def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
+              params: Params) -> dict[str, float]:
+    """Per-segment utilities of a (v, u) customer pair.
+
+    v is the primary customer's valuation, u the replacement customer's
+    return-cost valuation; both must lie in [0, 1].
+    """
+    _check_valuations(v, u)
+    values = (*_primary_utilities(decisions, v, params.alpha),
+              *_tradein_utilities(ModelId(model), decisions, u, params.alpha))
+    return {f"U{i}": x for i, x in enumerate(values, 1) if x is not None}
+
+
+def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params):
+    """Vectorized choice kernel: boolean masks (s1, s2, s3, s4) of the segments
+    that (v, u) pairs choose, with s4 None outside the joint model.
+
+    Tie-breaking is fixed for determinism: channel indifference resolves to
+    the direct channel, subsidy indifference to the manufacturer's subsidy,
+    and zero-utility customers participate.
+    """
+    # the primary utilities are freed before the trade-in pass: a smaller
+    # working set per chunk of draws
+    s1, s2 = _choose(*_primary_utilities(decisions, np.asarray(v, dtype=float), params.alpha))
+    u3, u4 = _tradein_utilities(ModelId(model), decisions, np.asarray(u, dtype=float),
+                                params.alpha)
+    if u4 is None:
+        return s1, s2, u3 >= 0.0, None
+    return (s1, s2, *_choose(u3, u4))
 
 
 def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
                    params: Params) -> tuple[int, int]:
     """Resolve the choice of one (v, u) pair: (primary segment, trade-in segment).
 
-    Returns segment 0 for non-participation. Tie-breaking is fixed for
-    determinism: channel indifference resolves to the direct channel,
-    subsidy indifference to the manufacturer's subsidy, and zero-utility
-    customers participate.
+    Returns segment 0 for non-participation; ties resolve as in
+    :func:`choice_masks`.
     """
-    us = utilities(model, decisions, v, u, params)
-    if us["U1"] >= us["U2"] and us["U1"] >= 0.0:
-        primary = 1
-    elif us["U2"] > us["U1"] and us["U2"] >= 0.0:
-        primary = 2
-    else:
-        primary = 0
-    model = ModelId(model)
-    if model is ModelId.MR:
-        if us["U3"] >= us["U4"] and us["U3"] >= 0.0:
-            tradein = 3
-        elif us["U4"] > us["U3"] and us["U4"] >= 0.0:
-            tradein = 4
-        else:
-            tradein = 0
-    else:
-        tradein = 3 if us["U3"] >= 0.0 else 0
+    _check_valuations(v, u)
+    s1, s2, s3, s4 = choice_masks(model, decisions, v, u, params)
+    primary = 1 if s1 else 2 if s2 else 0
+    tradein = 3 if s3 else 4 if s4 is not None and s4 else 0
     return primary, tradein
 
 

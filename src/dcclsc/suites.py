@@ -11,6 +11,8 @@ finding is absent, just as it fails on any unexpected one.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -21,9 +23,8 @@ from . import audit, closed_form, market, oracle
 from .market import MrDemandVariant
 from .params import DecisionSet, ModelId, Params
 
-#: Wider search box used by the agreement protocols: sampled instances can
-#: have slightly negative optimal subsidies or transfer prices, which the
-#: default subsidy box would clip into a BoxBoundary error.
+#: Fixed search box of the agreement protocol, recorded in its report; the
+#: default cost-scaled box [-1, 3] * (1 + c_m + s) contains it.
 WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
 #: Figure sweep parameter presets: (model, alpha_from, alpha_to, c_m, c_r, s).
@@ -102,6 +103,7 @@ class RunReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         report, code = fn(*args, **kwargs)
@@ -318,18 +320,22 @@ def suite_endpoints(samples: int = 25, seed: int = 5) -> tuple[RunReport, int]:
     return report, 0 if ok else 2
 
 
-def suite_all(samples: int = 0, seed: int = 0, tol: float = 1e-3,
-              n: int = 1_000_000) -> tuple[list[RunReport], int]:
-    """Run every suite with its own defaults (overridden when flags given)."""
+def suite_all(**overrides) -> tuple[list[RunReport], int]:
+    """Run every suite with its own defaults.
+
+    ``overrides`` (``samples``, ``seed``, ``tol``, ``n``) replace a default
+    in each suite whose signature takes that option.
+    """
     reports = []
     worst = 0
-    for fn, kwargs in (
-        (suite_oracle, {"samples": samples or 100, "seed": seed or 42, "tol": tol}),
-        (suite_props, {"samples": samples or 50, "seed": seed or 7}),
-        (suite_mc, {"samples": samples or 20, "seed": seed or 1, "n": n}),
-        (suite_endpoints, {"samples": samples or 25, "seed": seed or 5}),
-    ):
-        report, code = fn(**kwargs)
+    for fn in (suite_oracle, suite_props, suite_mc, suite_endpoints):
+        report, code = fn(**suite_options(fn, overrides))
         reports.append(report)
         worst = max(worst, code)
     return reports, worst
+
+
+def suite_options(fn, overrides: dict) -> dict:
+    """The subset of ``overrides`` that suite ``fn`` takes."""
+    accepted = inspect.signature(fn).parameters
+    return {k: v for k, v in overrides.items() if k in accepted}

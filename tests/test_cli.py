@@ -263,6 +263,17 @@ class TestVerify:
         assert "adopted variant confirmed" in text
 
 
+    def test_unset_flags_keep_each_suite_default(self, capsys, tmp_path):
+        out = tmp_path / "all.json"
+        code, _, _ = run(capsys, "verify", "all", "--samples", "1", "--n", "2000",
+                         "--out", str(out))
+        assert code in (0, 2)
+        reports = {rep["command"]: rep for rep in json.loads(out.read_text())}
+        assert {cmd: rep["seed"] for cmd, rep in reports.items()} == {
+            "verify oracle": 42, "verify props": 7, "verify mc": 1, "verify endpoints": 5}
+        assert reports["verify oracle"]["config"]["tol"] == 1e-3
+        assert reports["verify mc"]["config"] == {"samples": 1, "n": 2000}
+
 class TestSimulate:
     def test_equal_subsidy_case(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "mr", "--alpha", "0.6",

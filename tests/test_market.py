@@ -17,7 +17,7 @@ from dcclsc import (
     validity,
 )
 from dcclsc.closed_form import equilibrium_m
-from dcclsc.market import choice_segment, segment_masses
+from dcclsc.market import choice_masks, choice_segment, segment_masses
 
 
 def _dm(p_m=0.3, p_r=0.6, w=0.4, b_m=0.2):
@@ -50,6 +50,35 @@ class TestUtilities:
         assert us["U4"] == pytest.approx(0.15)
         # the tie resolves to the manufacturer's subsidy
         assert choice_segment(ModelId.MR, _dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)[1] == 3
+
+    @pytest.mark.parametrize("model, d", [(ModelId.M, _dm()), (ModelId.R, _dr()),
+                                          (ModelId.MR, _dmr(b_m=0.4, b_r=0.3))])
+    def test_choice_masks_match_per_pair_argmax(self, model, d):
+        # reference: the per-pair argmax over utilities with the fixed
+        # tie-breaks; the grid holds exact ties, e.g. U3 = U4 at (0.5, 0.25)
+        p = Params(alpha=0.6, c_m=0.2, c_r=0.1, s=0.0)
+        grid = np.linspace(0.0, 1.0, 41)
+        v, u = (a.ravel() for a in np.meshgrid(grid, grid))
+        masks = choice_masks(model, d, v, u, p)
+        for k in range(v.size):
+            us = utilities(model, d, float(v[k]), float(u[k]), p)
+            if us["U1"] >= us["U2"] and us["U1"] >= 0.0:
+                primary = 1
+            elif us["U2"] > us["U1"] and us["U2"] >= 0.0:
+                primary = 2
+            else:
+                primary = 0
+            if "U4" not in us:
+                tradein = 3 if us["U3"] >= 0.0 else 0
+            elif us["U3"] >= us["U4"] and us["U3"] >= 0.0:
+                tradein = 3
+            elif us["U4"] > us["U3"] and us["U4"] >= 0.0:
+                tradein = 4
+            else:
+                tradein = 0
+            chosen = [seg for seg, m in enumerate(masks, 1) if m is not None and m[k]]
+            assert chosen == [seg for seg in (primary, tradein) if seg], (v[k], u[k])
+            assert choice_segment(model, d, float(v[k]), float(u[k]), p) == (primary, tradein)
 
     def test_valuations_must_be_in_unit_interval(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)

@@ -26,7 +26,7 @@ from dcclsc import (
     stationarity_residuals,
 )
 from dcclsc import market
-from dcclsc.oracle import sample_params
+from dcclsc.oracle import LEADER_FIELDS, sample_params
 
 # true joint-model equilibrium under the adopted demand variant at
 # (alpha=0.6, c_m=1, c_r=0.5, s=0.2), frozen from an exact rational solve
@@ -72,15 +72,19 @@ class TestBestResponse:
         with pytest.raises(OutOfDomain):
             best_response_retailer(ModelId.R, {"w": 0.5, "p_m": 0.4, "b_m": 0.1}, params_m)
 
-    def test_non_concave_below_follower_threshold(self):
+    @pytest.mark.parametrize("model, alpha, concave", [
+        (ModelId.R, 0.19, False), (ModelId.R, 0.2, False), (ModelId.R, 0.201, True),
+        (ModelId.MR, 0.24, False), (ModelId.MR, 0.25, False), (ModelId.MR, 0.251, True)])
+    def test_non_concave_below_follower_threshold(self, model, alpha, concave):
         # joint retailer objective loses concavity at alpha <= 1/5 (R), 1/4 (MR)
-        p_bad_r = Params(alpha=0.19, c_m=0.5, c_r=0.25, s=0.0)
-        with pytest.raises(NonConcave):
-            best_response_retailer(ModelId.R, {"w": 0.5, "p_m": 0.4, "t": 0.2}, p_bad_r)
-        p_bad_mr = Params(alpha=0.24, c_m=0.5, c_r=0.25, s=0.0)
-        with pytest.raises(NonConcave):
-            best_response_retailer(ModelId.MR, {"w": 0.5, "p_m": 0.4, "b_m": 0.1, "t": 0.2},
-                                   p_bad_mr)
+        p = Params(alpha=alpha, c_m=0.5, c_r=0.25, s=0.0)
+        leader = {"w": 0.5, "p_m": 0.4, "b_m": 0.1, "t": 0.2}
+        leader = {n: v for n, v in leader.items() if n in LEADER_FIELDS[model]}
+        if concave:
+            assert set(best_response_retailer(model, leader, p)) == {"p_r", "b_r"}
+        else:
+            with pytest.raises(NonConcave):
+                best_response_retailer(model, leader, p)
 
 
 class TestStackelbergSolve:
@@ -115,8 +119,17 @@ class TestStackelbergSolve:
         for name, value in equilibrium(model, p).decisions.as_dict().items():
             assert num[name] == pytest.approx(value, rel=1e-6, abs=1e-6), name
 
-    def test_mr_solve_profit_point_budget(self, params_mr, monkeypatch):
-        # a hardware-independent cost gate: profit points evaluated by one solve
+    @pytest.mark.parametrize("case", ["solve", "certify", "soc", "residuals"])
+    def test_mr_solve_profit_point_budget(self, case, params_mr, monkeypatch):
+        # a hardware-independent cost gate: profit-kernel calls and points
+        numeric = solve_stackelberg_numeric(ModelId.MR, params_mr)
+        run = {
+            "solve": lambda: solve_stackelberg_numeric(ModelId.MR, params_mr),
+            "certify": lambda: certify_mr_variant(
+                equilibrium_mr(params_mr, certify=False).decisions, params_mr),
+            "soc": lambda: check_soc(ModelId.MR, numeric, params_mr),
+            "residuals": lambda: stationarity_residuals(ModelId.MR, numeric.decisions, params_mr),
+        }[case]
         points = []
         kernel = market.profit_values
 
@@ -126,8 +139,9 @@ class TestStackelbergSolve:
             return out
 
         monkeypatch.setattr(market, "profit_values", counting)
-        solve_stackelberg_numeric(ModelId.MR, params_mr)
-        assert 0 < sum(points) <= 1000
+        run()
+        assert 0 < len(points) <= 20
+        assert sum(points) <= 1000
 
     def test_provenance_and_determinism(self, params_m):
         a = solve_stackelberg_numeric(ModelId.M, params_m)
@@ -146,10 +160,6 @@ class TestStackelbergSolve:
         with pytest.raises((NonConcave, BoxBoundary)):
             solve_stackelberg_numeric(ModelId.MR, params_mr,
                                       variant=MrDemandVariant.AS_PRINTED)
-
-    def test_config_validation(self):
-        with pytest.raises(OutOfDomain):
-            OracleConfig(leader_tol=0.0)
 
 
 class TestSecondOrderConditions:
