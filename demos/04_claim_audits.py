@@ -56,7 +56,7 @@ for verdict in audit_endpoints(ModelId.R, p):
               f"vs published {published:+.4f} ({verdict.observed})")
 
 # -- uniqueness theorems ---------------------------------------------------------
-print("\nuniqueness audits (numeric optimum + multistart + second order)")
+print("\nuniqueness audits (numeric optimum + second order)")
 for theorem, p in (("T1", Params(alpha=0.9, c_m=0.15, c_r=0.12, s=0.02)),
                    ("T2", Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)),
                    ("T3", Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2))):

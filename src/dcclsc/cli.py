@@ -64,7 +64,6 @@ def build_parser() -> _Parser:
                        help="joint-model segment-3 demand variant")
     solve.add_argument("--verify", action="store_true",
                        help="also solve numerically and report deltas")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--out", help="write the payload here instead of stdout")
 
@@ -216,8 +215,7 @@ def cmd_solve(args) -> int:
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
     if args.verify:
-        cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params),
-                                  seed=args.seed)
+        cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params))
         numeric = oracle.solve_stackelberg_numeric(model, params, cfg, variant)
         deltas = {name: numeric.decisions.as_dict()[name] - value
                   for name, value in eq.decisions.as_dict().items()}
@@ -273,7 +271,8 @@ def cmd_sweep(args) -> int:
         alpha = args.alpha_from + k * args.alpha_step
         params = Params(alpha=alpha, c_m=args.cm, c_r=args.cr, s=args.s)
         try:
-            eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
+            # no column prints the MR certification verdict
+            eq = closed_form.equilibrium(model, params, args.guard, variant, certify=False)
         except Singularity:
             rows.append(report.singular_row(model, params))
             continue
@@ -313,7 +312,7 @@ def cmd_table4(args) -> int:
     cells = []
     for model, alpha, c_m, c_r, s, published in suites.PUBLISHED_TABLE_ROWS:
         params = Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s)
-        eq = closed_form.equilibrium(model, params)
+        eq = closed_form.equilibrium(model, params, certify=False)
         computed = eq.decisions.as_dict()
         q1 = eq.demands.q1
         for variable, pub in published.items():
@@ -417,10 +416,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     top = build_parser()
-    argv = _apply_config(argv, top)
-    args = top.parse_args(argv)
     try:
+        args = top.parse_args(_apply_config(argv, top))
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # usage errors (exit 1), --help and --version (exit 0)
+        return exc.code
     except OutOfDomain as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

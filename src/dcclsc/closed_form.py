@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import market
 from .errors import OutOfDomain, Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium
 from .params import DecisionSet, ModelId, Params
@@ -125,7 +124,7 @@ def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict
     The common denominator 2a^3 + 3a^2 - 17a + 4 has a root near a = 0.2465;
     callers are expected to guard it. These expressions are known not to be
     stationary points of the joint profits under either demand variant; see
-    the certification carried by :func:`equilibrium_mr`.
+    the certification carried by :func:`equilibrium`.
     """
     a = alpha
     h = mr_helper_values(alpha, c_m, delta, s)
@@ -168,55 +167,39 @@ def limits(model: ModelId, params: Params) -> dict[str, tuple[float, float]]:
     return {name: (at0[name], at1[name]) for name in at0}
 
 
-def equilibrium_m(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:
-    """Model-M equilibrium with outcome and validity attached.
+def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
+                variant: MrDemandVariant = MrDemandVariant.ADOPTED,
+                certify: bool = True) -> Equilibrium:
+    """Closed-form equilibrium of any model, with outcome and validity attached.
 
-    Never singular on (0, 1): the only denominator root is alpha = 4.
+    Raises Singularity within ``guard`` of a denominator root of alpha. For
+    model MR only, the outcome is computed under ``variant``, and ``certify``
+    runs a stationarity check under both demand variants and records which
+    one, if any, the published point satisfies; "none" means it maximizes
+    neither profit system and the numeric oracle is authoritative.
     """
-    dist = _guard(ModelId.M, params.alpha, guard)
-    values = decision_values_m(params.alpha, params.c_m, params.delta, params.s)
-    decisions = DecisionSet(model=ModelId.M, **values)
-    return make_equilibrium(ModelId.M, decisions, params, "closed_form", dist)
+    model = ModelId(model)
+    dist = _guard(model, params.alpha, guard)
+    decisions = DecisionSet(model=model, **decision_values(
+        model, params.alpha, params.c_m, params.delta, params.s))
+    certified = None
+    if certify and model is ModelId.MR:
+        from . import oracle
+
+        certified = oracle.certify_mr_variant(decisions, params)
+    return make_equilibrium(model, decisions, params, "closed_form", dist,
+                            variant=variant, certified_demand_variant=certified)
+
+
+def equilibrium_m(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:
+    return equilibrium(ModelId.M, params, guard)
 
 
 def equilibrium_r(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:
-    """Model-R equilibrium; raises Singularity within ``guard`` of alpha = 2/9."""
-    dist = _guard(ModelId.R, params.alpha, guard)
-    values = decision_values_r(params.alpha, params.c_m, params.delta, params.s)
-    decisions = DecisionSet(model=ModelId.R, **values)
-    return make_equilibrium(ModelId.R, decisions, params, "closed_form", dist)
+    return equilibrium(ModelId.R, params, guard)
 
 
 def equilibrium_mr(params: Params, guard: float = DEFAULT_GUARD,
                    variant: MrDemandVariant = MrDemandVariant.ADOPTED,
                    certify: bool = True) -> Equilibrium:
-    """Model-MR equilibrium from the published expressions.
-
-    The attached outcome is computed under ``variant`` (utility-consistent
-    segment-3 form by default). When ``certify`` is true, a finite-difference
-    stationarity check runs under both demand variants and the equilibrium
-    records which variant, if any, it satisfies; "none" means the published
-    expressions maximize neither profit system and the numeric oracle should
-    be treated as authoritative.
-    """
-    dist = _guard(ModelId.MR, params.alpha, guard)
-    values = decision_values_mr(params.alpha, params.c_m, params.delta, params.s)
-    decisions = DecisionSet(model=ModelId.MR, **values)
-    certified = None
-    if certify:
-        from . import oracle
-
-        certified = oracle.certify_mr_variant(decisions, params)
-    return make_equilibrium(ModelId.MR, decisions, params, "closed_form", dist,
-                            variant=variant, certified_demand_variant=certified)
-
-
-def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
-                variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
-    """Dispatch to the model-specific closed-form equilibrium."""
-    model = ModelId(model)
-    if model is ModelId.M:
-        return equilibrium_m(params, guard)
-    if model is ModelId.R:
-        return equilibrium_r(params, guard)
-    return equilibrium_mr(params, guard, variant)
+    return equilibrium(ModelId.MR, params, guard, variant, certify)

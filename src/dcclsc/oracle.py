@@ -20,7 +20,9 @@ evaluations, to solve each game exactly:
    ill-posed instance is reported rather than truncated.
 
 The stationarity residuals, the MR certification and the second-order
-checks reuse the same map and one stencil at the point.
+checks reuse the same map and one stencil at the point. A quadratic has at
+most one stationary point, so negative-definite Hessians at both stages
+also decide uniqueness; no restarts are needed.
 
 ``monte_carlo_demand`` simulates the discrete-choice model directly from the
 utility definitions and fixed tie-breaking rules, providing the independent
@@ -37,6 +39,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import market
+from .closed_form import singularity_distance
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium
 from .params import DecisionSet, ModelId, Params
@@ -88,7 +91,7 @@ class OracleConfig:
         None (the default) derives the box from the parameters via
         :func:`default_leader_box`.
     seed : int
-        Substream root for everything stochastic (the uniqueness multistart).
+        Recorded in :meth:`as_dict` only: the solver draws nothing random.
     """
 
     leader_box: Mapping[str, tuple[float, float]] | None = None
@@ -134,6 +137,10 @@ _EIG_THRESHOLD = -1e-9
 #: Step of every central-difference stencil; any step is exact on a
 #: quadratic, and a wide one keeps roundoff in the differences small.
 _STEP = 0.5
+#: Largest ratio max|profit| / max|Hessian entry| at which a stencil still
+#: resolves the curvature: its roundoff, eps * max|profit| / step^2, stays
+#: below 1e-6 of the largest entry (unit costs up to about 1e9).
+_RESOLVABLE = 1e-6 * _STEP * _STEP / float(np.finfo(float).eps)
 #: Where the retailer's profit is differenced; on a quadratic any anchor
 #: identifies the same best-response map.
 _ANCHOR = {"p_m": 1.0, "p_r": 1.0, "w": 1.0, "b_m": 0.5, "b_r": 0.5, "t": 0.5}
@@ -172,13 +179,19 @@ def _central_differences(f: Callable, x0: np.ndarray,
 
     ``f`` maps an (n, k) array of points to n values. Central differences
     carry no truncation error on a quadratic, whatever the step. This is the
-    only place the oracle differences a profit.
+    only place the oracle differences a profit. Raises OutOfDomain when a
+    profit overflows on the stencil, or when its roundoff swamps the
+    curvature the stencil measures (decisions so large that the step is lost).
     """
     k = len(x0)
     offsets, i, j = _stencil(k)
     if not hessian:
         offsets = offsets[:1 + 2 * k]
-    vals = f(x0 + _STEP * offsets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f(x0 + _STEP * offsets)
+    size = float(np.abs(vals).max())
+    if not math.isfinite(size):
+        raise OutOfDomain.single("profit", size, "overflows on the difference stencil")
     plus, minus = vals[1:1 + 2 * k:2], vals[2:1 + 2 * k:2]
     grad = (plus - minus) / (2.0 * _STEP)
     if not hessian:
@@ -186,6 +199,9 @@ def _central_differences(f: Callable, x0: np.ndarray,
     H = np.diag((plus - 2.0 * vals[0] + minus) / (_STEP * _STEP))
     pp, pm, mp, mm = vals[1 + 2 * k:].reshape(-1, 4).T
     H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * _STEP * _STEP)
+    if size > _RESOLVABLE * np.abs(H).max():
+        raise OutOfDomain.single("profit", size, "too large to resolve its curvature "
+                                                 f"with the difference step {_STEP}")
     return grad, H
 
 
@@ -256,27 +272,33 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     return {n: float(y[i]) for i, n in enumerate(FOLLOWER_FIELDS[model])}
 
 
-def solve_leader(model: ModelId, params: Params, cfg: OracleConfig | None = None,
-                 variant: MrDemandVariant = MrDemandVariant.ADOPTED,
-                 centre: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Stationary point of the leader's reduced profit, with the follower's reply.
+def solve_stackelberg_numeric(model: ModelId, params: Params,
+                              cfg: OracleConfig | None = None,
+                              variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
+    """Numeric Stackelberg equilibrium by backward induction.
 
-    The reduced profit is exactly quadratic, so its gradient and Hessian are
-    read from one central-difference stencil around ``centre`` (default: the
-    centre of the search box), and one Newton step lands on the stationary
-    point; a step longer than ``LEADER_TOL`` is followed by one clean-up
-    step from a fresh gradient, which removes the roundoff of the first.
-    Raises NonConcave unless every Hessian eigenvalue is negative. Returns
-    the leader's variables and the retailer's best response to them; the
-    result is not checked against the search box.
+    The manufacturer's profit, with the retailer replaced by its exact best
+    response, is exactly quadratic, so its gradient and Hessian are read from
+    one central-difference stencil around the centre of the search box, and
+    one Newton step lands on the stationary point; a step longer than
+    ``LEADER_TOL`` is followed by one clean-up step from a fresh gradient,
+    which removes the roundoff of the first. Deterministic for a fixed config.
+
+    Raises
+    ------
+    BoxBoundary
+        when the optimum lies outside the leader box or on its edge.
+    NonConcave
+        when either stage's objective has no interior maximum.
+    OutOfDomain
+        when the parameters are so large that a profit overflows or its
+        curvature is lost to roundoff.
     """
     model = ModelId(model)
     cfg = cfg or OracleConfig()
     names = LEADER_FIELDS[model]
-    if centre is None:
-        x = np.array([sum(cfg.box(n, params)) / 2.0 for n in names])
-    else:
-        x = np.array([float(centre[n]) for n in names])
+    boxes = [cfg.box(n, params) for n in names]
+    x = np.array([sum(box) / 2.0 for box in boxes])
     response = _best_response(model, params, variant)
     f = _leader_objective(model, params, variant, response)
     grad, H = _central_differences(f, x)
@@ -290,38 +312,13 @@ def solve_leader(model: ModelId, params: Params, cfg: OracleConfig | None = None
     if np.max(np.abs(step)) >= LEADER_TOL:
         grad, _ = _central_differences(f, x, hessian=False)
         x = x + np.linalg.solve(H, -grad)
-    y = response(x[None])[0]
-    return dict(zip(names + FOLLOWER_FIELDS[model], map(float, np.concatenate([x, y]))))
-
-
-def solve_stackelberg_numeric(model: ModelId, params: Params,
-                              cfg: OracleConfig | None = None,
-                              variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
-    """Numeric Stackelberg equilibrium by backward induction.
-
-    The manufacturer's profit, with the retailer replaced by its exact
-    best response, is maximized by :func:`solve_leader` from the centre of
-    the search box. Deterministic for a fixed config.
-
-    Raises
-    ------
-    BoxBoundary
-        when the optimum lies outside the leader box or on its edge.
-    NonConcave
-        when either stage's objective has no interior maximum.
-    """
-    model = ModelId(model)
-    cfg = cfg or OracleConfig()
-    solution = solve_leader(model, params, cfg, variant)
-    for n in LEADER_FIELDS[model]:
-        lo, hi = cfg.box(n, params)
+    for n, value, (lo, hi) in zip(names, map(float, x), boxes):
         edge = 1e-6 * max(1.0, hi - lo)
-        if solution[n] - lo <= edge or hi - solution[n] <= edge:
-            raise BoxBoundary(n, solution[n], (lo, hi))
-    decisions = DecisionSet(model=model, **solution)
-
-    from .closed_form import singularity_distance
-
+        if value - lo <= edge or hi - value <= edge:
+            raise BoxBoundary(n, value, (lo, hi))
+    solution = np.concatenate([x, response(x[None])[0]])
+    decisions = DecisionSet(model=model, **dict(zip(names + FOLLOWER_FIELDS[model],
+                                                    map(float, solution))))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             singularity_distance(model, params.alpha), variant=variant)
 
@@ -481,8 +478,6 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     ``alpha_range`` has no admissible mass, detected as 100,000 consecutive
     draws inside the guard bands.
     """
-    from .closed_form import singularity_distance
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = []
     rejected = 0

@@ -178,9 +178,6 @@ class DecisionSet:
         """Decision values keyed by field name, in the model's canonical order."""
         return {name: getattr(self, name) for name in decision_fields(self.model)}
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in decision_fields(self.model))
-
     def replace(self, **updates: float) -> "DecisionSet":
         fields = {name: getattr(self, name) for name in ALL_DECISION_FIELDS}
         fields.update(updates)

@@ -181,7 +181,7 @@ def test_a07_figure3_qualitative():
 
 
 def test_a08_monte_carlo_demand():
-    """Empirical shares within three binomial standard errors of analytic."""
+    """Empirical shares within the Bonferroni z limit of analytic (family-wise 1e-6)."""
     report, code = suite_mc(samples=20, seed=1, n=1_000_000)
     ok = code == 0 and report.elapsed_seconds < 60.0
     _report("A08 Monte Carlo demand consistency", ok,

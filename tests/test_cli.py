@@ -1,12 +1,18 @@
 """Command-line surface: flags, schemas, exit codes, byte-stable outputs."""
 
+import dataclasses
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from dcclsc import oracle, suites
 from dcclsc.cli import main
 from dcclsc.report import CSV_COLUMNS
-from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_oracle
+from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_mc, suite_oracle
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -118,6 +124,16 @@ class TestSolve:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["--model", "r", "--cm", "1e300", "--cr", "1", "--s", "1e300"], "overflows"),
+        (["--model", "m", "--cm", "1e160", "--cr", "1"], "curvature"),
+    ])
+    def test_profit_beyond_float_range_is_a_domain_error(self, capsys, argv, cause):
+        # once a numeric linear-algebra traceback, once a false "not concave"
+        code, _, err = run(capsys, "solve", "--alpha", "0.5", *argv, "--verify")
+        assert code == 1
+        assert "profit" in err and cause in err
+
 
 class TestSweep:
     def test_degenerate_sweep_matches_solve(self, capsys):
@@ -195,6 +211,34 @@ class TestSweep:
         assert "<svg" in (plot_dir / "M_p_m.svg").read_text()
 
 
+class TestCertificationCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        certify = oracle.certify_mr_variant
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "certify_mr_variant", counting)
+        return seen
+
+    @pytest.mark.parametrize("argv", [["sweep", "--preset", "fig5"],
+                                      ["table4", "--format", "csv"]])
+    def test_outputs_without_a_verdict_column_skip_it(self, capsys, calls, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == []
+
+    def test_plain_mr_solve_still_certifies(self, capsys, calls):
+        code, out, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.6",
+                           "--cm", "1", "--cr", "0.5", "--s", "0.2")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["certified_demand_variant"] == "none"
+
+
 class TestTable4:
     def test_spot_checked_cells(self, capsys):
         code, out, _ = run(capsys, "table4", "--format", "json")
@@ -262,12 +306,36 @@ class TestVerify:
         assert code == 0
         assert "adopted variant confirmed" in text
 
+    def test_mc_gate_corrects_for_the_number_of_checks(self, capsys):
+        # one of these 30 checks lands at 3.04 sigma: a per-check three-sigma
+        # gate failed this correct simulation
+        code, text, _ = run(capsys, "verify", "mc", "--samples", "3", "--seed", "9",
+                            "--n", "20000")
+        assert code == 0
+        assert "worst_sigma = 3.043" in text
+
+    def test_mc_gate_catches_a_one_percent_mass_error(self, monkeypatch):
+        demand = suites.market.demand
+        first = []
+
+        def skewed(*args, **kwargs):
+            out = demand(*args, **kwargs)
+            if not first:
+                first.append(out)
+                out = dataclasses.replace(out, q1=out.q1 + 0.01)
+            return out
+
+        monkeypatch.setattr(suites.market, "demand", skewed)
+        report, code = suite_mc(samples=1, n=1_000_000)
+        assert code == 2
+        assert report.counts["failures"] == 1
+        assert "M case 0 segment q1" in report.findings[0]
 
     def test_unset_flags_keep_each_suite_default(self, capsys, tmp_path):
         out = tmp_path / "all.json"
         code, _, _ = run(capsys, "verify", "all", "--samples", "1", "--n", "2000",
                          "--out", str(out))
-        assert code in (0, 2)
+        assert code == 0
         reports = {rep["command"]: rep for rep in json.loads(out.read_text())}
         assert {cmd: rep["seed"] for cmd, rep in reports.items()} == {
             "verify oracle": 42, "verify props": 7, "verify mc": 1, "verify endpoints": 5}
@@ -348,3 +416,73 @@ class TestSuiteInternals:
         report, code = suite_endpoints(samples=3, seed=11)
         assert code == 0
         assert report.counts["pattern_deviations"] == 0
+
+
+#: Values from the corners of the float range: huge, tiny, negative, non-finite.
+_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, -1e-300, -1.0, 1e12, 1e160,
+                     1e300, -1e300, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _fuzz(draw, value: float) -> float:
+    """``value`` four times in five, else a corner value."""
+    return value if draw(st.integers(0, 4)) else draw(_EDGES)
+
+
+@st.composite
+def _param_flags(draw) -> dict:
+    alpha, cm = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 20.0))
+    admissible = {"alpha": alpha, "cm": cm, "cr": cm * draw(st.floats(0.01, 0.99)),
+                  "s": draw(st.floats(0.0, 10.0))}
+    return {name: _fuzz(draw, value) for name, value in admissible.items()}
+
+
+@st.composite
+def _decision_flags(draw) -> dict:
+    return {name: _fuzz(draw, draw(st.floats(-1.0, 2.0)))
+            for name in ("pm", "pr", "w", "bm", "br", "t")}
+
+
+def _flags(values: dict) -> list[str]:
+    # "--flag=value" keeps negative and non-finite values from reading as flags
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+
+
+def _exit_code(argv: list[str]) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_MODELS = st.sampled_from(["m", "r", "mr"])
+
+
+class TestFuzzedFlags:
+    """Any flag values end in a documented exit code, never in an exception."""
+
+    @given(model=_MODELS, verify=st.booleans(), params=_param_flags())
+    @settings(max_examples=100, deadline=None)
+    def test_solve(self, model, verify, params):
+        argv = ["solve", "--model", model, *_flags(params)] + ["--verify"] * verify
+        assert _exit_code(argv) in (0, 1, 2, 3)
+
+    @given(model=_MODELS, params=_param_flags(), decisions=_decision_flags(),
+           n=st.integers(-1, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_simulate(self, model, params, decisions, n):
+        argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}"]
+        assert _exit_code(argv) in (0, 1, 2, 3)
+
+    @given(model=_MODELS, params=_param_flags(), alpha_to=st.floats(0.01, 0.99),
+           alpha_step=st.one_of(st.floats(1e-3, 1.0),
+                                st.sampled_from([0.0, -0.1, math.inf, math.nan])),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep(self, model, params, alpha_to, alpha_step, data):
+        # a step of at least 1e-3 keeps every sweep under about 1,000 rows
+        alpha_from = params.pop("alpha")
+        flags = {"alpha_from": min(alpha_from, alpha_to),
+                 "alpha_to": _fuzz(data.draw, max(alpha_from, alpha_to)),
+                 "alpha_step": alpha_step, **params}
+        assert _exit_code(["sweep", "--model", model, *_flags(flags)]) in (0, 1, 2, 3)
