@@ -1,13 +1,13 @@
 """Command-line front end: solve, sweep, table4, verify, simulate.
 
 Exit codes: 0 success, 1 usage or domain error (including an output path
-that cannot be written), 2 verification failure (including ill-posed
-numeric instances), 3 singular evaluation.
+that cannot be written, and a result beyond float range), 2 verification
+failure (including ill-posed numeric instances), 3 singular evaluation.
 
 A flat key=value config file can preload any flag of the chosen subcommand
-(``--config run.cfg``); explicit flags always win. Reports go to stdout,
-data goes to ``--out`` paths, and output files are byte-stable for
-identical inputs.
+(``--config run.cfg`` or ``--config=run.cfg``); explicit flags always win.
+Reports go to stdout, data goes to ``--out`` paths, and output files are
+byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, closed_form, market, oracle, report, suites
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity
 from .market import MrDemandVariant
-from .params import DecisionSet, ModelId, Params, decision_fields
+from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, decision_fields
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,65 +126,43 @@ def build_parser() -> _Parser:
     return top
 
 
+#: Picks ``--config`` out of argv in either spelling; built once, since
+#: building a parser costs more than a parse.
+_CONFIG_FLAG = _Parser(prog="dcclsc", add_help=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
 def _apply_config(argv: list[str], top: _Parser) -> list[str]:
-    """Preload flag defaults from a --config file; explicit flags still win."""
-    if "--config" not in argv:
+    """Expand ``--config PATH`` (or ``--config=PATH``) into the flags its
+    key = value lines set, placed before the explicit flags so those win."""
+    known, rest = _CONFIG_FLAG.parse_known_args(argv)
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        top.error("--config needs a path")
-    path = Path(argv[idx + 1])
+    path = Path(known.config)
     if not path.exists():
         top.error(f"config file not found: {path}")
-    pruned = argv[:idx] + argv[idx + 2:]
-    if not pruned:
+    if not rest:
         top.error("--config requires a subcommand")
-    sub_name = pruned[0]
-    actions = _subparser_actions(top, sub_name)
-    if actions is None:
+    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    sub_name = rest[0]
+    if sub_name not in subparsers.choices:
         top.error(f"unknown subcommand {sub_name!r}")
-    overrides: dict = {}
+    flags = {a.dest: a for a in subparsers.choices[sub_name]._actions
+             if a.option_strings and a.dest != "help"}
+    from_file = []
     for line_no, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            top.error(f"{path}:{line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if dest not in actions:
-            top.error(f"{path}:{line_no}: unknown option {key.strip()!r} for {sub_name!r}")
-        action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            overrides[dest] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                overrides[dest] = action.type(value)
-            except ValueError:
-                top.error(f"{path}:{line_no}: bad value {value!r} for {key.strip()!r}")
-        else:
-            overrides[dest] = value
-        if action.choices and overrides[dest] not in action.choices:
-            top.error(f"{path}:{line_no}: {value!r} not one of {sorted(action.choices)}")
-    _find_subparser(top, sub_name).set_defaults(**overrides)
-    for dest in overrides:
-        actions[dest].required = False
-    return pruned
-
-
-def _find_subparser(top: _Parser, name: str):
-    for action in top._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices.get(name)
-    return None
-
-
-def _subparser_actions(top: _Parser, name: str):
-    sub = _find_subparser(top, name)
-    if sub is None:
-        return None
-    return {a.dest: a for a in sub._actions if a.dest != "help"}
+        key, sep, value = (part.strip() for part in line.partition("="))
+        action = flags.get(key.replace("-", "_"))
+        if not sep or action is None:
+            top.error(f"{path}:{line_no}: expected key = value with a {sub_name} option as key")
+        if action.nargs != 0:
+            from_file.append(f"{action.option_strings[0]}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):  # a switch
+            from_file.append(action.option_strings[0])
+    return [sub_name, *from_file, *rest[1:]]
 
 
 def _echo(args: argparse.Namespace, skip=("command", "config", "out", "plot_dir")) -> str:
@@ -210,7 +188,18 @@ def cmd_solve(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
     variant = _VARIANTS[args.variant]
-    eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
+    try:
+        eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
+    except OutOfDomain as exc:
+        if not args.verify:
+            raise
+        try:  # the cross-check's own refusal of the same input belongs in the report
+            oracle.solve_stackelberg_numeric(model, params, None, variant)
+        except OutOfDomain as numeric:
+            raise OutOfDomain(exc.violations + numeric.violations) from None
+        except (NonConcave, BoxBoundary):
+            pass
+        raise
     payload = eq.as_dict()
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
@@ -235,7 +224,7 @@ def cmd_solve(args) -> int:
 
 
 _OUTPUT_GROUPS = {
-    "decisions": ("p_m", "p_r", "w", "b_m", "b_r", "t"),
+    "decisions": ALL_DECISION_FIELDS,
     "demands": ("q1", "q2", "q3", "q4"),
     "profits": ("pi_m", "pi_r", "pi_s"),
     "validity": ("interior_valid",),
@@ -244,16 +233,13 @@ _OUTPUT_GROUPS = {
 
 def cmd_sweep(args) -> int:
     top_error = build_parser().error
+    names = ("model", "alpha_from", "alpha_to", "cm", "cr", "s")
     if args.preset:
-        model, lo, hi, c_m, c_r, s = suites.FIGURE_PRESETS[args.preset]
-        args.model = args.model or model.value
-        args.alpha_from = args.alpha_from if args.alpha_from is not None else lo
-        args.alpha_to = args.alpha_to if args.alpha_to is not None else hi
-        args.cm = args.cm if args.cm is not None else c_m
-        args.cr = args.cr if args.cr is not None else c_r
-        args.s = args.s if args.s is not None else s
-    missing = [name for name in ("model", "alpha_from", "alpha_to", "cm", "cr", "s")
-               if getattr(args, name) is None]
+        model, *preset = suites.FIGURE_PRESETS[args.preset]
+        for name, value in zip(names, (model.value, *preset)):
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+    missing = [name for name in names if getattr(args, name) is None]
     if missing:
         top_error("missing " + ", ".join(sorted(missing)) + " (flag or preset)")
     model = ModelId.parse(args.model)
@@ -286,11 +272,7 @@ def cmd_sweep(args) -> int:
     csv_text = report.rows_to_csv(rows)
     print(f"sweep {_echo(args)}")
     print(f"rows={len(rows)} singular={sum(1 for r in rows if r['singular'])}")
-    if args.out:
-        Path(args.out).write_text(csv_text)
-        print(f"wrote sweep CSV to {args.out}")
-    else:
-        sys.stdout.write(csv_text)
+    _write_or_print(csv_text, args.out, "sweep CSV")
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)
@@ -328,8 +310,7 @@ def cmd_table4(args) -> int:
         text = report.to_json({"command": "table4", "version": __version__,
                                "cells": cells})
     elif args.format == "csv":
-        header = ["model", "alpha", "c_m", "c_r", "delta", "s", "variable",
-                  "published", "computed", "abs_gap", "interior_valid", "q1"]
+        header = list(cells[0])
         lines = [",".join(header)]
         for cell in cells:
             lines.append(",".join(report.format_value(cell[h]) for h in header))
@@ -377,8 +358,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
-    flag_map = {"p_m": args.pm, "p_r": args.pr, "w": args.w,
-                "b_m": args.bm, "b_r": args.br, "t": args.t}
+    flag_map = {n: getattr(args, n.replace("_", "")) for n in ALL_DECISION_FIELDS}
     needed = decision_fields(model)
     missing = [name for name in needed if flag_map[name] is None]
     if missing:

@@ -17,6 +17,11 @@ contradict each other; the utility-consistent form is the default and the
 other is kept behind an explicit ``MrDemandVariant.AS_PRINTED`` switch so
 numeric audits can adjudicate between them.
 
+``PROFIT_TERMS`` states each model's payoffs once, as (margin check name,
+per-unit margin, payer, segment) terms. The profits, the informational margin
+checks of ``validity`` and the trade-in utilities (who funds each trade-in
+segment) are all read from it.
+
 The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
 scalars or numpy arrays; the simulation runs the choice kernel over whole
 chunks of draws, and the numeric solver the profit kernel over whole
@@ -25,8 +30,10 @@ difference stencils at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +42,48 @@ from .params import DecisionSet, ModelId, Params
 
 #: Guard on alpha * (1 - alpha) below which segment masses are not evaluated.
 ALPHA_PRODUCT_GUARD = 1e-12
+
+#: Per-unit margins, each written once; ``d`` has the six decisions as
+#: attributes, ``p`` is the Params. A unit traded in saves the manufacturer
+#: the remanufacturing saving delta and earns it the government subsidy s.
+_MARGINS = {
+    "direct": lambda d, p: d.p_m - p.c_m,
+    "wholesale": lambda d, p: d.w - p.c_m,
+    "retail": lambda d, p: d.p_r - d.w,
+    "tradein_m": lambda d, p: p.delta + p.s + d.p_m - p.c_m - d.b_m,
+    "tradein_via_r": lambda d, p: p.delta + p.s + d.w - p.c_m - d.t,
+    "tradein_r": lambda d, p: d.p_r + d.t - d.w - d.b_r,
+}
+
+MANUFACTURER, RETAILER = 0, 1  # payers: indices into (pi_m, pi_r)
+_PRIMARY = (("margin_direct", "direct", MANUFACTURER, 1),
+            ("margin_wholesale", "wholesale", MANUFACTURER, 2),
+            ("margin_retail", "retail", RETAILER, 2))
+
+#: Each model's profit terms, (margin check name, margin, payer, segment): a
+#: player's profit sums margin * segment mass over its terms, in this order.
+PROFIT_TERMS = {
+    ModelId.M: _PRIMARY + (("margin_tradein_m", "tradein_m", MANUFACTURER, 3),),
+    ModelId.R: _PRIMARY + (("margin_tradein_m", "tradein_via_r", MANUFACTURER, 3),
+                           ("margin_tradein_r", "tradein_r", RETAILER, 3)),
+    ModelId.MR: _PRIMARY + (("margin_tradein_m", "tradein_m", MANUFACTURER, 3),
+                            ("margin_tradein_m_via_r", "tradein_via_r", MANUFACTURER, 4),
+                            ("margin_tradein_r", "tradein_r", RETAILER, 4)),
+}
+
+
+def _funders(terms) -> tuple[int, ...]:
+    """Who funds each trade-in segment (3, then 4 in MR): the retailer where
+    it earns a margin on the segment, else the manufacturer."""
+    earners = {(segment, payer) for *_, payer, segment in terms}
+    return tuple(RETAILER if (segment, RETAILER) in earners else MANUFACTURER
+                 for segment in sorted({segment for segment, _ in earners} - {1, 2}))
+
+
+_FUNDERS = {model: _funders(terms) for model, terms in PROFIT_TERMS.items()}
+
+#: Utility of trading in under the manufacturer's subsidy, and under the retailer's.
+_SUBSIDY_UTILITY = (lambda d, u, alpha: d.b_m - u, lambda d, u, alpha: d.b_r - alpha * u)
 
 
 class MrDemandVariant(str, Enum):
@@ -60,10 +109,7 @@ class DemandProfile:
     q4: float | None = None
 
     def as_dict(self) -> dict[str, float]:
-        out = {"q1": self.q1, "q2": self.q2, "q3": self.q3}
-        if self.q4 is not None:
-            out["q4"] = self.q4
-        return out
+        return {name: q for name, q in vars(self).items() if q is not None}
 
 
 @dataclass(frozen=True)
@@ -131,12 +177,8 @@ def _primary_utilities(d: DecisionSet, v, alpha: float):
 
 
 def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float):
-    """(U3, U4) of return-cost valuations u, U4 None outside the joint model; broadcasts."""
-    if model is ModelId.M:
-        return d.b_m - u, None
-    if model is ModelId.R:
-        return d.b_r - alpha * u, None
-    return d.b_m - u, d.b_r - alpha * u
+    """(U3,) or, in the joint model, (U3, U4) of return-cost valuations u; broadcasts."""
+    return tuple(_SUBSIDY_UTILITY[funder](d, u, alpha) for funder in _FUNDERS[model])
 
 
 def _choose(x, y):
@@ -165,7 +207,7 @@ def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
     _check_valuations(v, u)
     values = (*_primary_utilities(decisions, v, params.alpha),
               *_tradein_utilities(ModelId(model), decisions, u, params.alpha))
-    return {f"U{i}": x for i, x in enumerate(values, 1) if x is not None}
+    return {f"U{i}": x for i, x in enumerate(values, 1)}
 
 
 def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params):
@@ -179,11 +221,11 @@ def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params):
     # the primary utilities are freed before the trade-in pass: a smaller
     # working set per chunk of draws
     s1, s2 = _choose(*_primary_utilities(decisions, np.asarray(v, dtype=float), params.alpha))
-    u3, u4 = _tradein_utilities(ModelId(model), decisions, np.asarray(u, dtype=float),
-                                params.alpha)
-    if u4 is None:
-        return s1, s2, u3 >= 0.0, None
-    return (s1, s2, *_choose(u3, u4))
+    tradein = _tradein_utilities(ModelId(model), decisions, np.asarray(u, dtype=float),
+                                 params.alpha)
+    if len(tradein) == 1:
+        return s1, s2, tradein[0] >= 0.0, None
+    return (s1, s2, *_choose(*tradein))
 
 
 def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
@@ -226,24 +268,17 @@ def profit_values(model: ModelId, p_m, p_r, w, b_m, b_r, t, params: Params,
                   variant: MrDemandVariant = MrDemandVariant.ADOPTED):
     """Raw profit kernel on unclamped masses; broadcasts over array-valued decisions.
 
-    Returns (pi_m, pi_r).
+    Returns (pi_m, pi_r), each the sum of its ``PROFIT_TERMS`` in order.
     """
     model = ModelId(model)
-    q1, q2, q3, q4 = segment_masses(model, p_m, p_r, b_m, b_r, params.alpha, variant)
-    c_m, delta, s = params.c_m, params.delta, params.s
-    base_m = (p_m - c_m) * q1 + (w - c_m) * q2
-    base_r = (p_r - w) * q2
-    if model is ModelId.M:
-        return base_m + (delta + s + p_m - c_m - b_m) * q3, base_r
-    if model is ModelId.R:
-        pi_m = base_m + (delta + s + w - c_m - t) * q3
-        pi_r = base_r + (p_r + t - w - b_r) * q3
-        return pi_m, pi_r
-    pi_m = (base_m
-            + (delta + s + p_m - c_m - b_m) * q3
-            + (delta + s + w - c_m - t) * q4)
-    pi_r = base_r + (p_r + t - w - b_r) * q4
-    return pi_m, pi_r
+    q = segment_masses(model, p_m, p_r, b_m, b_r, params.alpha, variant)
+    d = SimpleNamespace(p_m=p_m, p_r=p_r, w=w, b_m=b_m, b_r=b_r, t=t)
+    pi = [None, None]
+    for _, margin, payer, segment in PROFIT_TERMS[model]:
+        # each sum starts from its first term, not from 0 (0 + -0.0 is 0.0)
+        term = _MARGINS[margin](d, params) * q[segment - 1]
+        pi[payer] = term if pi[payer] is None else pi[payer] + term
+    return tuple(pi)
 
 
 def demand(model: ModelId, decisions: DecisionSet, params: Params,
@@ -277,52 +312,35 @@ def validity(model: ModelId, decisions: DecisionSet, params: Params,
     Never raises on constraint violations; the report carries them. Checks
     cover segment masses in [0, 1], the ordering of the primary-channel
     valuation thresholds, trade-in thresholds in [0, 1], t >= b_r where the
-    model has a transfer price, and (informationally) channel margins.
+    model has a transfer price, and (informationally) the per-unit margins of
+    the model's ``PROFIT_TERMS``. A threshold whose value is a segment mass
+    reads the mass.
     """
     model = ModelId(model)
     q = demand(model, decisions, params, variant)
     a = params.alpha
     d = decisions
-    checks: list[ValidityCheck] = [
-        _range_check("q1_in_unit", q.q1),
-        _range_check("q2_in_unit", q.q2),
-        _range_check("q3_in_unit", q.q3),
-    ]
-    if q.q4 is not None:
-        checks.append(_range_check("q4_in_unit", q.q4))
+    checks = [_range_check(f"{name}_in_unit", mass) for name, mass in q.as_dict().items()]
 
     lower = d.p_m / a
     upper = (d.p_r - d.p_m) / (1.0 - a)
     checks.append(ValidityCheck("primary_threshold_nonneg", lower))
     checks.append(ValidityCheck("primary_thresholds_ordered", upper - lower))
-    checks.append(ValidityCheck("primary_threshold_below_one", 1.0 - upper))
+    checks.append(ValidityCheck("primary_threshold_below_one", q.q2))
 
-    if model is ModelId.M:
-        checks.append(_range_check("tradein_threshold_in_unit", d.b_m))
-    elif model is ModelId.R:
-        checks.append(_range_check("tradein_threshold_in_unit", d.b_r / a))
+    if q.q4 is None:  # one trade-in threshold, and q3 is the mass below it
+        checks.append(_range_check("tradein_threshold_in_unit", q.q3))
     else:
+        # explicit: under the as-printed variant q3 is not the split
         gap = (d.b_m - d.b_r) / (1.0 - a)
         checks.append(_range_check("tradein_split_in_unit", gap))
         checks.append(_range_check("tradein_threshold_in_unit", d.b_r / a))
         checks.append(ValidityCheck("tradein_thresholds_ordered", d.b_r / a - gap))
 
-    if model in (ModelId.R, ModelId.MR):
+    if d.t is not None:
         checks.append(ValidityCheck("transfer_covers_subsidy", d.t - d.b_r))
-
-    c_m = params.c_m
-    margins = [("margin_direct", d.p_m - c_m), ("margin_wholesale", d.w - c_m),
-               ("margin_retail", d.p_r - d.w)]
-    if model is ModelId.M:
-        margins.append(("margin_tradein_m", params.delta + params.s + d.p_m - c_m - d.b_m))
-    elif model is ModelId.R:
-        margins.append(("margin_tradein_m", params.delta + params.s + d.w - c_m - d.t))
-        margins.append(("margin_tradein_r", d.p_r + d.t - d.w - d.b_r))
-    else:
-        margins.append(("margin_tradein_m", params.delta + params.s + d.p_m - c_m - d.b_m))
-        margins.append(("margin_tradein_m_via_r", params.delta + params.s + d.w - c_m - d.t))
-        margins.append(("margin_tradein_r", d.p_r + d.t - d.w - d.b_r))
-    checks.extend(ValidityCheck(name, slack, informational=True) for name, slack in margins)
+    checks.extend(ValidityCheck(name, _MARGINS[margin](d, params), informational=True)
+                  for name, margin, _, _ in PROFIT_TERMS[model])
     return ValidityReport(checks=tuple(checks))
 
 
@@ -373,17 +391,30 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
                      provenance: str, singularity_distance: float,
                      variant: MrDemandVariant = MrDemandVariant.ADOPTED,
                      certified_demand_variant: str | None = None) -> Equilibrium:
-    """Package decisions with their freshly computed outcome and validity."""
+    """Package decisions with their freshly computed outcome and validity.
+
+    Both the closed-form and the numeric path end here. Raises OutOfDomain
+    when a mass, a profit or a slack is not finite, so no payload carries an
+    infinity or a NaN (parameters so large that float arithmetic overflows).
+    """
     model = ModelId(model)
-    return Equilibrium(
-        model=model,
-        params=params,
-        decisions=decisions,
-        demands=demand(model, decisions, params, variant),
-        profit=profits(model, decisions, params, variant),
-        validity=validity(model, decisions, params, variant),
-        provenance=provenance,
-        singularity_distance=singularity_distance,
-        demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
-        certified_demand_variant=certified_demand_variant,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        eq = Equilibrium(
+            model=model,
+            params=params,
+            decisions=decisions,
+            demands=demand(model, decisions, params, variant),
+            profit=profits(model, decisions, params, variant),
+            validity=validity(model, decisions, params, variant),
+            provenance=provenance,
+            singularity_distance=singularity_distance,
+            demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
+            certified_demand_variant=certified_demand_variant,
+        )
+    values = {**eq.demands.as_dict(), **eq.profit.as_dict(),
+              **{c.name: c.slack for c in eq.validity.checks}}
+    bad = [Violation(name, v, "must be finite; float arithmetic overflows here")
+           for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise OutOfDomain(bad)
+    return eq

@@ -42,21 +42,7 @@ from . import market
 from .closed_form import singularity_distance
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium
-from .params import DecisionSet, ModelId, Params
-
-#: Leader decision variables per model (the follower owns the rest).
-LEADER_FIELDS = {
-    ModelId.M: ("p_m", "w", "b_m"),
-    ModelId.R: ("p_m", "w", "t"),
-    ModelId.MR: ("p_m", "w", "b_m", "t"),
-}
-
-#: Follower decision variables per model.
-FOLLOWER_FIELDS = {
-    ModelId.M: ("p_r",),
-    ModelId.R: ("p_r", "b_r"),
-    ModelId.MR: ("p_r", "b_r"),
-}
+from .params import ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params
 
 #: Base search interval; the default box scales it with the cost level.
 _BASE_BOX = (-1.0, 3.0)
@@ -70,8 +56,7 @@ def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
     parameters (the figure presets reach p_r above 16).
     """
     scale = 1.0 + params.c_m + params.s
-    box = (_BASE_BOX[0] * scale, _BASE_BOX[1] * scale)
-    return {name: box for name in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
+    return dict.fromkeys(ALL_DECISION_FIELDS, (_BASE_BOX[0] * scale, _BASE_BOX[1] * scale))
 
 
 #: Step below which the leader's Newton step counts as converged; a longer
@@ -143,16 +128,16 @@ _STEP = 0.5
 _RESOLVABLE = 1e-6 * _STEP * _STEP / float(np.finfo(float).eps)
 #: Where the retailer's profit is differenced; on a quadratic any anchor
 #: identifies the same best-response map.
-_ANCHOR = {"p_m": 1.0, "p_r": 1.0, "w": 1.0, "b_m": 0.5, "b_r": 0.5, "t": 0.5}
+_ANCHOR = dict(zip(ALL_DECISION_FIELDS, (1.0, 1.0, 1.0, 0.5, 0.5, 0.5)))
 
 
 def _profits(model: ModelId, points: np.ndarray, params: Params, variant: MrDemandVariant):
     """(pi_m, pi_r) over an (n, k) array with one column per decision of the
     model, the leader's variables first, then the follower's."""
-    dec = dict.fromkeys(("p_m", "p_r", "w", "b_m", "b_r", "t"))
-    dec.update(zip(LEADER_FIELDS[model] + FOLLOWER_FIELDS[model], points.T))
-    return market.profit_values(model, dec["p_m"], dec["p_r"], dec["w"], dec["b_m"],
-                                dec["b_r"], dec["t"], params, variant)
+    leader, follower = PLAYER_FIELDS[model]
+    dec = dict.fromkeys(ALL_DECISION_FIELDS)
+    dec.update(zip(leader + follower, points.T))
+    return market.profit_values(model, *dec.values(), params, variant)
 
 
 @lru_cache(maxsize=None)
@@ -233,14 +218,15 @@ def _best_response(model: ModelId, params: Params,
     unless H_ff is negative definite (relative to its largest eigenvalue);
     that fails for model R at alpha <= 1/5 and for model MR at alpha <= 1/4.
     """
-    k = len(LEADER_FIELDS[model])
-    z0 = np.array([_ANCHOR[n] for n in LEADER_FIELDS[model] + FOLLOWER_FIELDS[model]])
+    leader, follower = PLAYER_FIELDS[model]
+    k = len(leader)
+    z0 = np.array([_ANCHOR[n] for n in leader + follower])
     grad, H = _central_differences(lambda z: _profits(model, z, params, variant)[1], z0)
     H_ff = H[k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
     if not np.all(eigs < -1e-9 * np.max(np.abs(eigs))):
         raise NonConcave(
-            f"retailer profit not concave in {', '.join(FOLLOWER_FIELDS[model])}: "
+            f"retailer profit not concave in {', '.join(follower)}: "
             f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
     y0 = z0[k:] - np.linalg.solve(H_ff, grad[k:])
     return _AffineResponse(x0=z0[:k], y0=y0, K=-np.linalg.solve(H_ff, H[k:, :k]), eigs=eigs)
@@ -258,18 +244,18 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     """Maximize the retailer profit over the follower's variables.
 
     ``leader_vars`` must contain exactly the leader's variables for the
-    model: {w, p_m, b_m} for M, {w, p_m, t} for R, {w, p_m, b_m, t} for MR.
+    model, those of ``params.PLAYER_FIELDS``.
     Raises NonConcave when the retailer objective has no interior maximum.
     """
     model = ModelId(model)
-    expected = set(LEADER_FIELDS[model])
-    got = set(leader_vars)
-    if got != expected:
+    leader, follower = PLAYER_FIELDS[model]
+    if set(leader_vars) != set(leader):
         raise OutOfDomain([Violation("leader_vars", float("nan"),
-                                     f"model {model.value} leader sets {sorted(expected)}, got {sorted(got)}")])
-    x = np.array([[float(leader_vars[n]) for n in LEADER_FIELDS[model]]])
+                                     f"model {model.value} leader sets {sorted(leader)}, "
+                                     f"got {sorted(leader_vars)}")])
+    x = np.array([[float(leader_vars[n]) for n in leader]])
     y = _best_response(model, params, variant)(x)[0]
-    return {n: float(y[i]) for i, n in enumerate(FOLLOWER_FIELDS[model])}
+    return dict(zip(follower, map(float, y)))
 
 
 def solve_stackelberg_numeric(model: ModelId, params: Params,
@@ -296,7 +282,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     """
     model = ModelId(model)
     cfg = cfg or OracleConfig()
-    names = LEADER_FIELDS[model]
+    names, follower = PLAYER_FIELDS[model]
     boxes = [cfg.box(n, params) for n in names]
     x = np.array([sum(box) / 2.0 for box in boxes])
     response = _best_response(model, params, variant)
@@ -317,8 +303,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
         if value - lo <= edge or hi - value <= edge:
             raise BoxBoundary(n, value, (lo, hi))
     solution = np.concatenate([x, response(x[None])[0]])
-    decisions = DecisionSet(model=model, **dict(zip(names + FOLLOWER_FIELDS[model],
-                                                    map(float, solution))))
+    decisions = DecisionSet(model=model, **dict(zip(names + follower, map(float, solution))))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             singularity_distance(model, params.alpha), variant=variant)
 
@@ -334,7 +319,7 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
     """
     model = ModelId(model)
     response = _best_response(model, params, variant)
-    x = np.array([getattr(eq.decisions, n) for n in LEADER_FIELDS[model]], dtype=float)
+    x = np.array([getattr(eq.decisions, n) for n in PLAYER_FIELDS[model][0]], dtype=float)
     _, H = _central_differences(_leader_objective(model, params, variant, response), x)
     eig_f, eig_l = response.eigs, np.linalg.eigvalsh(H)
     return SocReport(
@@ -388,19 +373,10 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
                 counts[i] += int(np.count_nonzero(mask))
         done += m
         chunk_idx += 1
-
-    def share(k):
-        return counts[k - 1] / n
-
-    def se(k):
-        p = share(k)
-        return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-    with_q4 = model is ModelId.MR
-    shares = DemandProfile(q1=share(1), q2=share(2), q3=share(3),
-                           q4=share(4) if with_q4 else None)
-    stderr = DemandProfile(q1=se(1), q2=se(2), q3=se(3), q4=se(4) if with_q4 else None)
-    return MonteCarloDemand(shares=shares, stderr=stderr, n=n, seed=seed)
+    shares = [c / n for c, mask in zip(counts, masks) if mask is not None]
+    stderr = [math.sqrt(max(p * (1.0 - p), 0.0) / n) for p in shares]
+    return MonteCarloDemand(shares=DemandProfile(*shares), stderr=DemandProfile(*stderr),
+                            n=n, seed=seed)
 
 
 def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Params,
@@ -415,11 +391,12 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
     no best response to substitute.
     """
     model = ModelId(model)
-    leader, follower = LEADER_FIELDS[model], FOLLOWER_FIELDS[model]
+    leader, follower = PLAYER_FIELDS[model]
     x = np.array([getattr(decisions, n) for n in leader], dtype=float)
     y = np.array([getattr(decisions, n) for n in follower], dtype=float)
-    scale_m, scale_r = (max(1.0, abs(float(v[0])))
-                  for v in _profits(model, np.concatenate([x, y])[None], params, variant))
+    with np.errstate(over="ignore", invalid="ignore"):  # the stencils below raise on it
+        at_point = _profits(model, np.concatenate([x, y])[None], params, variant)
+    scale_m, scale_r = (max(1.0, abs(float(v[0]))) for v in at_point)
 
     def retailer(ys):
         return _profits(model, np.hstack([np.broadcast_to(x, (len(ys), len(x))), ys]),

@@ -4,6 +4,10 @@ Everything downstream consumes the two value types defined here: ``Params``
 (cost and preference primitives) and ``DecisionSet`` (one model's bundle of
 prices, subsidies and transfer price). Both are immutable and validated at
 construction, so they are safe to share between concurrent tasks.
+
+``PLAYER_FIELDS`` is the one statement of which player sets which decision in
+each model; the report order of ``decision_fields`` and the oracle's split
+into leader and follower variables are both read from it.
 """
 
 from __future__ import annotations
@@ -31,20 +35,26 @@ class ModelId(str, Enum):
             raise OutOfDomain.single("model", float("nan"), f"unknown model {text!r}; expected one of M, R, MR") from None
 
 
-#: Ordered decision-variable names per model (stable column ordering).
-_DECISION_FIELDS = {
-    ModelId.M: ("p_m", "p_r", "w", "b_m"),
-    ModelId.R: ("p_m", "p_r", "w", "b_r", "t"),
-    ModelId.MR: ("p_m", "p_r", "w", "b_m", "b_r", "t"),
-}
-
 #: Union of all decision-variable names, in canonical report order.
 ALL_DECISION_FIELDS = ("p_m", "p_r", "w", "b_m", "b_r", "t")
 
+#: Each model's decisions by player: (the manufacturer's, who leads; the
+#: retailer's, who follows). The models differ only in who funds the trade-in:
+#: the manufacturer's subsidy b_m (M), the retailer's b_r paid for through the
+#: transfer price t (R), or both (MR).
+PLAYER_FIELDS = {
+    ModelId.M: (("p_m", "w", "b_m"), ("p_r",)),
+    ModelId.R: (("p_m", "w", "t"), ("p_r", "b_r")),
+    ModelId.MR: (("p_m", "w", "b_m", "t"), ("p_r", "b_r")),
+}
+
+_FIELDS = {model: tuple(n for n in ALL_DECISION_FIELDS if n in leader + follower)
+           for model, (leader, follower) in PLAYER_FIELDS.items()}
+
 
 def decision_fields(model: ModelId) -> tuple[str, ...]:
-    """Ordered decision-variable names for one model."""
-    return _DECISION_FIELDS[ModelId(model)]
+    """One model's decision-variable names, in canonical report order."""
+    return _FIELDS[ModelId(model)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,8 @@ def validate_params(raw: Mapping[str, float]) -> Params:
 class DecisionSet:
     """One model's decision bundle.
 
-    Field presence is tagged by ``model``: M uses (p_m, p_r, w, b_m), R uses
-    (p_m, p_r, w, b_r, t), and MR uses all six. Unused fields must be None.
+    Field presence is tagged by ``model`` (``PLAYER_FIELDS``); unused fields
+    must be None.
 
     The structural requirement t >= b_r for R and MR is deliberately NOT a
     construction error; closed forms are evaluated first and judged by the

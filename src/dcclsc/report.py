@@ -13,12 +13,11 @@ import json
 from typing import Iterable, Mapping
 
 from .market import Equilibrium
-from .params import ModelId, Params
+from .params import ALL_DECISION_FIELDS, ModelId, Params
 
 #: Fixed column order of every sweep/solve CSV.
 CSV_COLUMNS = (
-    "model", "alpha", "c_m", "c_r", "delta", "s",
-    "p_m", "p_r", "w", "b_m", "b_r", "t",
+    "model", "alpha", "c_m", "c_r", "delta", "s", *ALL_DECISION_FIELDS,
     "q1", "q2", "q3", "q4",
     "pi_m", "pi_r", "pi_s",
     "interior_valid", "singular",

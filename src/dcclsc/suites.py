@@ -22,11 +22,11 @@ import numpy as np
 from . import __version__ as _version
 from . import audit, closed_form, market, oracle
 from .market import MrDemandVariant
-from .params import DecisionSet, ModelId, Params
+from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params
 
 #: Fixed search box of the agreement protocol, recorded in its report; the
 #: default cost-scaled box [-1, 3] * (1 + c_m + s) contains it.
-WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
+WIDE_BOX = dict.fromkeys(ALL_DECISION_FIELDS, (-1.0, 3.0))
 
 #: Figure sweep parameter presets: (model, alpha_from, alpha_to, c_m, c_r, s).
 FIGURE_PRESETS = {

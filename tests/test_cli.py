@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
@@ -134,8 +135,32 @@ class TestSolve:
         assert code == 1
         assert "profit" in err and cause in err
 
+    @pytest.mark.parametrize("model", ["m", "r", "mr"])
+    def test_closed_form_beyond_float_range_is_a_domain_error(self, capsys, model):
+        # once exit 0 with Infinity or NaN in the JSON (m, r), and numpy
+        # overflow warnings on stderr (mr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--model", model, "--alpha", "0.5",
+                                 "--cm", "1e200", "--cr", "1", "--s", "1e200")
+        assert code == 1
+        assert out == ""
+        assert "Warning" not in err
+
 
 class TestSweep:
+    def test_costs_beyond_float_range_write_no_csv(self, tmp_path, capsys):
+        # once a CSV with inf profit cells; the costs apply to every row
+        path = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.1",
+                               "--alpha-to", "0.2", "--alpha-step", "0.05", "--cm", "1e300",
+                               "--cr", "1", "--s", "1e300", "--out", str(path))
+        assert code == 1
+        assert not path.exists()
+        assert "pi_m" in err and "finite" in err
+
     def test_degenerate_sweep_matches_solve(self, capsys):
         code, sweep_out, _ = run(capsys, "sweep", "--model", "m",
                                  "--alpha-from", "0.5", "--alpha-to", "0.5",
@@ -371,6 +396,19 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["params"]["alpha"] == 0.5
 
+    def test_config_with_equals_sign(self, tmp_path, capsys):
+        # "--config=PATH" was once taken for the subcommand's own flag and ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = m\nalpha = 0.9\ncm = 0.15\ncr = 0.12\ns = 0.02\n")
+        code, out, _ = run(capsys, "solve", f"--config={cfg}")
+        assert code == 0
+        assert json.loads(out)["params"]["s"] == 0.02
+        code, out, _ = run(capsys, "solve", f"--config={cfg}", "--model", "m", "--alpha", "0.5",
+                           "--cm", "0.15", "--cr", "0.12")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["alpha"], params["s"]) == (0.5, 0.02)
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")
@@ -450,9 +488,12 @@ def _flags(values: dict) -> list[str]:
     return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
 
 
-def _exit_code(argv: list[str]) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(argv)
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process run."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 _MODELS = st.sampled_from(["m", "r", "mr"])
@@ -465,14 +506,17 @@ class TestFuzzedFlags:
     @settings(max_examples=100, deadline=None)
     def test_solve(self, model, verify, params):
         argv = ["solve", "--model", model, *_flags(params)] + ["--verify"] * verify
-        assert _exit_code(argv) in (0, 1, 2, 3)
+        code, out = _run_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
 
     @given(model=_MODELS, params=_param_flags(), decisions=_decision_flags(),
            n=st.integers(-1, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_simulate(self, model, params, decisions, n):
         argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}"]
-        assert _exit_code(argv) in (0, 1, 2, 3)
+        assert _run_quietly(argv)[0] in (0, 1, 2, 3)
 
     @given(model=_MODELS, params=_param_flags(), alpha_to=st.floats(0.01, 0.99),
            alpha_step=st.one_of(st.floats(1e-3, 1.0),
@@ -485,4 +529,8 @@ class TestFuzzedFlags:
         flags = {"alpha_from": min(alpha_from, alpha_to),
                  "alpha_to": _fuzz(data.draw, max(alpha_from, alpha_to)),
                  "alpha_step": alpha_step, **params}
-        assert _exit_code(["sweep", "--model", model, *_flags(flags)]) in (0, 1, 2, 3)
+        code, out = _run_quietly(["sweep", "--model", model, *_flags(flags)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:  # two report lines, then the CSV
+            cells = {cell for line in out.splitlines()[2:] for cell in line.split(",")}
+            assert not cells & {"inf", "-inf", "nan"}

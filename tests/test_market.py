@@ -17,7 +17,7 @@ from dcclsc import (
     validity,
 )
 from dcclsc.closed_form import equilibrium_m
-from dcclsc.market import choice_masks, choice_segment, segment_masses
+from dcclsc.market import choice_masks, choice_segment, profit_values, segment_masses
 
 
 def _dm(p_m=0.3, p_r=0.6, w=0.4, b_m=0.2):
@@ -165,6 +165,29 @@ class TestProfits:
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         d = _dr(p_m=0.2, p_r=0.2, w=0.2, b_r=0.3, t=0.3)  # p_r = w and t = b_r
         assert profits(ModelId.R, d, p).pi_r == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("model, variant", [
+        (ModelId.M, MrDemandVariant.ADOPTED), (ModelId.R, MrDemandVariant.ADOPTED),
+        (ModelId.MR, MrDemandVariant.ADOPTED), (ModelId.MR, MrDemandVariant.AS_PRINTED)])
+    def test_profit_terms_match_written_out_profits(self, model, variant):
+        # each model's profits written out in full are the reference: the
+        # term table must reproduce them bit for bit
+        p = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
+        p_m, p_r, w, b_m, b_r, t = np.random.default_rng(5).uniform(-1.0, 2.0, (6, 1000))
+        q1, q2, q3, q4 = segment_masses(model, p_m, p_r, b_m, b_r, p.alpha, variant)
+        c_m, delta, s = p.c_m, p.delta, p.s
+        base_m = (p_m - c_m) * q1 + (w - c_m) * q2
+        base_r = (p_r - w) * q2
+        if model is ModelId.M:
+            want = base_m + (delta + s + p_m - c_m - b_m) * q3, base_r
+        elif model is ModelId.R:
+            want = (base_m + (delta + s + w - c_m - t) * q3,
+                    base_r + (p_r + t - w - b_r) * q3)
+        else:
+            want = (base_m + (delta + s + p_m - c_m - b_m) * q3 + (delta + s + w - c_m - t) * q4,
+                    base_r + (p_r + t - w - b_r) * q4)
+        got = profit_values(model, p_m, p_r, w, b_m, b_r, t, p, variant)
+        assert all(np.array_equal(g, x) for g, x in zip(got, want))
 
     def test_chain_profit_is_exact_sum(self):
         p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)

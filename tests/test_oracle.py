@@ -26,7 +26,8 @@ from dcclsc import (
     stationarity_residuals,
 )
 from dcclsc import market
-from dcclsc.oracle import LEADER_FIELDS, sample_params
+from dcclsc.oracle import sample_params
+from dcclsc.params import PLAYER_FIELDS
 
 # true joint-model equilibrium under the adopted demand variant at
 # (alpha=0.6, c_m=1, c_r=0.5, s=0.2), frozen from an exact rational solve
@@ -79,7 +80,7 @@ class TestBestResponse:
         # joint retailer objective loses concavity at alpha <= 1/5 (R), 1/4 (MR)
         p = Params(alpha=alpha, c_m=0.5, c_r=0.25, s=0.0)
         leader = {"w": 0.5, "p_m": 0.4, "b_m": 0.1, "t": 0.2}
-        leader = {n: v for n, v in leader.items() if n in LEADER_FIELDS[model]}
+        leader = {n: v for n, v in leader.items() if n in PLAYER_FIELDS[model][0]}
         if concave:
             assert set(best_response_retailer(model, leader, p)) == {"p_r", "b_r"}
         else:
@@ -154,6 +155,23 @@ class TestStackelbergSolve:
         box["p_m"] = (-1.0, 0.5)  # golden p_m* is about 0.648
         with pytest.raises(BoxBoundary):
             solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box=box))
+
+    @pytest.mark.parametrize("model, alpha, outcome", [
+        (ModelId.R, 0.21, NonConcave), (ModelId.R, 0.22, NonConcave), (ModelId.R, 0.23, None),
+        (ModelId.MR, 0.26, NonConcave), (ModelId.MR, 0.27, NonConcave),
+        (ModelId.MR, 0.2768, NonConcave), (ModelId.MR, 0.277, BoxBoundary),
+        (ModelId.MR, 0.28, BoxBoundary), (ModelId.MR, 0.30, None)])
+    def test_leader_existence_threshold(self, model, alpha, outcome):
+        # above the follower bounds 1/5 (R) and 1/4 (MR) the leader's reduced
+        # profit is still convex in one direction up to 2/9 (R) and
+        # (15 - sqrt(193))/4 = 0.27689 (MR); just above the MR threshold the
+        # optimum blows up and leaves the search box
+        params = Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2)
+        if outcome is None:
+            assert solve_stackelberg_numeric(model, params).provenance == "numeric_oracle"
+        else:
+            with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
+                solve_stackelberg_numeric(model, params)
 
     def test_as_printed_variant_is_ill_posed(self, params_mr):
         # segment-3 "1 - gap" variant makes the leader profit unbounded
