@@ -3,10 +3,10 @@ Numeric backward induction as an independent cross-check
 ========================================================
 
 Solves the leader/follower game without touching the closed forms. Every
-profit is quadratic, so one central-difference stencil of the retailer's
-profit identifies its best response exactly, as an affine map of the
-leader's variables; a second stencil gives the gradient and Hessian of the
-manufacturer's reduced profit, and a Newton step lands on the optimum. For
+profit is quadratic, so one central-difference stencil of both profits
+identifies the game exactly: the retailer's best response, an affine map of
+the leader's variables, and the gradient and Hessian of the manufacturer's
+reduced profit. A Newton step lands on the optimum. For
 the manufacturer-led and retailer-led models the numeric optimum lands on
 the closed forms to ten significant digits; for the joint model it reveals
 that the published expressions are not the solution of the stated game.

@@ -16,7 +16,7 @@ the retailer profit derived directly from its first-order condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,26 +71,26 @@ def decision_values_m(alpha: float, c_m: float, delta: float, s: float) -> dict[
     Defined for any alpha except 4, so it doubles as the endpoint-limit
     evaluator at alpha = 0 and alpha = 1.
     """
-    den = alpha - 4.0
-    p_m = -(2.0 * alpha + 2.0 * c_m + delta * alpha - alpha * c_m + alpha * s) / den
-    w = -(4.0 * c_m - alpha + 2.0 * delta * alpha - 2.0 * alpha * c_m
-          + 2.0 * alpha * s + alpha ** 2 + 4.0) / (2.0 * den)
-    b_m = -(2.0 * delta + alpha - c_m + 2.0 * s) / den
-    p_r = -(8.0 * c_m - 7.0 * alpha + 4.0 * delta * alpha - 4.0 * alpha * c_m
-            + 4.0 * alpha * s + 3.0 * alpha ** 2 + 12.0) / (4.0 * den)
+    den = alpha - 4
+    p_m = -(2 * alpha + 2 * c_m + delta * alpha - alpha * c_m + alpha * s) / den
+    w = -(4 * c_m - alpha + 2 * delta * alpha - 2 * alpha * c_m
+          + 2 * alpha * s + alpha ** 2 + 4) / (2 * den)
+    b_m = -(2 * delta + alpha - c_m + 2 * s) / den
+    p_r = -(8 * c_m - 7 * alpha + 4 * delta * alpha - 4 * alpha * c_m
+            + 4 * alpha * s + 3 * alpha ** 2 + 12) / (4 * den)
     return {"p_m": p_m, "p_r": p_r, "w": w, "b_m": b_m}
 
 
 def decision_values_r(alpha: float, c_m: float, delta: float, s: float) -> dict[str, float]:
     """Model-R equilibrium decisions (poles at alpha = 2/9)."""
-    p_m = (2.0 * delta * alpha - 2.0 * c_m - alpha + 8.0 * alpha * c_m
-           + 2.0 * alpha * s + 9.0 * alpha ** 2) / (18.0 * alpha - 4.0)
-    w = (5.0 * alpha - c_m + delta * alpha + 4.0 * alpha * c_m + alpha * s - 1.0) / (9.0 * alpha - 2.0)
-    b_r = alpha * (2.0 * delta - c_m + 2.0 * s + 1.0) / (9.0 * alpha - 2.0)
-    p_r = (4.0 * delta + 29.0 * alpha - 6.0 * c_m + 4.0 * s + 18.0 * alpha * c_m
-           - 9.0 * alpha ** 2 - 4.0) / (36.0 * alpha - 8.0)
-    t = -(4.0 * delta + alpha - 2.0 * c_m + 4.0 * s - 20.0 * delta * alpha
-          + 10.0 * alpha * c_m - 20.0 * alpha * s - 9.0 * alpha ** 2) / (4.0 * (9.0 * alpha - 2.0))
+    p_m = (2 * delta * alpha - 2 * c_m - alpha + 8 * alpha * c_m
+           + 2 * alpha * s + 9 * alpha ** 2) / (18 * alpha - 4)
+    w = (5 * alpha - c_m + delta * alpha + 4 * alpha * c_m + alpha * s - 1) / (9 * alpha - 2)
+    b_r = alpha * (2 * delta - c_m + 2 * s + 1) / (9 * alpha - 2)
+    p_r = (4 * delta + 29 * alpha - 6 * c_m + 4 * s + 18 * alpha * c_m
+           - 9 * alpha ** 2 - 4) / (36 * alpha - 8)
+    t = -(4 * delta + alpha - 2 * c_m + 4 * s - 20 * delta * alpha
+          + 10 * alpha * c_m - 20 * alpha * s - 9 * alpha ** 2) / (4 * (9 * alpha - 2))
     return {"p_m": p_m, "p_r": p_r, "w": w, "b_r": b_r, "t": t}
 
 
@@ -105,11 +105,11 @@ class MRHelpers:
 
 def mr_helper_values(alpha: float, c_m: float, delta: float, s: float) -> MRHelpers:
     a = alpha
-    x1 = (3.0 * delta * a - 2.0 * c_m + 7.0 * a * c_m + 3.0 * a * s
-          - 5.0 * delta * a ** 2 + 2.0 * delta * a ** 3 + a ** 2 * c_m
-          - 2.0 * a ** 3 * c_m - 5.0 * a ** 2 * s + 2.0 * a ** 3)
-    x2 = 2.0 * delta - c_m + 2.0 * s - 10.0 * delta * a + 5.0 * a * c_m
-    x3 = -10.0 * a * s + 4.0 * delta * a ** 2 - 2.0 * a ** 2 * c_m + 4.0 * a ** 2 * s
+    x1 = (3 * delta * a - 2 * c_m + 7 * a * c_m + 3 * a * s
+          - 5 * delta * a ** 2 + 2 * delta * a ** 3 + a ** 2 * c_m
+          - 2 * a ** 3 * c_m - 5 * a ** 2 * s + 2 * a ** 3)
+    x2 = 2 * delta - c_m + 2 * s - 10 * delta * a + 5 * a * c_m
+    x3 = -10 * a * s + 4 * delta * a ** 2 - 2 * a ** 2 * c_m + 4 * a ** 2 * s
     return MRHelpers(x1=x1, x2=x2, x3=x3)
 
 
@@ -128,15 +128,15 @@ def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict
     """
     a = alpha
     h = mr_helper_values(alpha, c_m, delta, s)
-    den = 3.0 * a ** 2 - 17.0 * a + 2.0 * a ** 3 + 4.0
-    p_m = -(h.x1 - 2.0 * a + 12.0 * a ** 2 - 6.0 * a ** 3) / den
-    w = -(17.0 * a + 2.0 * h.x1 + 4.0 * a ** 2 - 11.0 * a ** 3 + 2.0 * a ** 4 - 4.0) / (2.0 * den)
-    b_m = (2.0 * h.x2 + h.x3 - 19.0 * a + 8.0 * delta * a - 18.0 * a * c_m
-           + 18.0 * a * s - 4.0 * a ** 2 + 11.0 * a ** 3 + 4.0) / (2.0 * den)
-    b_r = a * (5.0 * a + h.x2 - h.x3 + 3.0 * a ** 2 - 4.0 * a ** 3) / den
-    p_r = (4.0 * delta + 23.0 * a + 4.0 * s + h.x1 + delta * a - 5.0 * a ** 2
-           - 9.0 * a ** 3 + 3.0 * a ** 4 - 4.0) / (2.0 * den)
-    t = (a + 1.0) * (a + h.x2 + h.x3 - 6.0 * a ** 2 + 3.0 * a ** 3) / den
+    den = 3 * a ** 2 - 17 * a + 2 * a ** 3 + 4
+    p_m = -(h.x1 - 2 * a + 12 * a ** 2 - 6 * a ** 3) / den
+    w = -(17 * a + 2 * h.x1 + 4 * a ** 2 - 11 * a ** 3 + 2 * a ** 4 - 4) / (2 * den)
+    b_m = (2 * h.x2 + h.x3 - 19 * a + 8 * delta * a - 18 * a * c_m
+           + 18 * a * s - 4 * a ** 2 + 11 * a ** 3 + 4) / (2 * den)
+    b_r = a * (5 * a + h.x2 - h.x3 + 3 * a ** 2 - 4 * a ** 3) / den
+    p_r = (4 * delta + 23 * a + 4 * s + h.x1 + delta * a - 5 * a ** 2
+           - 9 * a ** 3 + 3 * a ** 4 - 4) / (2 * den)
+    t = (a + 1) * (a + h.x2 + h.x3 - 6 * a ** 2 + 3 * a ** 3) / den
     return {"p_m": p_m, "p_r": p_r, "w": w, "b_m": b_m, "b_r": b_r, "t": t}
 
 
@@ -182,13 +182,12 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
     dist = _guard(model, params.alpha, guard)
     decisions = DecisionSet(model=model, **decision_values(
         model, params.alpha, params.c_m, params.delta, params.s))
-    certified = None
-    if certify and model is ModelId.MR:
+    eq = make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)
+    if certify and model is ModelId.MR:  # only once the outcome is known to be finite
         from . import oracle
 
-        certified = oracle.certify_mr_variant(decisions, params)
-    return make_equilibrium(model, decisions, params, "closed_form", dist,
-                            variant=variant, certified_demand_variant=certified)
+        eq = replace(eq, certified_demand_variant=oracle.certify_mr_variant(decisions, params))
+    return eq
 
 
 def equilibrium_m(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:

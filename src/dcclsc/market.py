@@ -273,6 +273,11 @@ def profit_values(model: ModelId, p_m, p_r, w, b_m, b_r, t, params: Params,
     model = ModelId(model)
     q = segment_masses(model, p_m, p_r, b_m, b_r, params.alpha, variant)
     d = SimpleNamespace(p_m=p_m, p_r=p_r, w=w, b_m=b_m, b_r=b_r, t=t)
+    return _profit_sums(model, d, params, q)
+
+
+def _profit_sums(model: ModelId, d, params: Params, q):
+    """(pi_m, pi_r) from the decisions ``d`` and the segment masses ``q``."""
     pi = [None, None]
     for _, margin, payer, segment in PROFIT_TERMS[model]:
         # each sum starts from its first term, not from 0 (0 + -0.0 is 0.0)
@@ -281,14 +286,17 @@ def profit_values(model: ModelId, p_m, p_r, w, b_m, b_r, t, params: Params,
     return tuple(pi)
 
 
+def _demand_profile(q) -> DemandProfile:
+    q1, q2, q3, q4 = q
+    return DemandProfile(q1=float(q1), q2=float(q2), q3=float(q3),
+                         q4=float(q4) if q4 is not None else None)
+
+
 def demand(model: ModelId, decisions: DecisionSet, params: Params,
            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> DemandProfile:
     """Closed-form segment masses for one decision set (unclamped)."""
-    model = ModelId(model)
-    q1, q2, q3, q4 = segment_masses(model, decisions.p_m, decisions.p_r,
-                                    decisions.b_m, decisions.b_r, params.alpha, variant)
-    return DemandProfile(q1=float(q1), q2=float(q2), q3=float(q3),
-                         q4=float(q4) if q4 is not None else None)
+    d = decisions
+    return _demand_profile(segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant))
 
 
 def profits(model: ModelId, decisions: DecisionSet, params: Params,
@@ -317,7 +325,11 @@ def validity(model: ModelId, decisions: DecisionSet, params: Params,
     reads the mass.
     """
     model = ModelId(model)
-    q = demand(model, decisions, params, variant)
+    return _validity(model, decisions, params, demand(model, decisions, params, variant))
+
+
+def _validity(model: ModelId, decisions: DecisionSet, params: Params,
+              q: DemandProfile) -> ValidityReport:
     a = params.alpha
     d = decisions
     checks = [_range_check(f"{name}_in_unit", mass) for name, mass in q.as_dict().items()]
@@ -389,27 +401,32 @@ class Equilibrium:
 
 def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
                      provenance: str, singularity_distance: float,
-                     variant: MrDemandVariant = MrDemandVariant.ADOPTED,
-                     certified_demand_variant: str | None = None) -> Equilibrium:
+                     variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Package decisions with their freshly computed outcome and validity.
 
-    Both the closed-form and the numeric path end here. Raises OutOfDomain
+    Both the closed-form and the numeric path end here; the segment masses
+    are evaluated once and feed the demands, the profits and the validity
+    report. The MR certification is attached afterwards, by
+    :func:`dcclsc.closed_form.equilibrium`. Raises OutOfDomain
     when a mass, a profit or a slack is not finite, so no payload carries an
     infinity or a NaN (parameters so large that float arithmetic overflows).
     """
     model = ModelId(model)
     with np.errstate(over="ignore", invalid="ignore"):
+        d = decisions
+        q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
+        demands = _demand_profile(q)
+        pi_m, pi_r = _profit_sums(model, d, params, q)
         eq = Equilibrium(
             model=model,
             params=params,
             decisions=decisions,
-            demands=demand(model, decisions, params, variant),
-            profit=profits(model, decisions, params, variant),
-            validity=validity(model, decisions, params, variant),
+            demands=demands,
+            profit=ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r)),
+            validity=_validity(model, d, params, demands),
             provenance=provenance,
             singularity_distance=singularity_distance,
             demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
-            certified_demand_variant=certified_demand_variant,
         )
     values = {**eq.demands.as_dict(), **eq.profit.as_dict(),
               **{c.name: c.slack for c in eq.validity.checks}}

@@ -1,28 +1,27 @@
 """Numeric ground truth: backward-induction Stackelberg solver and choice simulation.
 
 Nothing in this module evaluates the closed-form equilibrium expressions.
-Segment masses enter the profits unclamped, so every profit is exactly
-quadratic in the decisions and the retailer's best response is affine in the
-leader's variables. The solver uses that structure, and only profit
-evaluations, to solve each game exactly:
+Segment masses enter the profits unclamped, so both players' profits are
+exactly quadratic in the decisions, and one call of the profit kernel on one
+central-difference stencil over all of the model's decisions identifies the
+game: both profits' exact gradients and Hessians. The stencil is centred at
+the centre of the search box or at a given point; its step is 1/8 of each
+variable's box width, so its roundoff keeps to the decisions' scale at any
+cost level. The rest is linear algebra on that model:
 
-1. one central-difference stencil of the retailer's profit over all of the
-   model's decisions, at a fixed anchor, gives its exact gradient and
-   Hessian, hence its best response as an affine map of the leader's
-   variables and its concavity;
-2. the manufacturer's reduced profit (best response substituted) is
-   evaluated once, vectorized, on a central-difference stencil around the
-   centre of the search box, which gives its gradient and Hessian exactly;
-3. a Hessian that is not negative definite raises NonConcave;
-4. one Newton step, plus at most one clean-up step, lands on the stationary
-   point to roundoff;
-5. a point outside the search box or on its edge raises BoxBoundary, so an
-   ill-posed instance is reported rather than truncated.
+1. zeroing the retailer's gradient in its own variables gives its best
+   response, an affine map y*(x) = y0 + K (x - x0) of the leader's variables;
+2. with Q = [I; K], the manufacturer's reduced profit has gradient
+   Q^T grad pi_m and Hessian Q^T H_m Q; a Hessian of either stage that is not
+   negative definite raises NonConcave;
+3. the solve steps from the box centre to where both first-order conditions
+   hold, identifies the game again there and takes one clean-up step; a step
+   that lands outside the box or on its edge raises BoxBoundary.
 
-The stationarity residuals, the MR certification and the second-order
-checks reuse the same map and one stencil at the point. A quadratic has at
-most one stationary point, so negative-definite Hessians at both stages
-also decide uniqueness; no restarts are needed.
+The stationarity residuals and the second-order checks identify the game
+once at the point, the MR certification once per demand variant. A
+quadratic has at most one stationary point, so negative-definite Hessians at
+both stages also decide uniqueness; no restarts are needed.
 
 ``monte_carlo_demand`` simulates the discrete-choice model directly from the
 utility definitions and fixed tie-breaking rules, providing the independent
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -59,11 +58,6 @@ def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
     return dict.fromkeys(ALL_DECISION_FIELDS, (_BASE_BOX[0] * scale, _BASE_BOX[1] * scale))
 
 
-#: Step below which the leader's Newton step counts as converged; a longer
-#: first step is followed by one clean-up step.
-LEADER_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Search box and seed of the numeric solver.
@@ -73,8 +67,10 @@ class OracleConfig:
     leader_box : mapping of variable name to (lo, hi), optional
         Search intervals; the solver raises ``BoxBoundary`` rather than
         silently truncating when the optimum lies on or beyond an edge.
-        None (the default) derives the box from the parameters via
-        :func:`default_leader_box`.
+        The difference stencil starts at the box centre and steps 1/8 of
+        each interval's width. None (the default) derives the box from the
+        parameters via :func:`default_leader_box`; a variable the mapping
+        leaves out, such as a follower's, takes its default interval.
     seed : int
         Recorded in :meth:`as_dict` only: the solver draws nothing random.
     """
@@ -83,8 +79,8 @@ class OracleConfig:
     seed: int = 0
 
     def box(self, name: str, params: Params) -> tuple[float, float]:
-        box = self.leader_box if self.leader_box is not None else default_leader_box(params)
-        return tuple(box[name])
+        box = self.leader_box or {}
+        return tuple(box[name]) if name in box else default_leader_box(params)[name]
 
     def as_dict(self) -> dict:
         box = self.leader_box
@@ -119,25 +115,13 @@ class SocReport:
 
 
 _EIG_THRESHOLD = -1e-9
-#: Step of every central-difference stencil; any step is exact on a
-#: quadratic, and a wide one keeps roundoff in the differences small.
-_STEP = 0.5
-#: Largest ratio max|profit| / max|Hessian entry| at which a stencil still
-#: resolves the curvature: its roundoff, eps * max|profit| / step^2, stays
-#: below 1e-6 of the largest entry (unit costs up to about 1e9).
-_RESOLVABLE = 1e-6 * _STEP * _STEP / float(np.finfo(float).eps)
-#: Where the retailer's profit is differenced; on a quadratic any anchor
-#: identifies the same best-response map.
-_ANCHOR = dict(zip(ALL_DECISION_FIELDS, (1.0, 1.0, 1.0, 0.5, 0.5, 0.5)))
-
-
-def _profits(model: ModelId, points: np.ndarray, params: Params, variant: MrDemandVariant):
-    """(pi_m, pi_r) over an (n, k) array with one column per decision of the
-    model, the leader's variables first, then the follower's."""
-    leader, follower = PLAYER_FIELDS[model]
-    dec = dict.fromkeys(ALL_DECISION_FIELDS)
-    dec.update(zip(leader + follower, points.T))
-    return market.profit_values(model, *dec.values(), params, variant)
+#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]): any
+#: step is exact on a quadratic, one scaled to the box keeps roundoff small.
+_STENCIL_SHARE = 0.125
+#: Largest ratio max|profit| / max|second difference| on a stencil at which
+#: it still resolves the curvature: the roundoff of a difference,
+#: eps * max|profit|, stays below 1e-6 of the largest one.
+_RESOLVABLE = 1e-6 / float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=None)
@@ -158,84 +142,94 @@ def _stencil(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, i, j
 
 
-def _central_differences(f: Callable, x0: np.ndarray,
-                         hessian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradient (and Hessian) of f at x0 from one vectorized stencil evaluation.
-
-    ``f`` maps an (n, k) array of points to n values. Central differences
-    carry no truncation error on a quadratic, whatever the step. This is the
-    only place the oracle differences a profit. Raises OutOfDomain when a
-    profit overflows on the stencil, or when its roundoff swamps the
-    curvature the stencil measures (decisions so large that the step is lost).
-    """
-    k = len(x0)
-    offsets, i, j = _stencil(k)
-    if not hessian:
-        offsets = offsets[:1 + 2 * k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = f(x0 + _STEP * offsets)
-    size = float(np.abs(vals).max())
-    if not math.isfinite(size):
-        raise OutOfDomain.single("profit", size, "overflows on the difference stencil")
-    plus, minus = vals[1:1 + 2 * k:2], vals[2:1 + 2 * k:2]
-    grad = (plus - minus) / (2.0 * _STEP)
-    if not hessian:
-        return grad, None
-    H = np.diag((plus - 2.0 * vals[0] + minus) / (_STEP * _STEP))
-    pp, pm, mp, mm = vals[1 + 2 * k:].reshape(-1, 4).T
-    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * _STEP * _STEP)
-    if size > _RESOLVABLE * np.abs(H).max():
-        raise OutOfDomain.single("profit", size, "too large to resolve its curvature "
-                                                 f"with the difference step {_STEP}")
-    return grad, H
-
-
 @dataclass(frozen=True)
-class _AffineResponse:
-    """The retailer's exact best response y*(x) = y0 + K (x - x0).
+class _Game:
+    """Both players' exact quadratic profits around ``z0`` (leader's variables first).
 
-    ``eigs`` are the eigenvalues of the retailer's Hessian in its own
-    variables; the profit is quadratic, so they hold at every point.
+    ``values``, ``grad`` and ``hess`` hold (pi_m, pi_r) and their gradients
+    and Hessians at z0. The retailer's best response is
+    y*(x) = z0_f + shift + K (x - z0_l), with Q = [I; K] and the eigenvalues
+    ``follower_eigs`` of its Hessian in its own variables.
     """
 
-    x0: np.ndarray
-    y0: np.ndarray
-    K: np.ndarray
-    eigs: np.ndarray
+    k: int
+    z0: np.ndarray
+    values: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    shift: np.ndarray
+    Q: np.ndarray
+    follower_eigs: np.ndarray
 
-    def __call__(self, leader: np.ndarray) -> np.ndarray:
-        """Best responses to an (n, k) array of leader points, as (n, m)."""
-        return self.y0 + (leader - self.x0) @ self.K.T
+    def response(self, x: np.ndarray) -> np.ndarray:
+        """The retailer's best response to the leader point x."""
+        return self.z0[self.k:] + self.shift + (x - self.z0[:self.k]) @ self.Q[self.k:].T
+
+    def leader(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the manufacturer's reduced profit at z0's
+        leader point: Q^T grad pi_m, taken at the best response, and Q^T H_m Q."""
+        grad = self.grad[0] + self.hess[0][:, self.k:] @ self.shift
+        return self.Q.T @ grad, self.Q.T @ self.hess[0] @ self.Q
+
+    def stationary_point(self) -> np.ndarray:
+        """The point where both first-order conditions hold: the retailer's
+        gradient in its own variables and the leader's Q^T grad pi_m vanish."""
+        k, Q = self.k, self.Q
+        jacobian = np.vstack([Q.T @ self.hess[0], self.hess[1, k:]])
+        residual = np.concatenate([Q.T @ self.grad[0], self.grad[1, k:]])
+        return self.z0 - np.linalg.solve(jacobian, residual)
 
 
-def _best_response(model: ModelId, params: Params,
-                   variant: MrDemandVariant) -> _AffineResponse:
-    """Identify the retailer's best response from one stencil of its profit.
+def _identify(model: ModelId, params: Params, variant: MrDemandVariant,
+              centre: DecisionSet | None = None, cfg: OracleConfig | None = None) -> _Game:
+    """Identify the game from one evaluation of both profits on one stencil.
 
-    The stencil spans all of the model's decisions at a fixed anchor z0 and
-    gives the exact gradient g and Hessian H; zeroing the follower gradient
-    gives y0 = z0_f - H_ff^-1 g_f and K = -H_ff^-1 H_fl. Raises NonConcave
-    unless H_ff is negative definite (relative to its largest eigenvalue);
+    The stencil is centred at the decisions ``centre``, else at the centre
+    of ``cfg``'s box, and steps 1/8 of each variable's box width. Central
+    differences are exact on a quadratic up to roundoff. The retailer's best
+    response has shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the
+    only place the oracle evaluates a profit.
+
+    Raises OutOfDomain when a profit overflows on the stencil or its roundoff
+    swamps the curvature, and NonConcave unless the retailer's Hessian in its
+    own variables is negative definite (relative to its largest eigenvalue);
     that fails for model R at alpha <= 1/5 and for model MR at alpha <= 1/4.
     """
     leader, follower = PLAYER_FIELDS[model]
-    k = len(leader)
-    z0 = np.array([_ANCHOR[n] for n in leader + follower])
-    grad, H = _central_differences(lambda z: _profits(model, z, params, variant)[1], z0)
-    H_ff = H[k:, k:]
+    k, n = len(leader), len(leader) + len(follower)
+    cfg = cfg or OracleConfig()
+    lo, hi = np.array([cfg.box(name, params) for name in leader + follower], dtype=float).T
+    z0 = ((lo + hi) / 2.0 if centre is None
+          else np.array([getattr(centre, name) for name in leader + follower], dtype=float))
+    step = _STENCIL_SHARE * (hi - lo)
+    offsets, i, j = _stencil(n)
+    dec = dict.fromkeys(ALL_DECISION_FIELDS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec.update(zip(leader + follower, (z0 + step * offsets).T))
+        vals = np.array(market.profit_values(model, *dec.values(), params, variant))
+    size = np.abs(vals).max(axis=1)
+    if not np.all(np.isfinite(size)):
+        raise OutOfDomain.single("profit", float(size.max()), "overflows on the difference stencil")
+    plus, minus = vals[:, 1:1 + 2 * n:2], vals[:, 2:1 + 2 * n:2]
+    hess = np.zeros((2, n, n))  # second differences first, in units of the step
+    hess[:, range(n), range(n)] = plus - 2.0 * vals[:, :1] + minus
+    pp, pm, mp, mm = vals[:, 1 + 2 * n:].reshape(2, -1, 4).transpose(2, 0, 1)
+    hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / 4.0
+    if np.any(size / _RESOLVABLE > np.abs(hess).max(axis=(1, 2))):
+        raise OutOfDomain.single("profit", float(size.max()),
+                                 "too large to resolve its curvature with a difference "
+                                 f"step of {_STENCIL_SHARE} of each box width")
+    grad = (plus - minus) / (2.0 * step)
+    hess /= np.outer(step, step)
+    H_ff = hess[1, k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
     if not np.all(eigs < -1e-9 * np.max(np.abs(eigs))):
         raise NonConcave(
             f"retailer profit not concave in {', '.join(follower)}: "
             f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
-    y0 = z0[k:] - np.linalg.solve(H_ff, grad[k:])
-    return _AffineResponse(x0=z0[:k], y0=y0, K=-np.linalg.solve(H_ff, H[k:, :k]), eigs=eigs)
-
-
-def _leader_objective(model: ModelId, params: Params, variant: MrDemandVariant,
-                      response: _AffineResponse) -> Callable:
-    """Reduced leader profit (retailer at its best response) over (n, k) leader points."""
-    return lambda x: _profits(model, np.hstack([x, response(x)]), params, variant)[0]
+    response = -np.linalg.solve(H_ff, np.column_stack([grad[1, k:], hess[1, k:, :k]]))
+    return _Game(k=k, z0=z0, values=vals[:, 0], grad=grad, hess=hess, shift=response[:, 0],
+                 Q=np.vstack([np.eye(k), response[:, 1:]]), follower_eigs=eigs)
 
 
 def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
@@ -253,8 +247,8 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
         raise OutOfDomain([Violation("leader_vars", float("nan"),
                                      f"model {model.value} leader sets {sorted(leader)}, "
                                      f"got {sorted(leader_vars)}")])
-    x = np.array([[float(leader_vars[n]) for n in leader]])
-    y = _best_response(model, params, variant)(x)[0]
+    x = np.array([float(leader_vars[n]) for n in leader])
+    y = _identify(model, params, variant).response(x)
     return dict(zip(follower, map(float, y)))
 
 
@@ -263,17 +257,16 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
                               variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Numeric Stackelberg equilibrium by backward induction.
 
-    The manufacturer's profit, with the retailer replaced by its exact best
-    response, is exactly quadratic, so its gradient and Hessian are read from
-    one central-difference stencil around the centre of the search box, and
-    one Newton step lands on the stationary point; a step longer than
-    ``LEADER_TOL`` is followed by one clean-up step from a fresh gradient,
-    which removes the roundoff of the first. Deterministic for a fixed config.
+    Both profits are exactly quadratic, so one identification at the centre
+    of the search box and one linear solve of both players' first-order
+    conditions land on the equilibrium; a second identification at that
+    point and one clean-up solve remove the roundoff of the first.
+    Deterministic for a fixed config.
 
     Raises
     ------
     BoxBoundary
-        when the optimum lies outside the leader box or on its edge.
+        when either step lands outside the search box or on its edge.
     NonConcave
         when either stage's objective has no interior maximum.
     OutOfDomain
@@ -282,28 +275,22 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     """
     model = ModelId(model)
     cfg = cfg or OracleConfig()
-    names, follower = PLAYER_FIELDS[model]
-    boxes = [cfg.box(n, params) for n in names]
-    x = np.array([sum(box) / 2.0 for box in boxes])
-    response = _best_response(model, params, variant)
-    f = _leader_objective(model, params, variant, response)
-    grad, H = _central_differences(f, x)
-    eigs = np.linalg.eigvalsh(H)
-    if not np.all(eigs < 0.0):
-        raise NonConcave(
-            "leader reduced profit not concave: finite-difference Hessian "
-            f"eigenvalues {np.array2string(eigs, precision=4)}")
-    step = np.linalg.solve(H, -grad)
-    x = x + step
-    if np.max(np.abs(step)) >= LEADER_TOL:
-        grad, _ = _central_differences(f, x, hessian=False)
-        x = x + np.linalg.solve(H, -grad)
-    for n, value, (lo, hi) in zip(names, map(float, x), boxes):
-        edge = 1e-6 * max(1.0, hi - lo)
-        if value - lo <= edge or hi - value <= edge:
-            raise BoxBoundary(n, value, (lo, hi))
-    solution = np.concatenate([x, response(x[None])[0]])
-    decisions = DecisionSet(model=model, **dict(zip(names + follower, map(float, solution))))
+    leader, follower = PLAYER_FIELDS[model]
+    decisions = None
+    for _ in range(2):  # the Newton step, then the clean-up step
+        game = _identify(model, params, variant, decisions, cfg)
+        eigs = np.linalg.eigvalsh(game.leader()[1])
+        if not np.all(eigs < 0.0):
+            raise NonConcave(
+                "leader reduced profit not concave: finite-difference Hessian "
+                f"eigenvalues {np.array2string(eigs, precision=4)}")
+        point = dict(zip(leader + follower, map(float, game.stationary_point())))
+        for name in leader:
+            lo, hi = cfg.box(name, params)
+            edge = 1e-6 * max(1.0, hi - lo)
+            if point[name] - lo <= edge or hi - point[name] <= edge:
+                raise BoxBoundary(name, point[name], (lo, hi))
+        decisions = DecisionSet(model=model, **point)
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             singularity_distance(model, params.alpha), variant=variant)
 
@@ -312,16 +299,14 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
               variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> SocReport:
     """Second-order conditions at an equilibrium point.
 
-    The follower's Hessian comes with its best-response map; the leader's
-    reduced Hessian from one central-difference stencil at the point. A
-    stage is negative definite iff all its eigenvalues are < -1e-9. Raises
-    NonConcave when the retailer has no best response to substitute.
+    One identification at the point gives the follower's Hessian and the
+    leader's reduced Hessian. A stage is negative definite iff all its
+    eigenvalues are < -1e-9. Raises NonConcave when the retailer has no best
+    response to substitute.
     """
     model = ModelId(model)
-    response = _best_response(model, params, variant)
-    x = np.array([getattr(eq.decisions, n) for n in PLAYER_FIELDS[model][0]], dtype=float)
-    _, H = _central_differences(_leader_objective(model, params, variant, response), x)
-    eig_f, eig_l = response.eigs, np.linalg.eigvalsh(H)
+    game = _identify(model, params, variant, eq.decisions)
+    eig_f, eig_l = game.follower_eigs, np.linalg.eigvalsh(game.leader()[1])
     return SocReport(
         follower_hessian_eigs=tuple(float(e) for e in eig_f),
         leader_reduced_hessian_eigs=tuple(float(e) for e in eig_l),
@@ -383,31 +368,21 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
                            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> dict[str, float]:
     """Scaled first-order residuals of a candidate equilibrium point.
 
-    Central-difference partials of the retailer profit in the follower's
-    variables and of the leader's reduced profit (follower at its best
-    response) in the leader's variables, divided by max(1, |profit|) at the
-    point; one gradient stencil each. All residuals vanish at a true
-    interior Stackelberg solution. Raises NonConcave when the retailer has
-    no best response to substitute.
+    Partials of the retailer profit in the follower's variables and of the
+    leader's reduced profit (follower at its best response) in the leader's
+    variables, divided by max(1, |profit|) at the point; one identification
+    at the point gives all of them. All residuals vanish at a true interior
+    Stackelberg solution. Raises NonConcave when the retailer has no best
+    response to substitute.
     """
     model = ModelId(model)
     leader, follower = PLAYER_FIELDS[model]
-    x = np.array([getattr(decisions, n) for n in leader], dtype=float)
-    y = np.array([getattr(decisions, n) for n in follower], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # the stencils below raise on it
-        at_point = _profits(model, np.concatenate([x, y])[None], params, variant)
-    scale_m, scale_r = (max(1.0, abs(float(v[0]))) for v in at_point)
-
-    def retailer(ys):
-        return _profits(model, np.hstack([np.broadcast_to(x, (len(ys), len(x))), ys]),
-                        params, variant)[1]
-
-    grad_f, _ = _central_differences(retailer, y, hessian=False)
-    response = _best_response(model, params, variant)
-    grad_l, _ = _central_differences(_leader_objective(model, params, variant, response), x,
-                                     hessian=False)
-    out = {f"follower:{n}": abs(float(g)) / scale_r for n, g in zip(follower, grad_f)}
-    out.update({f"leader:{n}": abs(float(g)) / scale_m for n, g in zip(leader, grad_l)})
+    game = _identify(model, params, variant, decisions)
+    scale_m, scale_r = (max(1.0, abs(float(v))) for v in game.values)
+    out = {f"follower:{n}": abs(float(g)) / scale_r
+           for n, g in zip(follower, game.grad[1, game.k:])}
+    out.update({f"leader:{n}": abs(float(g)) / scale_m
+                for n, g in zip(leader, game.leader()[0])})
     return out
 
 
@@ -422,7 +397,8 @@ def certify_mr_variant(decisions: DecisionSet, params: Params,
     Returns "adopted", "as_printed", "both", or "none"; or
     "follower_non_concave" when the retailer profit is not concave (alpha
     <= 1/4), so no Stackelberg point exists to certify against. The verdict
-    is a deterministic function of (decisions, params).
+    is a deterministic function of (decisions, params); it takes one
+    identification per variant.
     """
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
@@ -434,9 +410,7 @@ def certify_mr_variant(decisions: DecisionSet, params: Params,
             passing.append(variant.value)
     if not passing:
         return "none"
-    if len(passing) == 2:
-        return "both"
-    return passing[0]
+    return "both" if len(passing) == 2 else passing[0]
 
 
 #: Consecutive guard-band rejections after which ``sample_params`` gives up.

@@ -6,12 +6,14 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from dcclsc import oracle, suites
 from dcclsc.cli import main
+from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS
 from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_mc, suite_oracle
 
@@ -127,10 +129,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("argv, cause", [
         (["--model", "r", "--cm", "1e300", "--cr", "1", "--s", "1e300"], "overflows"),
-        (["--model", "m", "--cm", "1e160", "--cr", "1"], "curvature"),
+        (["--model", "m", "--cm", "1e160", "--cr", "1"], "overflows"),
     ])
     def test_profit_beyond_float_range_is_a_domain_error(self, capsys, argv, cause):
-        # once a numeric linear-algebra traceback, once a false "not concave"
+        # once a numeric linear-algebra traceback, once a false "not concave";
+        # c_m = 1e160 was also refused as too large to resolve the curvature
+        # while the difference step stayed 0.5 at every cost level
         code, _, err = run(capsys, "solve", "--alpha", "0.5", *argv, "--verify")
         assert code == 1
         assert "profit" in err and cause in err
@@ -146,6 +150,24 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "Warning" not in err
+        # mr once ran its certification first and named the oracle's stencil
+        assert "pi_m" in err and "pi_s" in err and "stencil" not in err
+
+    @pytest.mark.parametrize("model", ["m", "r", "mr"])
+    @pytest.mark.parametrize("c_m", [3e5, 1e9, 1e50, 1e150])
+    def test_verify_at_large_costs(self, capsys, model, c_m):
+        # once refused with exit 1: a fixed difference step of 0.5 could not
+        # resolve the curvature of profits this large
+        code, out, _ = run(capsys, "solve", "--model", model, "--alpha", "0.6",
+                           "--cm", repr(c_m), "--cr", repr(c_m / 2), "--s", "0.2", "--verify")
+        assert code == 0
+        if model != "mr":
+            exact = decision_values(model.upper(), Fraction(0.6), Fraction(c_m),
+                                    Fraction(c_m) - Fraction(c_m / 2), Fraction(0.2))
+            numeric = json.loads(out)["oracle"]["decisions"]
+            scale = max(abs(v) for v in exact.values())
+            for name, value in exact.items():
+                assert abs(Fraction(numeric[name]) - value) <= Fraction(1e-14) * scale, name
 
 
 class TestSweep:

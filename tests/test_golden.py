@@ -5,7 +5,7 @@ temporary directory and compares the written file byte for byte with its
 recorded twin. A change that moves any output bit fails here.
 
 Re-record (only when an output change is intended, and name every changed
-file in CHANGES.md):
+file in CHANGES.md; the script prints whether each file's bytes changed):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -68,5 +68,7 @@ def test_output_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        print(_write(case, GOLDEN_DIR))
+        path = GOLDEN_DIR / case
+        before = path.read_bytes() if path.exists() else None
+        print("changed  " if _write(case, GOLDEN_DIR).read_bytes() != before else "unchanged", path)
     sys.exit(0)

@@ -12,10 +12,12 @@ from dcclsc import (
     Params,
     Singularity,
     demand,
+    equilibrium,
     profits,
     utilities,
     validity,
 )
+from dcclsc import market
 from dcclsc.closed_form import equilibrium_m
 from dcclsc.market import choice_masks, choice_segment, profit_values, segment_masses
 
@@ -139,6 +141,19 @@ class TestDemand:
             assert q1[i] == pytest.approx(q.q1)
             assert q2[i] == pytest.approx(q.q2)
         assert q3 == 0.2
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_equilibrium_evaluates_masses_once(self, model, params_mr, monkeypatch):
+        # demands, profits and validity each evaluated them (3 calls)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return segment_masses(*args, **kwargs)
+
+        monkeypatch.setattr(market, "segment_masses", counting)
+        equilibrium(model, params_mr, certify=False)
+        assert len(calls) == 1
 
 
 class TestProfits:

@@ -1,5 +1,10 @@
 """Numeric solver, second-order checks, Monte Carlo simulation."""
 
+import contextlib
+import io
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -26,16 +31,18 @@ from dcclsc import (
     stationarity_residuals,
 )
 from dcclsc import market
+from dcclsc.cli import main
+from dcclsc.closed_form import decision_values
 from dcclsc.oracle import sample_params
 from dcclsc.params import PLAYER_FIELDS
 
 # true joint-model equilibrium under the adopted demand variant at
 # (alpha=0.6, c_m=1, c_r=0.5, s=0.2), frozen from an exact rational solve
-# of the two-stage first-order system: (1081/1070, 1587/1070, 259/214,
-# 38/107, 45/107, 38/107)
-GOLDEN_MR_TRUE = {"p_m": 1.0102803738317756, "p_r": 1.483177570093458,
-                  "w": 1.2102803738317758, "b_m": 0.35514018691588783,
-                  "b_r": 0.4205607476635514, "t": 0.35514018691588783}
+# of the two-stage first-order system
+GOLDEN_MR_EXACT = {"p_m": Fraction(1081, 1070), "p_r": Fraction(1587, 1070),
+                   "w": Fraction(259, 214), "b_m": Fraction(38, 107),
+                   "b_r": Fraction(45, 107), "t": Fraction(38, 107)}
+GOLDEN_MR_TRUE = {name: float(value) for name, value in GOLDEN_MR_EXACT.items()}
 
 WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
@@ -120,9 +127,10 @@ class TestStackelbergSolve:
         for name, value in equilibrium(model, p).decisions.as_dict().items():
             assert num[name] == pytest.approx(value, rel=1e-6, abs=1e-6), name
 
-    @pytest.mark.parametrize("case", ["solve", "certify", "soc", "residuals"])
+    @pytest.mark.parametrize("case", ["solve", "certify", "soc", "residuals", "solve_verify"])
     def test_mr_solve_profit_point_budget(self, case, params_mr, monkeypatch):
         # a hardware-independent cost gate: profit-kernel calls and points
+        calls = {"solve": 3, "certify": 2, "soc": 1, "residuals": 1, "solve_verify": 6}[case]
         numeric = solve_stackelberg_numeric(ModelId.MR, params_mr)
         run = {
             "solve": lambda: solve_stackelberg_numeric(ModelId.MR, params_mr),
@@ -130,6 +138,8 @@ class TestStackelbergSolve:
                 equilibrium_mr(params_mr, certify=False).decisions, params_mr),
             "soc": lambda: check_soc(ModelId.MR, numeric, params_mr),
             "residuals": lambda: stationarity_residuals(ModelId.MR, numeric.decisions, params_mr),
+            "solve_verify": lambda: main(["solve", "--model", "mr", "--alpha", "0.6", "--cm", "1",
+                                          "--cr", "0.5", "--s", "0.2", "--verify"]),
         }[case]
         points = []
         kernel = market.profit_values
@@ -140,9 +150,27 @@ class TestStackelbergSolve:
             return out
 
         monkeypatch.setattr(market, "profit_values", counting)
-        run()
-        assert 0 < len(points) <= 20
-        assert sum(points) <= 1000
+        with contextlib.redirect_stdout(io.StringIO()):
+            run()
+        assert 0 < len(points) <= calls
+        assert max(points) <= 73  # one stencil over the six MR decisions: 1 + 12 + 60
+
+    def test_accuracy_against_the_exact_closed_forms(self, params_mr):
+        # the published M and R expressions are the game's solution, and
+        # evaluated in Fractions they are exact: the oracle stays at roundoff
+        eps = np.finfo(float).eps
+        for model in (ModelId.M, ModelId.R):
+            for p in sample_params(300, 11):
+                exact = decision_values(model, Fraction(p.alpha), Fraction(p.c_m),
+                                        Fraction(p.delta), Fraction(p.s))
+                assert all(isinstance(v, Fraction) for v in exact.values())
+                num = solve_stackelberg_numeric(model, p).decisions.as_dict()
+                scale = max(abs(v) for v in exact.values())
+                for name, value in exact.items():
+                    assert abs(Fraction(num[name]) - value) <= 32 * Fraction(eps) * scale, name
+        num = solve_stackelberg_numeric(ModelId.MR, params_mr).decisions.as_dict()
+        for name, value in GOLDEN_MR_EXACT.items():
+            assert abs(Fraction(num[name]) - value) <= 16 * Fraction(math.ulp(float(value))), name
 
     def test_provenance_and_determinism(self, params_m):
         a = solve_stackelberg_numeric(ModelId.M, params_m)
@@ -155,6 +183,10 @@ class TestStackelbergSolve:
         box["p_m"] = (-1.0, 0.5)  # golden p_m* is about 0.648
         with pytest.raises(BoxBoundary):
             solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box=box))
+        # a variable the mapping leaves out takes its default interval
+        with pytest.raises(BoxBoundary, match="p_m"):
+            solve_stackelberg_numeric(ModelId.M, params_m,
+                                      OracleConfig(leader_box={"p_m": (-1.0, 0.5)}))
 
     @pytest.mark.parametrize("model, alpha, outcome", [
         (ModelId.R, 0.21, NonConcave), (ModelId.R, 0.22, NonConcave), (ModelId.R, 0.23, None),
