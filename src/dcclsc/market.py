@@ -24,7 +24,7 @@ segment) are all read from it.
 
 The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
 scalars or numpy arrays; the simulation runs the choice kernel over whole
-chunks of draws, and the numeric solver the profit kernel over whole
+blocks of draws, and the numeric solver the profit kernel over whole
 difference stencils at once.
 """
 
@@ -218,8 +218,8 @@ def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params):
     the direct channel, subsidy indifference to the manufacturer's subsidy,
     and zero-utility customers participate.
     """
-    # the primary utilities are freed before the trade-in pass: a smaller
-    # working set per chunk of draws
+    # the primary utilities are freed before the trade-in pass, so besides
+    # its draws a block of pairs holds at most two float utilities at a time
     s1, s2 = _choose(*_primary_utilities(decisions, np.asarray(v, dtype=float), params.alpha))
     tradein = _tradein_utilities(ModelId(model), decisions, np.asarray(u, dtype=float),
                                  params.alpha)

@@ -329,7 +329,18 @@ class MonteCarloDemand:
                 "n": self.n, "seed": self.seed}
 
 
+#: Pairs per seeded substream, and pairs drawn and classified at once. The
+#: block divides the chunk; its draws (512 KiB) and float utilities (256 KiB
+#: each) stay within a core's L2 cache, and bound the memory of any n.
 _MC_CHUNK = 1 << 18
+_MC_BLOCK = _MC_CHUNK >> 3
+
+
+def seeded_generator(seed: int, *spawn_key: int) -> np.random.Generator:
+    """PCG64 on ``SeedSequence(seed, spawn_key=spawn_key)``; OutOfDomain if seed < 0."""
+    if seed < 0:
+        raise OutOfDomain.single("seed", seed, "must be >= 0")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
@@ -337,27 +348,24 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
     """Simulate the discrete-choice model on n iid (v, u) ~ Uniform[0,1]^2 pairs.
 
     Choices follow the utility argmax with participation at zero utility and
-    the fixed tie-breaks (direct channel, manufacturer subsidy). Each chunk
-    of draws derives its own substream from (seed, chunk index), so results
-    are bit-identical regardless of chunking or evaluation order.
+    the fixed tie-breaks (direct channel, manufacturer subsidy). Pair i is
+    draw i mod 2^18 of the substream seeded by (seed, i // 2^18), so
+    (seed, n) fixes every draw; the substream is drawn in blocks of
+    ``_MC_BLOCK`` pairs, which moves no draw and bounds memory per block.
+    Raises OutOfDomain for n < 1 or a negative seed.
     """
     if n < 1:
         raise OutOfDomain.single("n", n, "must be >= 1")
     model = ModelId(model)
     counts = [0, 0, 0, 0]
-    done = 0
-    chunk_idx = 0
-    while done < n:
-        m = min(_MC_CHUNK, n - done)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(chunk_idx,))))
-        draws = rng.random((m, 2))
+    for start in range(0, n, _MC_BLOCK):
+        if start % _MC_CHUNK == 0:
+            rng = seeded_generator(seed, start // _MC_CHUNK)
+        draws = rng.random((min(_MC_BLOCK, n - start), 2))
         masks = market.choice_masks(model, decisions, draws[:, 0], draws[:, 1], params)
         for i, mask in enumerate(masks):
             if mask is not None:
                 counts[i] += int(np.count_nonzero(mask))
-        done += m
-        chunk_idx += 1
     shares = [c / n for c, mask in zip(counts, masks) if mask is not None]
     stderr = [math.sqrt(max(p * (1.0 - p), 0.0) / n) for p in shares]
     return MonteCarloDemand(shares=DemandProfile(*shares), stderr=DemandProfile(*stderr),
@@ -425,11 +433,11 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     alpha is uniform on ``alpha_range`` excluding ``guard_band``-wide bands
     around the closed-form poles (2/9 and the MR denominator root), c_m is
     uniform on ``c_m_range``, c_r uniform on (0, c_m), s uniform on
-    [0, s_max]. Deterministic given (n, seed). Raises OutOfDomain when
-    ``alpha_range`` has no admissible mass, detected as 100,000 consecutive
-    draws inside the guard bands.
+    [0, s_max]. Deterministic given (n, seed). Raises OutOfDomain for a
+    negative seed, or when ``alpha_range`` has no admissible mass, detected
+    as 100,000 consecutive draws inside the guard bands.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     out = []
     rejected = 0
     while len(out) < n:

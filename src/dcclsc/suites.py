@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-import numpy as np
-
 from . import __version__ as _version
 from . import audit, closed_form, market, oracle
 from .market import MrDemandVariant
@@ -255,8 +253,7 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> tuple[RunR
     checks = 0
     worst_z = 0.0
     for model in (ModelId.M, ModelId.R, ModelId.MR):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(ord(model.value[0]), len(model.value)))))
+        rng = oracle.seeded_generator(seed, ord(model.value[0]), len(model.value))
         for idx in range(samples):
             params, decisions = sample_interior_case(model, rng)
             analytic = market.demand(model, decisions, params)

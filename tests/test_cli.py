@@ -343,8 +343,10 @@ class TestVerify:
         assert "max relative deviation" in text
 
     def test_unreachable_tolerance_fails(self, capsys):
+        # below one ulp in relative terms: only exact agreement on every
+        # decision could pass (the worst roundoff on these draws is 1.1e-15)
         code, text, _ = run(capsys, "verify", "oracle", "--samples", "2",
-                            "--tol", "1e-15")
+                            "--tol", "1e-17")
         assert code == 2
         assert "FAIL" in text
 
@@ -388,6 +390,15 @@ class TestVerify:
             "verify oracle": 42, "verify props": 7, "verify mc": 1, "verify endpoints": 5}
         assert reports["verify oracle"]["config"]["tol"] == 1e-3
         assert reports["verify mc"]["config"] == {"samples": 1, "n": 2000}
+
+    @pytest.mark.parametrize("suite", ["oracle", "props", "mc", "endpoints", "all"])
+    def test_negative_seed_is_a_domain_error(self, capsys, suite):
+        code, text, err = run(capsys, "verify", suite, "--seed", "-1", "--samples", "1",
+                              "--n", "10")
+        assert code == 1
+        assert text == ""
+        assert err.splitlines() == ["error: seed=-1 violates: must be >= 0"]
+
 
 class TestSimulate:
     def test_equal_subsidy_case(self, capsys):
@@ -534,10 +545,11 @@ class TestFuzzedFlags:
             assert "Infinity" not in out and "NaN" not in out
 
     @given(model=_MODELS, params=_param_flags(), decisions=_decision_flags(),
-           n=st.integers(-1, 10_000))
+           n=st.integers(-1, 10_000), seed=st.integers(-2**64, 2**65))
     @settings(max_examples=60, deadline=None)
-    def test_simulate(self, model, params, decisions, n):
-        argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}"]
+    def test_simulate(self, model, params, decisions, n, seed):
+        argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}",
+                f"--seed={seed}"]
         assert _run_quietly(argv)[0] in (0, 1, 2, 3)
 
     @given(model=_MODELS, params=_param_flags(), alpha_to=st.floats(0.01, 0.99),

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from dcclsc import (
     solve_stackelberg_numeric,
     stationarity_residuals,
 )
-from dcclsc import market
+from dcclsc import market, oracle
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.oracle import sample_params
@@ -45,6 +46,16 @@ GOLDEN_MR_EXACT = {"p_m": Fraction(1081, 1070), "p_r": Fraction(1587, 1070),
 GOLDEN_MR_TRUE = {name: float(value) for name, value in GOLDEN_MR_EXACT.items()}
 
 WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
+
+_CHUNK, _BLOCK = 1 << 18, oracle._MC_BLOCK
+# Monte Carlo cases in which every segment has a positive mass
+MC_PARAMS = Params(alpha=0.6, c_m=0.5, c_r=0.25, s=0.1)
+MC_DECISIONS = {
+    ModelId.M: DecisionSet(model=ModelId.M, p_m=0.3, p_r=0.6, w=0.4, b_m=0.3),
+    ModelId.R: DecisionSet(model=ModelId.R, p_m=0.3, p_r=0.6, w=0.4, b_r=0.2, t=0.3),
+    ModelId.MR: DecisionSet(model=ModelId.MR, p_m=0.3, p_r=0.6, w=0.4, b_m=0.3, b_r=0.2,
+                            t=0.35),
+}
 
 
 class TestBestResponse:
@@ -287,6 +298,42 @@ class TestMonteCarlo:
         d = DecisionSet(model=ModelId.M, p_m=0.3, p_r=0.6, w=0.4, b_m=0.2)
         with pytest.raises(OutOfDomain):
             monte_carlo_demand(ModelId.M, d, p, n=0, seed=1)
+
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(OutOfDomain, match="seed"):
+            monte_carlo_demand(ModelId.M, MC_DECISIONS[ModelId.M], MC_PARAMS, n=10, seed=-1)
+        with pytest.raises(OutOfDomain, match="seed"):
+            sample_params(1, -1)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK,
+                                   _CHUNK + 1, 1_000_000])
+    def test_blocks_keep_every_draw(self, model, n):
+        # reference: pair i is draw i mod 2^18 of the substream seeded by
+        # (seed, i // 2^18), each substream drawn in one call
+        assert _CHUNK % _BLOCK == 0
+        p, d = MC_PARAMS, MC_DECISIONS[model]
+        counts = np.zeros(4, dtype=np.int64)
+        for idx, start in enumerate(range(0, n, _CHUNK)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(17, spawn_key=(idx,))))
+            draws = rng.random((min(_CHUNK, n - start), 2))
+            masks = market.choice_masks(model, d, draws[:, 0], draws[:, 1], p)
+            counts += [0 if m is None else np.count_nonzero(m) for m in masks]
+        mc = monte_carlo_demand(model, d, p, n=n, seed=17)
+        shares = list(mc.shares.as_dict().values())
+        assert shares == [c / n for c in counts[:len(shares)]]
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_memory_bounded_per_block(self, model):
+        p, d = MC_PARAMS, MC_DECISIONS[model]
+        monte_carlo_demand(model, d, p, n=1000, seed=1)
+        tracemalloc.start()
+        try:
+            monte_carlo_demand(model, d, p, n=1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestStationarity:
