@@ -366,6 +366,8 @@ def cmd_simulate(args) -> int:
             f"model {model.value} needs --" +
             ", --".join(n.replace('_', '') for n in missing))
     decisions = DecisionSet(model=model, **{n: flag_map[n] for n in needed})
+    analytic = market.demand(model, decisions, params).as_dict()
+    market.require_finite(analytic)  # so are the as-printed ones: only q3 differs, as 1 - q3
     mc = oracle.monte_carlo_demand(model, decisions, params, n=args.n, seed=args.seed)
     payload = {
         "command": "simulate " + _echo(args),
@@ -375,7 +377,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "shares": mc.shares.as_dict(),
         "stderr": mc.stderr.as_dict(),
-        "analytic": market.demand(model, decisions, params).as_dict(),
+        "analytic": analytic,
     }
     if model is ModelId.MR:
         payload["analytic_as_printed"] = market.demand(

@@ -24,8 +24,8 @@ segment) are all read from it.
 
 The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
 scalars or numpy arrays; the simulation runs the choice kernel over whole
-blocks of draws, and the numeric solver the profit kernel over whole
-difference stencils at once.
+blocks of draws, writing every block into one ``choice_workspace``, and the
+numeric solver runs the profit kernel over whole difference stencils at once.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ def _funders(terms) -> tuple[int, ...]:
 _FUNDERS = {model: _funders(terms) for model, terms in PROFIT_TERMS.items()}
 
 #: Utility of trading in under the manufacturer's subsidy, and under the retailer's.
-_SUBSIDY_UTILITY = (lambda d, u, alpha: d.b_m - u, lambda d, u, alpha: d.b_r - alpha * u)
+_SUBSIDY_UTILITY = (lambda d, u, alpha, out: np.subtract(d.b_m, u, out=out),
+                    lambda d, u, alpha, out: np.subtract(d.b_r, np.multiply(alpha, u, out=out),
+                                                         out=out))
 
 
 class MrDemandVariant(str, Enum):
@@ -171,20 +173,24 @@ class ValidityReport:
         }
 
 
-def _primary_utilities(d: DecisionSet, v, alpha: float):
+def _primary_utilities(d: DecisionSet, v, alpha: float, out=(None, None)):
     """(U1, U2): direct- and retail-channel utilities of valuations v; broadcasts."""
-    return alpha * v - d.p_m, v - d.p_r
+    return (np.subtract(np.multiply(alpha, v, out=out[0]), d.p_m, out=out[0]),
+            np.subtract(v, d.p_r, out=out[1]))
 
 
-def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float):
+def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float, out=(None, None)):
     """(U3,) or, in the joint model, (U3, U4) of return-cost valuations u; broadcasts."""
-    return tuple(_SUBSIDY_UTILITY[funder](d, u, alpha) for funder in _FUNDERS[model])
+    return tuple(_SUBSIDY_UTILITY[funder](d, u, alpha, o)
+                 for funder, o in zip(_FUNDERS[model], out))
 
 
-def _choose(x, y):
+def _choose(x, y, out=(None, None), tmp=None):
     """Masks (x chosen, y chosen): ties go to x, zero utility participates."""
-    chose_x = (x >= y) & (x >= 0.0)
-    return chose_x, ~chose_x & (y >= 0.0)
+    chose_x = np.bitwise_and(np.greater_equal(x, y, out=out[0]),
+                             np.greater_equal(x, 0.0, out=tmp), out=out[0])
+    return chose_x, np.bitwise_and(np.invert(chose_x, out=out[1]),
+                                   np.greater_equal(y, 0.0, out=tmp), out=out[1])
 
 
 def _check_valuations(v: float, u: float):
@@ -210,22 +216,28 @@ def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
     return {f"U{i}": x for i, x in enumerate(values, 1)}
 
 
-def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params):
+def choice_workspace(n: int):
+    """``out`` of :func:`choice_masks` on n pairs: float utilities (2, n), bool masks (5, n)."""
+    return np.empty((2, n)), np.empty((5, n), dtype=bool)
+
+
+def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params, out=None):
     """Vectorized choice kernel: boolean masks (s1, s2, s3, s4) of the segments
     that (v, u) pairs choose, with s4 None outside the joint model.
 
     Tie-breaking is fixed for determinism: channel indifference resolves to
     the direct channel, subsidy indifference to the manufacturer's subsidy,
-    and zero-utility customers participate.
+    and zero-utility customers participate. ``out``, a :func:`choice_workspace`
+    of the pairs' length, receives every array and the masks; None allocates.
     """
-    # the primary utilities are freed before the trade-in pass, so besides
-    # its draws a block of pairs holds at most two float utilities at a time
-    s1, s2 = _choose(*_primary_utilities(decisions, np.asarray(v, dtype=float), params.alpha))
-    tradein = _tradein_utilities(ModelId(model), decisions, np.asarray(u, dtype=float),
-                                 params.alpha)
+    # the trade-in utilities overwrite the primary ones, so a block of n
+    # pairs needs two float rows and five bool rows (21 bytes a pair)
+    utils, (s1, s2, s3, s4, tmp) = ((None, None), (None,) * 5) if out is None else out
+    s1, s2 = _choose(*_primary_utilities(decisions, v, params.alpha, utils), (s1, s2), tmp)
+    tradein = _tradein_utilities(ModelId(model), decisions, u, params.alpha, utils)
     if len(tradein) == 1:
-        return s1, s2, tradein[0] >= 0.0, None
-    return (s1, s2, *_choose(*tradein))
+        return s1, s2, np.greater_equal(tradein[0], 0.0, out=s3), None
+    return (s1, s2, *_choose(*tradein, (s3, s4), tmp))
 
 
 def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
@@ -428,10 +440,15 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
             singularity_distance=singularity_distance,
             demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
         )
-    values = {**eq.demands.as_dict(), **eq.profit.as_dict(),
-              **{c.name: c.slack for c in eq.validity.checks}}
+    require_finite({**eq.demands.as_dict(), **eq.profit.as_dict(),
+                    **{c.name: c.slack for c in eq.validity.checks}})
+    return eq
+
+
+def require_finite(values: dict[str, float]) -> None:
+    """Raise OutOfDomain naming every value that is not finite, so no payload
+    carries an infinity or a NaN."""
     bad = [Violation(name, v, "must be finite; float arithmetic overflows here")
            for name, v in values.items() if not math.isfinite(v)]
     if bad:
         raise OutOfDomain(bad)
-    return eq

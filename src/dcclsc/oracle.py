@@ -330,8 +330,8 @@ class MonteCarloDemand:
 
 
 #: Pairs per seeded substream, and pairs drawn and classified at once. The
-#: block divides the chunk; its draws (512 KiB) and float utilities (256 KiB
-#: each) stay within a core's L2 cache, and bound the memory of any n.
+#: block divides the chunk; its workspace (draws 512 KiB, utilities 2 x 256
+#: KiB, masks 5 x 32 KiB) stays within a core's L2 cache for any n.
 _MC_CHUNK = 1 << 18
 _MC_BLOCK = _MC_CHUNK >> 3
 
@@ -351,22 +351,26 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
     the fixed tie-breaks (direct channel, manufacturer subsidy). Pair i is
     draw i mod 2^18 of the substream seeded by (seed, i // 2^18), so
     (seed, n) fixes every draw; the substream is drawn in blocks of
-    ``_MC_BLOCK`` pairs, which moves no draw and bounds memory per block.
-    Raises OutOfDomain for n < 1 or a negative seed.
+    ``_MC_BLOCK`` pairs, which moves no draw, and every block is drawn and
+    classified in one workspace allocated per call (sliced for a partial
+    last block). Raises OutOfDomain for n < 1 or a negative seed.
     """
     if n < 1:
         raise OutOfDomain.single("n", n, "must be >= 1")
     model = ModelId(model)
-    counts = [0, 0, 0, 0]
+    size = min(_MC_BLOCK, n)
+    draws, (utils, flags) = np.empty((size, 2)), market.choice_workspace(size)
+    counts = [0] * 4
     for start in range(0, n, _MC_BLOCK):
         if start % _MC_CHUNK == 0:
             rng = seeded_generator(seed, start // _MC_CHUNK)
-        draws = rng.random((min(_MC_BLOCK, n - start), 2))
-        masks = market.choice_masks(model, decisions, draws[:, 0], draws[:, 1], params)
-        for i, mask in enumerate(masks):
-            if mask is not None:
-                counts[i] += int(np.count_nonzero(mask))
-    shares = [c / n for c, mask in zip(counts, masks) if mask is not None]
+        m = min(_MC_BLOCK, n - start)
+        rng.random(out=draws[:m])
+        masks = market.choice_masks(model, decisions, draws[:m, 0], draws[:m, 1], params,
+                                    out=(utils[:, :m], flags[:, :m]))
+        counts = [c + int(np.count_nonzero(mask)) for c, mask in zip(counts, masks)
+                  if mask is not None]
+    shares = [c / n for c in counts]
     stderr = [math.sqrt(max(p * (1.0 - p), 0.0) / n) for p in shares]
     return MonteCarloDemand(shares=DemandProfile(*shares), stderr=DemandProfile(*stderr),
                             n=n, seed=seed)

@@ -232,6 +232,13 @@ def sample_interior_case(model: ModelId, rng) -> tuple[Params, DecisionSet]:
     return params, d
 
 
+def _simulation_seed(seed: int, model: ModelId, idx: int) -> int:
+    """Seed of case idx's simulation, drawn from (seed, model, idx) through
+    ``SeedSequence``: no two simulations of one run or of two seeds share a stream."""
+    key = (ord(model.value[0]), len(model.value), idx)
+    return int(oracle.seeded_generator(seed, *key).integers(2**63))
+
+
 #: Family-wise false-alarm probability of all segment checks of one run.
 MC_FAMILY_ALPHA = 1e-6
 
@@ -257,8 +264,8 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> tuple[RunR
         for idx in range(samples):
             params, decisions = sample_interior_case(model, rng)
             analytic = market.demand(model, decisions, params)
-            mc = oracle.monte_carlo_demand(model, decisions, params,
-                                           n=n, seed=seed + idx)
+            mc = oracle.monte_carlo_demand(model, decisions, params, n=n,
+                                           seed=_simulation_seed(seed, model, idx))
             for name, want in analytic.as_dict().items():
                 got = mc.shares.as_dict()[name]
                 se = mc.stderr.as_dict()[name]
@@ -274,7 +281,9 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> tuple[RunR
     equal_params = Params(alpha=0.6, c_m=0.5, c_r=0.25, s=0.1)
     equal_dec = DecisionSet(model=ModelId.MR, p_m=0.3, p_r=0.6, w=0.4,
                             b_m=0.3, b_r=0.3, t=0.35)
-    mc = oracle.monte_carlo_demand(ModelId.MR, equal_dec, equal_params, n=n, seed=seed)
+    # simulated as the joint model's case after the drawn ones
+    mc = oracle.monte_carlo_demand(ModelId.MR, equal_dec, equal_params, n=n,
+                                   seed=_simulation_seed(seed, ModelId.MR, samples))
     adopted = market.demand(ModelId.MR, equal_dec, equal_params).q3
     printed = market.demand(ModelId.MR, equal_dec, equal_params,
                             MrDemandVariant.AS_PRINTED).q3

@@ -356,12 +356,27 @@ class TestVerify:
         assert "adopted variant confirmed" in text
 
     def test_mc_gate_corrects_for_the_number_of_checks(self, capsys):
-        # one of these 30 checks lands at 3.04 sigma: a per-check three-sigma
-        # gate failed this correct simulation
-        code, text, _ = run(capsys, "verify", "mc", "--samples", "3", "--seed", "9",
+        # one of these 30 checks lands at 3.05 sigma: a per-check three-sigma
+        # gate fails this correct simulation
+        code, text, _ = run(capsys, "verify", "mc", "--samples", "3", "--seed", "66",
                             "--n", "20000")
         assert code == 0
-        assert "worst_sigma = 3.043" in text
+        assert "worst_sigma = 3.053" in text
+
+    def test_mc_simulations_share_no_stream(self, monkeypatch):
+        # case idx of every model was once simulated with seed + idx, so M, R
+        # and MR shared pairs and --seed 1 and --seed 2 shared all but one stream
+        seeds = []
+        simulate = oracle.monte_carlo_demand
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(suites.oracle, "monte_carlo_demand", recording)
+        for seed in (1, 2):
+            assert suite_mc(samples=3, seed=seed, n=10)[1] in (0, 2)
+        assert len(seeds) == 20 and len(set(seeds)) == 20
 
     def test_mc_gate_catches_a_one_percent_mass_error(self, monkeypatch):
         demand = suites.market.demand
@@ -411,6 +426,16 @@ class TestSimulate:
         assert payload["shares"]["q3"] == 0.0
         assert payload["analytic"]["q3"] == 0.0
         assert payload["analytic_as_printed"]["q3"] == 1.0
+
+    def test_masses_beyond_float_range_are_a_domain_error(self, capsys):
+        # once exit 0 with "q1": -Infinity, "q2": Infinity in both analytic blocks
+        code, out, err = run(capsys, "simulate", "--model", "mr", "--alpha", "0.6",
+                             "--pm", "1e308", "--pr=-1e308", "--w", "0.4", "--bm", "0.3",
+                             "--br", "0.2", "--t", "0.3", "--cm", "0.5", "--cr", "0.25",
+                             "--s", "0.1", "--n", "10")
+        assert code == 1
+        assert out == ""
+        assert "q1=-inf" in err and "q2=inf" in err
 
     def test_missing_decision_flag(self, capsys):
         code, _, _ = run(capsys, "simulate", "--model", "m", "--alpha", "0.5",
@@ -550,7 +575,10 @@ class TestFuzzedFlags:
     def test_simulate(self, model, params, decisions, n, seed):
         argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}",
                 f"--seed={seed}"]
-        assert _run_quietly(argv)[0] in (0, 1, 2, 3)
+        code, out = _run_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert "Infinity" not in out and "NaN" not in out
 
     @given(model=_MODELS, params=_param_flags(), alpha_to=st.floats(0.01, 0.99),
            alpha_step=st.one_of(st.floats(1e-3, 1.0),

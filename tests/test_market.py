@@ -53,15 +53,20 @@ class TestUtilities:
         # the tie resolves to the manufacturer's subsidy
         assert choice_segment(ModelId.MR, _dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)[1] == 3
 
-    @pytest.mark.parametrize("model, d", [(ModelId.M, _dm()), (ModelId.R, _dr()),
-                                          (ModelId.MR, _dmr(b_m=0.4, b_r=0.3))])
-    def test_choice_masks_match_per_pair_argmax(self, model, d):
+    @pytest.mark.parametrize("model, d, workspace", [
+        pytest.param(model, d, workspace, id=f"{model.value}-d{i}" + "-workspace" * workspace)
+        for workspace in (False, True)
+        for i, (model, d) in enumerate([(ModelId.M, _dm()), (ModelId.R, _dr()),
+                                        (ModelId.MR, _dmr(b_m=0.4, b_r=0.3))])])
+    def test_choice_masks_match_per_pair_argmax(self, model, d, workspace):
         # reference: the per-pair argmax over utilities with the fixed
         # tie-breaks; the grid holds exact ties, e.g. U3 = U4 at (0.5, 0.25)
         p = Params(alpha=0.6, c_m=0.2, c_r=0.1, s=0.0)
         grid = np.linspace(0.0, 1.0, 41)
-        v, u = (a.ravel() for a in np.meshgrid(grid, grid))
-        masks = choice_masks(model, d, v, u, p)
+        # (v, u) columns of one array, strided like the simulation's draws
+        pairs = np.column_stack([a.ravel() for a in np.meshgrid(grid, grid)])
+        v, u = pairs[:, 0], pairs[:, 1]
+        expected = []
         for k in range(v.size):
             us = utilities(model, d, float(v[k]), float(u[k]), p)
             if us["U1"] >= us["U2"] and us["U1"] >= 0.0:
@@ -78,9 +83,25 @@ class TestUtilities:
                 tradein = 4
             else:
                 tradein = 0
-            chosen = [seg for seg, m in enumerate(masks, 1) if m is not None and m[k]]
-            assert chosen == [seg for seg in (primary, tradein) if seg], (v[k], u[k])
+            expected.append([seg for seg in (primary, tradein) if seg])
             assert choice_segment(model, d, float(v[k]), float(u[k]), p) == (primary, tradein)
+
+        def chosen(masks, k):
+            return [seg for seg, m in enumerate(masks, 1) if m is not None and m[k]]
+
+        out = market.choice_workspace(v.size) if workspace else None
+        masks = choice_masks(model, d, v, u, p, out=out)
+        assert [chosen(masks, k) for k in range(v.size)] == expected
+        if workspace:
+            assert all(m is None or np.shares_memory(m, out[1]) for m in masks)
+            # a partial last block: the first m pairs on the workspace sliced
+            # to m, after scrambling what the full pass left there
+            m = v.size // 3 + 1
+            out[0].fill(np.nan)
+            np.invert(out[1], out=out[1])
+            part = choice_masks(model, d, v[:m], u[:m], p, out=(out[0][:, :m], out[1][:, :m]))
+            assert all(x is None or x.shape == (m,) for x in part)
+            assert [chosen(part, k) for k in range(m)] == expected[:m]
 
     def test_valuations_must_be_in_unit_interval(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
