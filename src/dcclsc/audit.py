@@ -4,10 +4,11 @@ uniqueness, and endpoint claims.
 Each audit encodes one published claim: its applicability condition, the
 claimed conclusion, and the published threshold expressions, all evaluated
 verbatim. Conclusions are then tested against the closed-form expressions on
-an alpha grid (the claims are statements about those expressions, so the
-numeric solver is used only for the uniqueness theorems). Disagreements are
-reported, never corrected: several published claims demonstrably fail, and
-surfacing them is the point of this module.
+an alpha grid, evaluated in one array call per grid (the claims are
+statements about those expressions, so the numeric solver is used only for
+the uniqueness theorems). Disagreements are reported, never corrected:
+several published claims demonstrably fail, and surfacing them is the point
+of this module.
 
 Verdicts are bit-reproducible functions of (claim id, params, grid, seed).
 """
@@ -137,140 +138,122 @@ class AuditVerdict:
         }
 
 
-# ordering claims: (model, threshold kind, direction above the threshold)
-# thresh kind: None (unconditional), "fixed_2_9", "alpha_star", "alpha_hat"
+def _grid_values(model: ModelId, alpha_grid, params: Params):
+    """The audit grid (the model's default unless given) and every decision
+    on it, in one array evaluation. A grid point on a pole raises, as the
+    scalar division would, instead of yielding inf or nan evidence."""
+    grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid,
+                      dtype=float)
+    with np.errstate(divide="raise", invalid="raise"):
+        return grid, closed_form.decision_values(model, grid, params.c_m, params.delta, params.s)
+
+
+def _relation(diffs: np.ndarray) -> str:
+    return ("less_than" if np.all(diffs < 0.0)
+            else "greater_than" if np.all(diffs > 0.0) else "mixed")
+
+
+#: Ordering claims: prop -> (model, (a, b), threshold alpha as a function of
+#: Params or None if unconditional, relation of a to b above the threshold).
 _ORDERING = {
     "P1": (ModelId.M, ("p_m", "p_r"), None, "less_than"),
-    "P3": (ModelId.R, ("p_m", "p_r"), "fixed_2_9", "less_than"),
-    "P5": (ModelId.MR, ("p_m", "p_r"), "alpha_star", "less_than"),
-    "P6": (ModelId.MR, ("b_m", "b_r"), "alpha_hat", "greater_than"),
+    "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than"),
+    "P5": (ModelId.MR, ("p_m", "p_r"), lambda p: thresholds(p).alpha_star, "less_than"),
+    "P6": (ModelId.MR, ("b_m", "b_r"), lambda p: thresholds(p).alpha_hat, "greater_than"),
 }
 
 _OPPOSITE = {"less_than": "greater_than", "greater_than": "less_than"}
-
-
-def _ordering_threshold(kind: str | None, params: Params) -> float | None:
-    if kind is None:
-        return None
-    if kind == "fixed_2_9":
-        return 2.0 / 9.0
-    th = thresholds(params)
-    return th.alpha_star if kind == "alpha_star" else th.alpha_hat
 
 
 def audit_ordering(prop: str, params: Params,
                    alpha_grid: tuple[float, ...] | None = None) -> AuditVerdict:
     """Audit one pairwise ordering claim on an alpha grid.
 
-    The claimed side is evaluated pointwise from the claim's threshold;
-    points within one grid step of the threshold are excluded from the
-    agreement test (the claim asserts equality exactly there). The verdict
-    disagrees if any point beyond that band contradicts the claimed side.
+    The claimed side is evaluated pointwise from the claim's threshold (an
+    unconditional claim's lies below the whole grid); points within one grid
+    step of the threshold are excluded from the agreement test (the claim
+    asserts equality exactly there). The verdict disagrees if any point
+    beyond that band contradicts the claimed side.
     """
     prop = prop.upper()
-    model, (var_a, var_b), kind, above_claim = _ORDERING[prop]
-    grid = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid(model)
-    theta = _ordering_threshold(kind, params)
-    diffs = []
-    for a in grid:
-        values = closed_form.decision_values(model, a, params.c_m, params.delta, params.s)
-        diffs.append(values[var_a] - values[var_b])
-    diffs = np.asarray(diffs)
-    grid_arr = np.asarray(grid)
-    step = float(np.min(np.diff(grid_arr))) if len(grid) > 1 else GRID_STEP
+    model, (var_a, var_b), threshold, above_claim = _ORDERING[prop]
+    theta = -math.inf if threshold is None else threshold(params)
+    grid, values = _grid_values(model, alpha_grid, params)
+    diffs = values[var_a] - values[var_b]
+    step = float(np.min(np.diff(grid))) if len(grid) > 1 else GRID_STEP
 
     signs = np.sign(diffs)
-    observed_all = ("less_than" if np.all(diffs < 0.0)
-                    else "greater_than" if np.all(diffs > 0.0) else "mixed")
-    flips = [float(grid_arr[i]) for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
-
+    in_band = np.abs(grid - theta) <= step
+    sign = 1.0 if above_claim == "greater_than" else -1.0
+    expected = np.where(grid > theta, sign, -sign)
+    agree = bool(np.all(signs[~in_band] == expected[~in_band]))
     notes = []
-    if theta is None:
-        claimed = above_claim
-        agree = bool(observed_all == claimed)
-        condition = None
+    if np.all(grid > theta):
+        claimed, condition = above_claim, float(np.min(grid, initial=math.inf) - theta)
+    elif np.all(grid < theta):
+        claimed, condition = _OPPOSITE[above_claim], float(np.max(grid) - theta)
     else:
-        below_claim = _OPPOSITE[above_claim]
-        in_band = np.abs(grid_arr - theta) <= step
-        above = grid_arr > theta
-        expected = np.where(above, 1.0 if above_claim == "greater_than" else -1.0,
-                            1.0 if below_claim == "greater_than" else -1.0)
-        tested = ~in_band
-        agree = bool(np.all(signs[tested] == expected[tested])) if np.any(tested) else True
-        if np.all(grid_arr > theta):
-            claimed = above_claim
-            condition = float(np.min(grid_arr) - theta)
-        elif np.all(grid_arr < theta):
-            claimed = below_claim
-            condition = float(np.max(grid_arr) - theta)
-        else:
-            claimed = "mixed"
-            condition = 0.0
-            notes.append(f"threshold alpha={theta!r} lies inside the grid; "
-                         f"claimed ordering flips there")
-        if np.any(in_band):
-            # equality claim at the threshold, tolerance 10x the grid
-            # interpolation error of the difference
-            i = int(np.argmin(np.abs(grid_arr - theta)))
-            lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
-            slope = abs(diffs[hi] - diffs[lo]) / max((grid_arr[hi] - grid_arr[lo]), step)
-            tol_eq = 10.0 * step * max(slope, 1e-12)
-            notes.append(
-                f"equality at threshold: |diff|={abs(float(diffs[i])):.6g} at "
-                f"alpha={float(grid_arr[i])!r}, tolerance {tol_eq:.6g}, "
-                f"{'within' if abs(float(diffs[i])) <= tol_eq else 'OUTSIDE'} tolerance")
+        claimed, condition = "mixed", 0.0
+        notes.append(f"threshold alpha={theta!r} lies inside the grid; "
+                     f"claimed ordering flips there")
+    if np.any(in_band):
+        # equality claim at the threshold, tolerance 10x the grid
+        # interpolation error of the difference
+        i = int(np.argmin(np.abs(grid - theta)))
+        lo, hi = max(i - 1, 0), min(i + 1, len(grid) - 1)
+        slope = abs(diffs[hi] - diffs[lo]) / max((grid[hi] - grid[lo]), step)
+        tol_eq = 10.0 * step * max(slope, 1e-12)
+        notes.append(
+            f"equality at threshold: |diff|={abs(float(diffs[i])):.6g} at "
+            f"alpha={float(grid[i])!r}, tolerance {tol_eq:.6g}, "
+            f"{'within' if abs(float(diffs[i])) <= tol_eq else 'OUTSIDE'} tolerance")
     if prop == "P3":
-        for name, mask in (("below", grid_arr < 2.0 / 9.0), ("above", grid_arr > 2.0 / 9.0)):
+        for name, mask in (("below", grid < 2.0 / 9.0), ("above", grid > 2.0 / 9.0)):
             if np.any(mask):
-                side = ("less_than" if np.all(diffs[mask] < 0.0)
-                        else "greater_than" if np.all(diffs[mask] > 0.0) else "mixed")
-                notes.append(f"{name} the pole at 2/9: observed {side}")
+                notes.append(f"{name} the pole at 2/9: observed {_relation(diffs[mask])}")
+    flips = grid[1:][signs[1:] != signs[:-1]].tolist()
     if flips:
         notes.append("observed sign flips near alpha in " + repr([round(f, 6) for f in flips]))
 
     return AuditVerdict(
         prop_id=prop, sub_id=None, variable=f"{var_a} vs {var_b}", params=params,
-        condition_value=condition if theta is not None else None,
-        claimed=claimed, observed=observed_all, agree=agree,
-        evidence=tuple((float(a), float(d)) for a, d in zip(grid_arr, diffs)),
+        condition_value=None if threshold is None else condition,
+        claimed=claimed, observed=_relation(diffs), agree=agree,
+        evidence=tuple(zip(grid.tolist(), diffs.tolist())),
         notes=tuple(notes),
     )
 
 
-# monotonicity claims: prop -> (model, [(sub id, variable, increasing-when)])
-# "below": increasing iff c_m < threshold; "above": increasing iff c_m > threshold
+#: Monotonicity claims: prop -> (model, its Thresholds field, ((sub id,
+#: variable, increasing-when), ...)). "below": increasing iff c_m < the
+#: variable's threshold; "above": increasing iff c_m > it.
 _MONOTONICITY = {
-    "P2": (ModelId.M, (("i", "w", "below"), ("ii", "b_m", "below"),
-                       ("ii", "p_m", "below"), ("iii", "p_r", "below"))),
-    "P4": (ModelId.R, (("i", "w", "below"), ("ii", "b_r", "below"),
-                       ("iii", "p_m", "below"), ("iv", "p_r", "below"),
-                       ("v", "t", "above"))),
-    "P7": (ModelId.MR, (("i", "w", "below"), ("ii", "b_m", "below"),
-                        ("ii", "b_r", "below"), ("iii", "p_m", "below"),
-                        ("iii", "p_r", "below"), ("iv", "t", "above"))),
+    "P2": (ModelId.M, "prop2", (("i", "w", "below"), ("ii", "b_m", "below"),
+                                ("ii", "p_m", "below"), ("iii", "p_r", "below"))),
+    "P4": (ModelId.R, "prop4", (("i", "w", "below"), ("ii", "b_r", "below"),
+                                ("iii", "p_m", "below"), ("iv", "p_r", "below"),
+                                ("v", "t", "above"))),
+    "P7": (ModelId.MR, "prop7", (("i", "w", "below"), ("ii", "b_m", "below"),
+                                 ("ii", "b_r", "below"), ("iii", "p_m", "below"),
+                                 ("iii", "p_r", "below"), ("iv", "t", "above"))),
 }
 
-_PROP_THRESHOLDS = {"P2": "prop2", "P4": "prop4", "P7": "prop7"}
 
-
-def classify_direction(values) -> tuple[str, list[tuple[float, float]]]:
+def classify_direction(values) -> tuple[str, list[int]]:
     """Classify a grid of values as increasing/decreasing/non_monotone.
 
     A direction holds when every forward difference respects it within
-    MONOTONE_TOL; otherwise the sign-change intervals are returned.
+    MONOTONE_TOL; otherwise the grid indices ``i`` where the direction
+    changes (difference ``i - 1`` rises beyond MONOTONE_TOL and difference
+    ``i`` does not, or the reverse) are returned.
     """
-    arr = np.asarray(values, dtype=float)
-    d = np.diff(arr)
+    d = np.diff(np.asarray(values, dtype=float))
     if np.all(d >= -MONOTONE_TOL):
         return "increasing", []
     if np.all(d <= MONOTONE_TOL):
         return "decreasing", []
-    swaps = []
     rising = d > MONOTONE_TOL
-    for i in range(1, len(d)):
-        if rising[i] != rising[i - 1]:
-            swaps.append(i)
-    return "non_monotone", swaps
+    return "non_monotone", (np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist()
 
 
 def audit_monotonicity(prop: str, params: Params,
@@ -281,21 +264,18 @@ def audit_monotonicity(prop: str, params: Params,
     over the grid; the claimed direction from the published c_m threshold.
     """
     prop = prop.upper()
-    model, items = _MONOTONICITY[prop]
-    grid = tuple(alpha_grid) if alpha_grid is not None else default_alpha_grid(model)
-    th = getattr(thresholds(params), _PROP_THRESHOLDS[prop])
-    values_by_alpha = [closed_form.decision_values(model, a, params.c_m, params.delta, params.s)
-                       for a in grid]
+    model, field_name, items = _MONOTONICITY[prop]
+    th = getattr(thresholds(params), field_name)
+    grid, values = _grid_values(model, alpha_grid, params)
     out = []
     for sub_id, var, direction in items:
-        series = [v[var] for v in values_by_alpha]
-        observed, swap_idx = classify_direction(series)
+        observed, swap_idx = classify_direction(values[var])
         thr = th[var]
         condition = (thr - params.c_m) if direction == "below" else (params.c_m - thr)
         claimed = "increasing" if condition > 0.0 else "decreasing"
         notes = []
         if swap_idx:
-            locs = [round(float(grid[i]), 6) for i in swap_idx]
+            locs = [round(a, 6) for a in grid[swap_idx].tolist()]
             notes.append("direction changes near alpha in " + repr(locs))
         if prop == "P4" and var == "b_r":
             alt = prop4_subsidy_alternate_threshold(params)
@@ -307,7 +287,7 @@ def audit_monotonicity(prop: str, params: Params,
             prop_id=prop, sub_id=sub_id, variable=var, params=params,
             condition_value=float(condition), claimed=claimed, observed=observed,
             agree=bool(claimed == observed),
-            evidence=tuple((float(a), float(v)) for a, v in zip(grid, series)),
+            evidence=tuple(zip(grid.tolist(), values[var].tolist())),
             notes=tuple(notes),
         ))
     return out

@@ -1,8 +1,9 @@
 """Command-line front end: solve, sweep, table4, verify, simulate.
 
-Exit codes: 0 success, 1 usage or domain error (including an output path
-that cannot be written, and a result beyond float range), 2 verification
-failure (including ill-posed numeric instances), 3 singular evaluation.
+Exit codes: 0 success, 1 usage or domain error (including a config file
+that cannot be read, an output path that cannot be written, and a result
+beyond float range), 2 verification failure (including ill-posed numeric
+instances), 3 singular evaluation.
 
 A flat key=value config file can preload any flag of the chosen subcommand
 (``--config run.cfg`` or ``--config=run.cfg``); explicit flags always win.
@@ -13,6 +14,7 @@ byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -97,9 +99,9 @@ def build_parser() -> _Parser:
     verify.error = top.error
     verify.add_argument("suite", choices=("oracle", "props", "mc", "endpoints", "all"))
     verify.add_argument("--config")
-    verify.add_argument("--samples", type=int, default=0,
-                        help="draws per suite (0 = suite default)")
-    verify.add_argument("--seed", type=int, default=0, help="0 = suite default")
+    verify.add_argument("--samples", type=int,
+                        help="draws per suite, >= 1 (default: the suite's)")
+    verify.add_argument("--seed", type=int, help="suite seed, >= 0 (default: the suite's)")
     verify.add_argument("--tol", type=float, help="oracle agreement tolerance "
                         "(default: the suite's)")
     verify.add_argument("--n", type=int, help="Monte Carlo sample count (default: the suite's)")
@@ -126,6 +128,13 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on first use rather than at import
+    (building one costs more than a parse); every usage error goes through it."""
+    return build_parser()
+
+
 #: Picks ``--config`` out of argv in either spelling; built once, since
 #: building a parser costs more than a parse.
 _CONFIG_FLAG = _Parser(prog="dcclsc", add_help=False)
@@ -139,8 +148,10 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
     if known.config is None:
         return argv
     path = Path(known.config)
-    if not path.exists():
-        top.error(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        top.exit(EXIT_USAGE, f"error: cannot read config file {path}: {exc}\n")
     if not rest:
         top.error("--config requires a subcommand")
     subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
@@ -150,7 +161,7 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
     flags = {a.dest: a for a in subparsers.choices[sub_name]._actions
              if a.option_strings and a.dest != "help"}
     from_file = []
-    for line_no, raw in enumerate(path.read_text().splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -232,7 +243,7 @@ _OUTPUT_GROUPS = {
 
 
 def cmd_sweep(args) -> int:
-    top_error = build_parser().error
+    top_error = _parser().error
     names = ("model", "alpha_from", "alpha_to", "cm", "cr", "s")
     if args.preset:
         model, *preset = suites.FIGURE_PRESETS[args.preset]
@@ -334,11 +345,10 @@ def cmd_table4(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        build_parser().error("--samples must be >= 0")
-    # only the flags the user set; 0 for --samples or --seed means the suite default
-    given = {"samples": args.samples or None, "seed": args.seed or None,
-             "tol": args.tol, "n": args.n}
+    if args.samples is not None and args.samples < 1:
+        _parser().error("--samples must be >= 1")
+    # only the flags the user set
+    given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
     overrides = {k: v for k, v in given.items() if v is not None}
     if args.suite == "all":
         reports, code = suites.suite_all(**overrides)
@@ -362,7 +372,7 @@ def cmd_simulate(args) -> int:
     needed = decision_fields(model)
     missing = [name for name in needed if flag_map[name] is None]
     if missing:
-        build_parser().error(
+        _parser().error(
             f"model {model.value} needs --" +
             ", --".join(n.replace('_', '') for n in missing))
     decisions = DecisionSet(model=model, **{n: flag_map[n] for n in needed})
@@ -397,7 +407,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    top = build_parser()
+    top = _parser()
     try:
         args = top.parse_args(_apply_config(argv, top))
         return _COMMANDS[args.command](args)

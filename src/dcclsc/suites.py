@@ -162,7 +162,7 @@ def suite_props(samples: int = 50, seed: int = 7) -> tuple[RunReport, int]:
     p1_ok = p1_agree == len(draws)
     findings.append(f"P1 agreement {p1_agree}/{len(draws)}")
 
-    fig4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
+    fig4 = Params(0.5, *FIGURE_PRESETS["fig4"][3:])
     p4 = {v.variable: v for v in audit.audit_monotonicity("P4", fig4)}
     subsidy = p4["b_r"]
     flagged = (not subsidy.agree and subsidy.claimed == "increasing"
@@ -177,7 +177,7 @@ def suite_props(samples: int = 50, seed: int = 7) -> tuple[RunReport, int]:
                 f"P4-{verdict.sub_id} {verdict.variable}: claimed {verdict.claimed}, "
                 f"observed {verdict.observed}")
 
-    fig3 = Params(alpha=0.5, c_m=6.0, c_r=4.0, s=1.5)
+    fig3 = Params(0.5, *FIGURE_PRESETS["fig3"][3:])
     for verdict in audit.audit_monotonicity("P2", fig3):
         if not verdict.agree:
             findings.append(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dcclsc import ModelId, Params, Singularity
+from dcclsc import ModelId, Params, Singularity, closed_form, oracle
 from dcclsc.audit import (
     AuditVerdict,
     audit_endpoints,
@@ -169,6 +169,54 @@ class TestMonotonicity:
         verdicts = audit_monotonicity("P7", THRESHOLD_CASE)
         assert sorted(v.variable for v in verdicts) == \
             ["b_m", "b_r", "p_m", "p_r", "t", "w"]
+
+
+_CLAIM_MODEL = {"P1": ModelId.M, "P3": ModelId.R, "P5": ModelId.MR, "P6": ModelId.MR,
+                "P2": ModelId.M, "P4": ModelId.R, "P7": ModelId.MR}
+
+
+def _grid_verdicts(prop: str, params: Params) -> list[AuditVerdict]:
+    if prop in ("P2", "P4", "P7"):
+        return audit_monotonicity(prop, params)
+    return [audit_ordering(prop, params)]
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("prop", sorted(_CLAIM_MODEL))
+    def test_one_closed_form_call_per_grid(self, monkeypatch, prop):
+        # once one call per grid point: 99 for P1, 66 for the others
+        calls = []
+        evaluate = closed_form.decision_values
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(closed_form, "decision_values", counting)
+        _grid_verdicts(prop, THRESHOLD_CASE)
+        assert calls == [_CLAIM_MODEL[prop]]
+
+    @pytest.mark.parametrize("prop", sorted(_CLAIM_MODEL))
+    def test_evidence_matches_the_scalar_closed_form(self, prop):
+        model = _CLAIM_MODEL[prop]
+        grid = default_alpha_grid(model)
+        for p in oracle.sample_params(4, 13, c_m_range=(0.05, 2.0)):
+            for v in _grid_verdicts(prop, p):
+                assert tuple(a for a, _ in v.evidence) == grid
+                # "p_m vs p_r" for an ordering claim, one variable otherwise
+                var_a, _, var_b = v.variable.partition(" vs ")
+                for alpha, got in v.evidence:
+                    d = closed_form.decision_values(model, alpha, p.c_m, p.delta, p.s)
+                    want = d[var_a] - d[var_b] if var_b else d[var_a]
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_grid_point_on_a_pole_raises(self):
+        p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)
+        grid = (0.1, 2.0 / 9.0, 0.5)  # model R's pole
+        with pytest.raises(ArithmeticError):
+            audit_ordering("P3", p, alpha_grid=grid)
+        with pytest.raises(ArithmeticError):
+            audit_monotonicity("P4", p, alpha_grid=grid)
 
 
 class TestUniqueness:

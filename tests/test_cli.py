@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dcclsc import oracle, suites
+from dcclsc import cli, oracle, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS
@@ -406,6 +406,20 @@ class TestVerify:
         assert reports["verify oracle"]["config"]["tol"] == 1e-3
         assert reports["verify mc"]["config"] == {"samples": 1, "n": 2000}
 
+    def test_seed_zero_is_seed_zero(self, capsys, tmp_path):
+        # 0 once stood for the suite default, so --seed 0 ran and reported seed 5
+        out = tmp_path / "rep.json"
+        code, _, _ = run(capsys, "verify", "endpoints", "--seed", "0", "--samples", "1",
+                         "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())[0]["seed"] == 0
+
+    def test_zero_samples_is_a_usage_error(self, capsys):
+        code, text, err = run(capsys, "verify", "endpoints", "--samples", "0")
+        assert code == 1
+        assert text == ""
+        assert "--samples must be >= 1" in err
+
     @pytest.mark.parametrize("suite", ["oracle", "props", "mc", "endpoints", "all"])
     def test_negative_seed_is_a_domain_error(self, capsys, suite):
         code, text, err = run(capsys, "verify", suite, "--seed", "-1", "--samples", "1",
@@ -472,6 +486,39 @@ class TestConfigFile:
         cfg.write_text("frobnicate = 1\n")
         code, _, _ = run(capsys, "--config", str(cfg), "solve")
         assert code == 1
+
+    @pytest.mark.parametrize("case", ["not-utf8", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, case):
+        # once a UnicodeDecodeError traceback, or "cannot write output" for a directory
+        cfg = tmp_path / "bad.cfg"
+        if case == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"model = m\xff\n")
+        code, out, err = run(capsys, "--config", str(cfg), "solve")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+
+
+class TestParser:
+    def test_main_builds_at_most_one_parser(self, monkeypatch, capsys):
+        # once one per main call, plus one more on each sweep, verify or
+        # simulate usage error
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run(capsys, "sweep", "--model", "m")[0] == 1
+        assert run(capsys, "verify", "endpoints", "--samples", "0")[0] == 1
+        assert run(capsys, "solve", "--model", "m", "--alpha", "0.5", "--cm", "1",
+                   "--cr", "0.5")[0] == 0
+        assert len(built) <= 1
 
 
 class TestDeterminism:
