@@ -7,7 +7,8 @@ parameter point, and shows how the attached validity report exposes
 parameter choices that push segment masses outside [0, 1].
 """
 
-from dcclsc import ModelId, Params, equilibrium, equilibrium_m, mr_helpers
+from dcclsc import ModelId, Params, equilibrium
+from dcclsc.closed_form import mr_helpers
 
 # Market primitives: direct-channel preference alpha, manufacturing cost,
 # remanufacturing cost, and the government subsidy. The remanufacturing
@@ -18,7 +19,7 @@ print(f"primitives: {params.as_dict()}")
 # Manufacturer-led recycling (model M): the manufacturer picks the direct
 # price, wholesale price, and trade-in subsidy; the retailer answers with
 # its shelf price.
-eq = equilibrium_m(params)
+eq = equilibrium(ModelId.M, params)
 print("\nmodel M equilibrium")
 for name, value in eq.decisions.as_dict().items():
     print(f"  {name:<4} = {value:.6f}")
@@ -30,7 +31,7 @@ print(f"  interior valid: {eq.validity.interior}")
 # valuation scale drive the direct-channel demand negative; nothing is
 # clamped, the validity report carries the violation instead.
 rough = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
-eq_rough = equilibrium_m(rough)
+eq_rough = equilibrium(ModelId.M, rough)
 print("\nmodel M at a published sensitivity row (c_m above the valuation scale)")
 print(f"  p_m = {eq_rough.decisions.p_m:.6f}, q1 = {eq_rough.demands.q1:.6f}")
 print(f"  interior valid: {eq_rough.validity.interior}")
@@ -51,9 +52,9 @@ print(f"  transfer covers subsidy: {eq_r.decisions.t >= eq_r.decisions.b_r}")
 # answer is 'none': the numeric solver, not these expressions, is the
 # trustworthy route for this model (see demo 02).
 params_mr = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
-helpers = mr_helpers(params_mr)
+x1, x2, x3 = mr_helpers(params_mr)
 print("\nmodel MR aggregation terms")
-print(f"  x1 = {helpers.x1:.6f}, x2 = {helpers.x2:.6f}, x3 = {helpers.x3:.6f}")
+print(f"  x1 = {x1:.6f}, x2 = {x2:.6f}, x3 = {x3:.6f}")
 eq_mr = equilibrium(ModelId.MR, params_mr)
 print("model MR published-expression values")
 for name, value in eq_mr.decisions.as_dict().items():

@@ -17,14 +17,13 @@ from dcclsc import (
     ModelId,
     OracleConfig,
     Params,
-    best_response_retailer,
     check_soc,
     equilibrium,
-    retailer_reaction_m,
     solve_stackelberg_numeric,
     stationarity_residuals,
 )
-from dcclsc.oracle import default_leader_box
+from dcclsc.closed_form import retailer_reaction_m
+from dcclsc.oracle import best_response_retailer, default_leader_box
 
 # -- follower exactness ------------------------------------------------------
 params = Params(alpha=0.9, c_m=0.15, c_r=0.12, s=0.02)

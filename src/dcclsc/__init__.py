@@ -11,15 +11,9 @@ ordering, monotonicity, threshold, and uniqueness claim numerically.
 
 from .closed_form import (
     DEFAULT_GUARD,
-    MRHelpers,
     decision_values,
     equilibrium,
-    equilibrium_m,
-    equilibrium_mr,
-    equilibrium_r,
     limits,
-    mr_helpers,
-    retailer_reaction_m,
     singularity_distance,
 )
 from .errors import BoxBoundary, DcclscError, NonConcave, OutOfDomain, Singularity
@@ -30,22 +24,18 @@ from .market import (
     ProfitProfile,
     ValidityReport,
     demand,
-    profits,
-    utilities,
-    validity,
 )
 from .oracle import (
     MonteCarloDemand,
     OracleConfig,
     SocReport,
-    best_response_retailer,
     certify_mr_variant,
     check_soc,
     monte_carlo_demand,
     solve_stackelberg_numeric,
     stationarity_residuals,
 )
-from .params import DecisionSet, ModelId, Params, decision_fields, validate_params
+from .params import DecisionSet, ModelId, Params, decision_fields
 
 __version__ = "0.1.0"
 
@@ -58,7 +48,6 @@ __all__ = [
     "Equilibrium",
     "ModelId",
     "MonteCarloDemand",
-    "MRHelpers",
     "MrDemandVariant",
     "NonConcave",
     "OracleConfig",
@@ -68,25 +57,15 @@ __all__ = [
     "Singularity",
     "SocReport",
     "ValidityReport",
-    "best_response_retailer",
     "certify_mr_variant",
     "check_soc",
     "decision_fields",
     "decision_values",
     "demand",
     "equilibrium",
-    "equilibrium_m",
-    "equilibrium_mr",
-    "equilibrium_r",
     "limits",
     "monte_carlo_demand",
-    "mr_helpers",
-    "profits",
-    "retailer_reaction_m",
     "singularity_distance",
     "solve_stackelberg_numeric",
     "stationarity_residuals",
-    "utilities",
-    "validate_params",
-    "validity",
 ]

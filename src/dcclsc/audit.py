@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, oracle
-from .errors import Singularity
+from .errors import NonConcave, Singularity
 from .market import MrDemandVariant
 from .params import ModelId, Params
 
@@ -303,28 +303,33 @@ def audit_uniqueness(theorem: str, params: Params,
     With unclamped masses both stages' profits are exactly quadratic, so the
     numeric optimum is the unique equilibrium exactly when the follower's
     Hessian and the leader's reduced Hessian are negative definite there.
+    Where either is not, the solve has no optimum to offer: the verdict is
+    ``not_unique`` with no evidence and the solver's eigenvalues as its note.
     """
     theorem = theorem.upper()
     model = _THEOREM_MODEL[theorem]
-    eq = oracle.solve_stackelberg_numeric(model, params, variant=variant)
-    soc = oracle.check_soc(model, eq, params, variant)
-    observed = ("unique" if soc.follower_negative_definite and soc.leader_negative_definite
-                else "not_unique")
-    notes = [f"follower eigenvalues {tuple(round(e, 6) for e in soc.follower_hessian_eigs)}",
-             f"leader eigenvalues {tuple(round(e, 6) for e in soc.leader_reduced_hessian_eigs)}"]
-    failing = eq.validity.failing()
-    if failing:
-        notes.append("validity caveat: " + ", ".join(failing))
-    if model is ModelId.MR:
-        certified = oracle.certify_mr_variant(eq.decisions, params)
-        notes.append(f"numeric optimum is stationary under variant: {certified}")
+    try:
+        eq = oracle.solve_stackelberg_numeric(model, params, variant=variant)
+    except NonConcave as exc:
+        observed, evidence, notes = "not_unique", (), [str(exc)]
+    else:
+        soc = oracle.check_soc(model, eq, params, variant)
+        observed = ("unique" if soc.follower_negative_definite and soc.leader_negative_definite
+                    else "not_unique")
+        evidence = ((params.alpha, float(eq.profit.pi_m)),)
+        notes = [f"follower eigenvalues {tuple(round(e, 6) for e in soc.follower_hessian_eigs)}",
+                 f"leader eigenvalues "
+                 f"{tuple(round(e, 6) for e in soc.leader_reduced_hessian_eigs)}"]
+        failing = eq.validity.failing()
+        if failing:
+            notes.append("validity caveat: " + ", ".join(failing))
+        if model is ModelId.MR:
+            certified = oracle.certify_mr_variant(eq.decisions, params)
+            notes.append(f"numeric optimum is stationary under variant: {certified}")
     return AuditVerdict(
         prop_id=theorem, sub_id=None, variable=None, params=params,
         condition_value=None, claimed="unique", observed=observed,
-        agree=bool(observed == "unique"),
-        evidence=((params.alpha, float(eq.profit.pi_m)),),
-        notes=tuple(notes),
-    )
+        agree=observed == "unique", evidence=evidence, notes=tuple(notes))
 
 
 def _endpoint_claims(model: ModelId, params: Params):

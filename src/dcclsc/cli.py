@@ -5,8 +5,8 @@ that cannot be read, an output path that cannot be written, and a result
 beyond float range), 2 verification failure (including ill-posed numeric
 instances), 3 singular evaluation.
 
-A flat key=value config file can preload any flag of the chosen subcommand
-(``--config run.cfg`` or ``--config=run.cfg``); explicit flags always win.
+A flat key=value file, where a line starting with ``#`` is a comment, preloads
+the subcommand's flags (``--config run.cfg`` or ``--config=run.cfg``); flags win.
 Reports go to stdout, data goes to ``--out`` paths, and output files are
 byte-stable for identical inputs.
 """
@@ -162,8 +162,8 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
              if a.option_strings and a.dest != "help"}
     from_file = []
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a "#" inside a value is part of it
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         action = flags.get(key.replace("-", "_"))
@@ -241,6 +241,9 @@ _OUTPUT_GROUPS = {
     "validity": ("interior_valid",),
 }
 
+#: Most rows one sweep may ask for; each row is held in memory until written.
+MAX_SWEEP_ROWS = 100_000
+
 
 def cmd_sweep(args) -> int:
     top_error = _parser().error
@@ -261,7 +264,11 @@ def cmd_sweep(args) -> int:
     if unknown:
         top_error(f"unknown output groups {sorted(unknown)}")
 
-    count = int((args.alpha_to - args.alpha_from) / args.alpha_step + 1e-9) + 1
+    steps = (args.alpha_to - args.alpha_from) / args.alpha_step + 1e-9
+    if steps >= MAX_SWEEP_ROWS:  # refused before any row is built
+        raise OutOfDomain.single("alpha_step", args.alpha_step,
+                                 f"asks for more than {MAX_SWEEP_ROWS:,} sweep rows")
+    count = int(steps) + 1
     variant = _VARIANTS[args.variant]
     rows = []
     for k in range(count):
@@ -321,11 +328,7 @@ def cmd_table4(args) -> int:
         text = report.to_json({"command": "table4", "version": __version__,
                                "cells": cells})
     elif args.format == "csv":
-        header = list(cells[0])
-        lines = [",".join(header)]
-        for cell in cells:
-            lines.append(",".join(report.format_value(cell[h]) for h in header))
-        text = "\n".join(lines) + "\n"
+        text = report.rows_to_csv(cells, list(cells[0]))
     else:
         lines = ["published sensitivity table vs closed-form recomputation",
                  f"{'row':<16}{'var':<6}{'published':>12}{'computed':>14}{'gap':>12}"]
@@ -347,6 +350,8 @@ def cmd_table4(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         _parser().error("--samples must be >= 1")
+    if args.tol is not None and not args.tol >= 0.0:  # also refuses nan
+        raise OutOfDomain.single("tol", args.tol, "must be >= 0")
     # only the flags the user set
     given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
     overrides = {k: v for k, v in given.items() if v is not None}

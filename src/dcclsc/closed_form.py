@@ -16,7 +16,7 @@ the retailer profit derived directly from its first-order condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -94,27 +94,20 @@ def decision_values_r(alpha: float, c_m: float, delta: float, s: float) -> dict[
     return {"p_m": p_m, "p_r": p_r, "w": w, "b_r": b_r, "t": t}
 
 
-@dataclass(frozen=True)
-class MRHelpers:
-    """The three aggregation terms entering the MR equilibrium expressions."""
-
-    x1: float
-    x2: float
-    x3: float
-
-
-def mr_helper_values(alpha: float, c_m: float, delta: float, s: float) -> MRHelpers:
+def mr_helper_values(alpha: float, c_m: float, delta: float, s: float) -> tuple[float, ...]:
+    """The three aggregation terms (x1, x2, x3) of the MR equilibrium expressions."""
     a = alpha
     x1 = (3 * delta * a - 2 * c_m + 7 * a * c_m + 3 * a * s
           - 5 * delta * a ** 2 + 2 * delta * a ** 3 + a ** 2 * c_m
           - 2 * a ** 3 * c_m - 5 * a ** 2 * s + 2 * a ** 3)
     x2 = 2 * delta - c_m + 2 * s - 10 * delta * a + 5 * a * c_m
     x3 = -10 * a * s + 4 * delta * a ** 2 - 2 * a ** 2 * c_m + 4 * a ** 2 * s
-    return MRHelpers(x1=x1, x2=x2, x3=x3)
+    return x1, x2, x3
 
 
-def mr_helpers(params: Params) -> MRHelpers:
-    """Aggregation terms evaluated at validated parameters."""
+# bound by name in perfbench/tracer.py LAYERS
+def mr_helpers(params: Params) -> tuple[float, float, float]:
+    """Aggregation terms (x1, x2, x3) evaluated at validated parameters."""
     return mr_helper_values(params.alpha, params.c_m, params.delta, params.s)
 
 
@@ -127,16 +120,16 @@ def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict
     the certification carried by :func:`equilibrium`.
     """
     a = alpha
-    h = mr_helper_values(alpha, c_m, delta, s)
+    x1, x2, x3 = mr_helper_values(alpha, c_m, delta, s)
     den = 3 * a ** 2 - 17 * a + 2 * a ** 3 + 4
-    p_m = -(h.x1 - 2 * a + 12 * a ** 2 - 6 * a ** 3) / den
-    w = -(17 * a + 2 * h.x1 + 4 * a ** 2 - 11 * a ** 3 + 2 * a ** 4 - 4) / (2 * den)
-    b_m = (2 * h.x2 + h.x3 - 19 * a + 8 * delta * a - 18 * a * c_m
+    p_m = -(x1 - 2 * a + 12 * a ** 2 - 6 * a ** 3) / den
+    w = -(17 * a + 2 * x1 + 4 * a ** 2 - 11 * a ** 3 + 2 * a ** 4 - 4) / (2 * den)
+    b_m = (2 * x2 + x3 - 19 * a + 8 * delta * a - 18 * a * c_m
            + 18 * a * s - 4 * a ** 2 + 11 * a ** 3 + 4) / (2 * den)
-    b_r = a * (5 * a + h.x2 - h.x3 + 3 * a ** 2 - 4 * a ** 3) / den
-    p_r = (4 * delta + 23 * a + 4 * s + h.x1 + delta * a - 5 * a ** 2
+    b_r = a * (5 * a + x2 - x3 + 3 * a ** 2 - 4 * a ** 3) / den
+    p_r = (4 * delta + 23 * a + 4 * s + x1 + delta * a - 5 * a ** 2
            - 9 * a ** 3 + 3 * a ** 4 - 4) / (2 * den)
-    t = (a + 1) * (a + h.x2 + h.x3 - 6 * a ** 2 + 3 * a ** 3) / den
+    t = (a + 1) * (a + x2 + x3 - 6 * a ** 2 + 3 * a ** 3) / den
     return {"p_m": p_m, "p_r": p_r, "w": w, "b_m": b_m, "b_r": b_r, "t": t}
 
 
@@ -190,15 +183,16 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
     return eq
 
 
-def equilibrium_m(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:
-    return equilibrium(ModelId.M, params, guard)
+# bound by name in perfbench/tracer.py LAYERS and perfbench/workloads.py
+def equilibrium_m(params: Params) -> Equilibrium:
+    return equilibrium(ModelId.M, params)
 
 
-def equilibrium_r(params: Params, guard: float = DEFAULT_GUARD) -> Equilibrium:
-    return equilibrium(ModelId.R, params, guard)
+# bound by name in perfbench/tracer.py LAYERS and perfbench/workloads.py
+def equilibrium_r(params: Params) -> Equilibrium:
+    return equilibrium(ModelId.R, params)
 
 
-def equilibrium_mr(params: Params, guard: float = DEFAULT_GUARD,
-                   variant: MrDemandVariant = MrDemandVariant.ADOPTED,
-                   certify: bool = True) -> Equilibrium:
-    return equilibrium(ModelId.MR, params, guard, variant, certify)
+# bound by name in perfbench/tracer.py LAYERS
+def equilibrium_mr(params: Params) -> Equilibrium:
+    return equilibrium(ModelId.MR, params)

@@ -194,15 +194,13 @@ def _choose(x, y, out=(None, None), tmp=None):
 
 
 def _check_valuations(v: float, u: float):
-    violations = []
-    if not 0.0 <= v <= 1.0:
-        violations.append(Violation("v", v, "valuations live on [0, 1]"))
-    if not 0.0 <= u <= 1.0:
-        violations.append(Violation("u", u, "valuations live on [0, 1]"))
+    violations = [Violation(name, x, "valuations live on [0, 1]")
+                  for name, x in (("v", v), ("u", u)) if not 0.0 <= x <= 1.0]
     if violations:
         raise OutOfDomain(violations)
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
               params: Params) -> dict[str, float]:
     """Per-segment utilities of a (v, u) customer pair.
@@ -240,6 +238,7 @@ def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params, o
     return (s1, s2, *_choose(*tradein, (s3, s4), tmp))
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
                    params: Params) -> tuple[int, int]:
     """Resolve the choice of one (v, u) pair: (primary segment, trade-in segment).
@@ -248,10 +247,8 @@ def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
     :func:`choice_masks`.
     """
     _check_valuations(v, u)
-    s1, s2, s3, s4 = choice_masks(model, decisions, v, u, params)
-    primary = 1 if s1 else 2 if s2 else 0
-    tradein = 3 if s3 else 4 if s4 is not None and s4 else 0
-    return primary, tradein
+    s1, s2, s3, s4 = choice_masks(model, decisions, v, u, params)  # s4 is None outside MR
+    return (1 if s1 else 2 if s2 else 0), (3 if s3 else 4 if s4 else 0)
 
 
 def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
@@ -311,6 +308,7 @@ def demand(model: ModelId, decisions: DecisionSet, params: Params,
     return _demand_profile(segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant))
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def profits(model: ModelId, decisions: DecisionSet, params: Params,
             variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> ProfitProfile:
     """Manufacturer and retailer profits at one decision set."""
@@ -325,6 +323,7 @@ def _range_check(name: str, value: float) -> ValidityCheck:
     return ValidityCheck(name=name, slack=min(value, 1.0 - value))
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def validity(model: ModelId, decisions: DecisionSet, params: Params,
              variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> ValidityReport:
     """Evaluate every interiority constraint with signed slacks.

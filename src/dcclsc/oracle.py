@@ -97,7 +97,8 @@ class SocReport:
     Carries central-difference Hessian eigenvalues of the follower profit in
     the follower variables and of the leader's reduced profit (follower
     substituted) in the leader variables; a stage counts as negative
-    definite iff all of its eigenvalues are below -1e-9.
+    definite iff all of its eigenvalues are below -1e-9 times the largest
+    eigenvalue magnitude, the rule the solver applies too.
     """
 
     follower_hessian_eigs: tuple[float, ...]
@@ -114,7 +115,11 @@ class SocReport:
         }
 
 
-_EIG_THRESHOLD = -1e-9
+def _negative_definite(eigs: np.ndarray) -> bool:
+    """The oracle's one concavity rule: every eigenvalue below -1e-9 * max|eig|."""
+    return bool(np.all(eigs < -1e-9 * np.max(np.abs(eigs))))
+
+
 #: Stencil step as a share of each variable's box width (0.5 on [-1, 3]): any
 #: step is exact on a quadratic, one scaled to the box keeps roundoff small.
 _STENCIL_SHARE = 0.125
@@ -223,7 +228,7 @@ def _identify(model: ModelId, params: Params, variant: MrDemandVariant,
     hess /= np.outer(step, step)
     H_ff = hess[1, k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
-    if not np.all(eigs < -1e-9 * np.max(np.abs(eigs))):
+    if not _negative_definite(eigs):
         raise NonConcave(
             f"retailer profit not concave in {', '.join(follower)}: "
             f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
@@ -232,14 +237,15 @@ def _identify(model: ModelId, params: Params, variant: MrDemandVariant,
                  Q=np.vstack([np.eye(k), response[:, 1:]]), follower_eigs=eigs)
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
-                           params: Params,
-                           variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> dict[str, float]:
+                           params: Params) -> dict[str, float]:
     """Maximize the retailer profit over the follower's variables.
 
     ``leader_vars`` must contain exactly the leader's variables for the
-    model, those of ``params.PLAYER_FIELDS``.
-    Raises NonConcave when the retailer objective has no interior maximum.
+    model, those of ``params.PLAYER_FIELDS``; the retailer's profit is the
+    same under both segment-3 variants. Raises NonConcave when the retailer
+    objective has no interior maximum.
     """
     model = ModelId(model)
     leader, follower = PLAYER_FIELDS[model]
@@ -248,7 +254,7 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
                                      f"model {model.value} leader sets {sorted(leader)}, "
                                      f"got {sorted(leader_vars)}")])
     x = np.array([float(leader_vars[n]) for n in leader])
-    y = _identify(model, params, variant).response(x)
+    y = _identify(model, params, MrDemandVariant.ADOPTED).response(x)
     return dict(zip(follower, map(float, y)))
 
 
@@ -280,7 +286,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     for _ in range(2):  # the Newton step, then the clean-up step
         game = _identify(model, params, variant, decisions, cfg)
         eigs = np.linalg.eigvalsh(game.leader()[1])
-        if not np.all(eigs < 0.0):
+        if not _negative_definite(eigs):
             raise NonConcave(
                 "leader reduced profit not concave: finite-difference Hessian "
                 f"eigenvalues {np.array2string(eigs, precision=4)}")
@@ -300,9 +306,8 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
     """Second-order conditions at an equilibrium point.
 
     One identification at the point gives the follower's Hessian and the
-    leader's reduced Hessian. A stage is negative definite iff all its
-    eigenvalues are < -1e-9. Raises NonConcave when the retailer has no best
-    response to substitute.
+    leader's reduced Hessian, each judged by the solver's concavity rule.
+    Raises NonConcave when the retailer has no best response to substitute.
     """
     model = ModelId(model)
     game = _identify(model, params, variant, eq.decisions)
@@ -310,8 +315,8 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
     return SocReport(
         follower_hessian_eigs=tuple(float(e) for e in eig_f),
         leader_reduced_hessian_eigs=tuple(float(e) for e in eig_l),
-        follower_negative_definite=bool(np.all(eig_f < _EIG_THRESHOLD)),
-        leader_negative_definite=bool(np.all(eig_l < _EIG_THRESHOLD)),
+        follower_negative_definite=_negative_definite(eig_f),
+        leader_negative_definite=_negative_definite(eig_l),
     )
 
 

@@ -71,8 +71,8 @@ class Params:
     c_r : float
         Unit remanufacturing cost, with 0 < c_r < c_m.
     s : float
-        Government unit subsidy for remanufacturing, >= 0. Zero is accepted
-        as a boundary case and exposed via ``subsidy_boundary``.
+        Government unit subsidy for remanufacturing, >= 0. Zero, the
+        boundary of the assumed s > 0 regime, is accepted.
 
     The remanufacturing saving ``delta`` is always derived as c_m - c_r and
     cannot be set independently.
@@ -92,11 +92,6 @@ class Params:
     def delta(self) -> float:
         """Unit cost saving from remanufacturing, c_m - c_r (always > 0)."""
         return self.c_m - self.c_r
-
-    @property
-    def subsidy_boundary(self) -> bool:
-        """True when s == 0, the boundary of the assumed s > 0 regime."""
-        return self.s == 0.0
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -131,6 +126,7 @@ def _check(alpha, c_m, c_r, s) -> list[Violation]:
 _REQUIRED_KEYS = ("alpha", "c_m", "c_r", "s")
 
 
+# bound by name in perfbench/tracer.py LAYERS
 def validate_params(raw: Mapping[str, float]) -> Params:
     """Build a ``Params`` from a name->value mapping, collecting all violations.
 
@@ -141,12 +137,7 @@ def validate_params(raw: Mapping[str, float]) -> Params:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise OutOfDomain([Violation(k, float("nan"), "required key missing") for k in missing])
-    return Params(
-        alpha=float(raw["alpha"]),
-        c_m=float(raw["c_m"]),
-        c_r=float(raw["c_r"]),
-        s=float(raw["s"]),
-    )
+    return Params(**{k: float(raw[k]) for k in _REQUIRED_KEYS})
 
 
 @dataclass(frozen=True)
@@ -187,8 +178,3 @@ class DecisionSet:
     def as_dict(self) -> dict[str, float]:
         """Decision values keyed by field name, in the model's canonical order."""
         return {name: getattr(self, name) for name in decision_fields(self.model)}
-
-    def replace(self, **updates: float) -> "DecisionSet":
-        fields = {name: getattr(self, name) for name in ALL_DECISION_FIELDS}
-        fields.update(updates)
-        return DecisionSet(model=self.model, **fields)

@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .market import Equilibrium
 from .params import ALL_DECISION_FIELDS, ModelId, Params
@@ -57,10 +57,11 @@ def singular_row(model: ModelId, params: Params) -> dict:
     return row
 
 
-def rows_to_csv(rows: Iterable[Mapping]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+def rows_to_csv(rows: Iterable[Mapping], columns: Sequence[str] = CSV_COLUMNS) -> str:
+    """Header plus one line per row, in ``columns`` order; a missing cell stays empty."""
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(format_value(row.get(name)) for name in CSV_COLUMNS))
+        lines.append(",".join(format_value(row.get(name)) for name in columns))
     return "\n".join(lines) + "\n"
 
 

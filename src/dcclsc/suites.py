@@ -124,9 +124,8 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> tuple
     worst_case = None
     comparisons = 0
     for idx, p in enumerate(draws):
-        for model, solver in ((ModelId.M, closed_form.equilibrium_m),
-                              (ModelId.R, closed_form.equilibrium_r)):
-            closed = solver(p).decisions.as_dict()
+        for model in (ModelId.M, ModelId.R):
+            closed = closed_form.equilibrium(model, p).decisions.as_dict()
             numeric = oracle.solve_stackelberg_numeric(model, p, cfg).decisions.as_dict()
             for name, value in closed.items():
                 rel = abs(numeric[name] - value) / max(abs(value), 1e-9)

@@ -20,7 +20,7 @@ from time import perf_counter
 
 import pytest
 
-from dcclsc import ModelId, Params, equilibrium_m, equilibrium_mr, limits
+from dcclsc import ModelId, Params, limits
 from dcclsc.audit import (
     audit_monotonicity,
     audit_ordering,
@@ -29,7 +29,7 @@ from dcclsc.audit import (
     thresholds,
 )
 from dcclsc.cli import main as cli_main
-from dcclsc.closed_form import decision_values_m
+from dcclsc.closed_form import decision_values_m, equilibrium_m, equilibrium_mr
 from dcclsc.oracle import sample_params
 from dcclsc.suites import suite_mc, suite_oracle
 

@@ -236,6 +236,16 @@ class TestUniqueness:
         assert v.observed == "unique"
         assert any("stationary under variant: adopted" in n for n in v.notes)
 
+    @pytest.mark.parametrize("theorem, alpha, stage", [
+        ("T2", 0.21, "leader"), ("T3", 0.26, "leader"), ("T3", 0.2, "retailer")])
+    def test_failing_theorem_is_reported_not_raised(self, theorem, alpha, stage):
+        # below the existence thresholds the solve raised NonConcave, so the
+        # audit could never report T2 or T3 failing
+        v = audit_uniqueness(theorem, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2))
+        assert (v.claimed, v.observed, v.agree, v.evidence) == ("unique", "not_unique", False, ())
+        assert len(v.notes) == 1
+        assert v.notes[0].startswith(stage) and "eigenvalues" in v.notes[0]
+
 
 class TestEndpoints:
     def test_manufacturer_led_pattern(self):

@@ -246,6 +246,40 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--model", "m")
         assert code == 1
 
+    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+    def test_row_cap_refuses_before_any_row(self, tmp_path, capsys, monkeypatch, step):
+        # --alpha-step 1e-9 once asked for 980 million rows held in one list
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli.closed_form, "equilibrium", no_row)
+        path = tmp_path / "sweep.csv"
+        code, text, err = run(capsys, "sweep", "--preset", "fig3", "--alpha-step", step,
+                              "--out", str(path))
+        assert (code, text) == (1, "")
+        assert not path.exists()
+        assert err.splitlines() == [
+            f"error: alpha_step={float(step)!r} violates: asks for more than 100,000 sweep rows"]
+
+    @pytest.mark.parametrize("rows, refused", [(100_000, False), (100_001, True)])
+    def test_row_cap_boundary(self, capsys, monkeypatch, rows, refused):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli.closed_form, "equilibrium", reached)
+        step = 2.0 ** -20  # binary steps keep the row count exact
+        argv = ["sweep", "--model", "m", "--cm", "1", "--cr", "0.5", "--s", "0.1",
+                "--alpha-from", "0.25", f"--alpha-to={0.25 + (rows - 1) * step!r}",
+                f"--alpha-step={step!r}"]
+        if refused:
+            assert run(capsys, *argv)[0] == 1
+        else:
+            with pytest.raises(Reached):
+                main(argv)
+
     def test_plots_emitted(self, tmp_path, capsys):
         plot_dir = tmp_path / "charts"
         code, _, _ = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.2",
@@ -420,6 +454,17 @@ class TestVerify:
         assert text == ""
         assert "--samples must be >= 1" in err
 
+    @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_negative_or_nan_tolerance_is_a_domain_error(self, capsys, tol, shown):
+        # once a verification FAIL with exit 2
+        code, text, err = run(capsys, "verify", "oracle", f"--tol={tol}", "--samples", "1")
+        assert code == 1
+        assert text == ""
+        assert err.splitlines() == [f"error: tol={shown} violates: must be >= 0"]
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        assert run(capsys, "verify", "oracle", "--tol", "0", "--samples", "1")[0] in (0, 2)
+
     @pytest.mark.parametrize("suite", ["oracle", "props", "mc", "endpoints", "all"])
     def test_negative_seed_is_a_domain_error(self, capsys, suite):
         code, text, err = run(capsys, "verify", suite, "--seed", "-1", "--samples", "1",
@@ -480,6 +525,18 @@ class TestConfigFile:
         assert code == 0
         params = json.loads(out)["params"]
         assert (params["alpha"], params["s"]) == (0.5, 0.02)
+
+    def test_hash_starts_a_comment_only_at_line_start(self, tmp_path, capsys):
+        # "out = run#1.json" once wrote to "run"
+        out = tmp_path / "run#1.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment line\n  # an indented one\nmodel = m\nalpha = 0.9\n"
+                       f"cm = 0.15\ncr = 0.12\ns = 0.02\nout = {out}\n")
+        code, text, _ = run(capsys, "--config", str(cfg), "solve")
+        assert code == 0
+        assert text == f"wrote equilibrium to {out}\n"
+        assert json.loads(out.read_text())["params"]["alpha"] == 0.9
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -629,11 +686,12 @@ class TestFuzzedFlags:
 
     @given(model=_MODELS, params=_param_flags(), alpha_to=st.floats(0.01, 0.99),
            alpha_step=st.one_of(st.floats(1e-3, 1.0),
-                                st.sampled_from([0.0, -0.1, math.inf, math.nan])),
+                                st.sampled_from([0.0, -0.1, math.inf, math.nan, 1e-9, 5e-324])),
            data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_sweep(self, model, params, alpha_to, alpha_step, data):
-        # a step of at least 1e-3 keeps every sweep under about 1,000 rows
+        # a step of at least 1e-3 keeps a sweep under about 1,000 rows; the
+        # tiny steps ask for more rows than the cap and are refused
         alpha_from = params.pop("alpha")
         flags = {"alpha_from": min(alpha_from, alpha_to),
                  "alpha_to": _fuzz(data.draw, max(alpha_from, alpha_to)),

@@ -3,24 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcclsc import (
-    ModelId,
-    Params,
-    Singularity,
-    equilibrium_m,
-    equilibrium_mr,
-    equilibrium_r,
-    limits,
-    mr_helpers,
-    retailer_reaction_m,
-    singularity_distance,
-)
+from dcclsc import ModelId, Params, Singularity, equilibrium, limits, singularity_distance
 from dcclsc.closed_form import (
     MR_UNIT_ROOT,
     decision_values_m,
     decision_values_mr,
     decision_values_r,
+    equilibrium_m,
+    equilibrium_mr,
+    equilibrium_r,
     mr_helper_values,
+    mr_helpers,
+    retailer_reaction_m,
 )
 
 # frozen from exact rational evaluation of the expressions
@@ -144,7 +138,7 @@ class TestModelR:
 
     def test_guard_is_configurable(self):
         p = Params(alpha=0.2222222, c_m=0.5, c_r=0.25, s=0.0)
-        eq = equilibrium_r(p, guard=1e-9)
+        eq = equilibrium(ModelId.R, p, guard=1e-9)
         assert abs(eq.decisions.b_r) > 1e3  # blown-up but evaluable
 
     def test_limits_alpha_zero_true_values(self, params_r):
@@ -160,19 +154,19 @@ class TestModelR:
 
 class TestModelMR:
     def test_helper_terms_golden(self, params_mr):
-        h = mr_helpers(params_mr)
-        assert h.x1 == pytest.approx(2.776, abs=1e-12)
-        assert h.x2 == pytest.approx(0.4, abs=1e-12)
-        assert h.x3 == pytest.approx(-0.912, abs=1e-12)
+        x1, x2, x3 = mr_helpers(params_mr)
+        assert x1 == pytest.approx(2.776, abs=1e-12)
+        assert x2 == pytest.approx(0.4, abs=1e-12)
+        assert x3 == pytest.approx(-0.912, abs=1e-12)
 
     def test_helper_limits_alpha_zero(self):
-        h = mr_helper_values(0.0, c_m=1.0, delta=0.5, s=0.2)
-        assert h.x1 == pytest.approx(-2.0)
-        assert h.x2 == pytest.approx(2.0 * 0.5 - 1.0 + 2.0 * 0.2)
-        assert h.x3 == pytest.approx(0.0, abs=1e-15)
+        x1, x2, x3 = mr_helper_values(0.0, c_m=1.0, delta=0.5, s=0.2)
+        assert x1 == pytest.approx(-2.0)
+        assert x2 == pytest.approx(2.0 * 0.5 - 1.0 + 2.0 * 0.2)
+        assert x3 == pytest.approx(0.0, abs=1e-15)
 
     def test_printed_decisions_golden(self, params_mr):
-        got = equilibrium_mr(params_mr, certify=False).decisions.as_dict()
+        got = equilibrium(ModelId.MR, params_mr, certify=False).decisions.as_dict()
         for name, val in GOLDEN_MR_PRINTED.items():
             assert got[name] == pytest.approx(val, abs=1e-12), name
 
@@ -194,7 +188,7 @@ class TestModelMR:
     def test_outcome_recomputed_from_decisions(self, params_mr):
         from dcclsc import demand
 
-        eq = equilibrium_mr(params_mr, certify=False)
+        eq = equilibrium(ModelId.MR, params_mr, certify=False)
         q = demand(ModelId.MR, eq.decisions, params_mr)
         assert eq.demands == q
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the current API."""
+"""The package's public surface, and every demo script runs to completion against it."""
 
 import os
 import shutil
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import dcclsc
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -23,3 +25,25 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: One entry per concept; the per-model wrappers and scalar duplicates left it.
+PUBLIC = {
+    "BoxBoundary", "DEFAULT_GUARD", "DcclscError", "DecisionSet", "DemandProfile",
+    "Equilibrium", "ModelId", "MonteCarloDemand", "MrDemandVariant", "NonConcave",
+    "OracleConfig", "OutOfDomain", "Params", "ProfitProfile", "Singularity", "SocReport",
+    "ValidityReport", "certify_mr_variant", "check_soc", "decision_fields", "decision_values",
+    "demand", "equilibrium", "limits", "monte_carlo_demand", "singularity_distance",
+    "solve_stackelberg_numeric", "stationarity_residuals",
+}
+DROPPED = ("equilibrium_m", "equilibrium_r", "equilibrium_mr", "mr_helpers", "MRHelpers",
+           "retailer_reaction_m", "profits", "utilities", "validity", "best_response_retailer",
+           "validate_params")
+
+
+def test_public_surface():
+    assert len(dcclsc.__all__) == len(PUBLIC) == 28
+    assert set(dcclsc.__all__) == PUBLIC
+    for name in dcclsc.__all__:
+        assert getattr(dcclsc, name) is not None, name
+    assert [name for name in DROPPED if hasattr(dcclsc, name)] == []

@@ -1,5 +1,7 @@
 """Utilities, segment masses, profits, and validity flags."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,18 @@ from dcclsc import (
     Singularity,
     demand,
     equilibrium,
-    profits,
-    utilities,
-    validity,
 )
 from dcclsc import market
 from dcclsc.closed_form import equilibrium_m
-from dcclsc.market import choice_masks, choice_segment, profit_values, segment_masses
+from dcclsc.market import (
+    choice_masks,
+    choice_segment,
+    profit_values,
+    profits,
+    segment_masses,
+    utilities,
+    validity,
+)
 
 
 def _dm(p_m=0.3, p_r=0.6, w=0.4, b_m=0.2):
@@ -262,7 +269,7 @@ class TestValidity:
         eq = equilibrium_m(p)
         assert eq.validity.interior
         # a negative wholesale margin does not break interiority by itself
-        worse = validity(ModelId.M, eq.decisions.replace(w=0.14), p)
+        worse = validity(ModelId.M, dataclasses.replace(eq.decisions, w=0.14), p)
         assert not worse.check("margin_wholesale").ok
         assert worse.check("margin_wholesale").informational
 

@@ -19,22 +19,22 @@ from dcclsc import (
     OracleConfig,
     OutOfDomain,
     Params,
-    best_response_retailer,
     certify_mr_variant,
     check_soc,
     equilibrium,
-    equilibrium_m,
-    equilibrium_mr,
-    equilibrium_r,
     monte_carlo_demand,
-    retailer_reaction_m,
     solve_stackelberg_numeric,
     stationarity_residuals,
 )
 from dcclsc import market, oracle
 from dcclsc.cli import main
-from dcclsc.closed_form import decision_values
-from dcclsc.oracle import sample_params
+from dcclsc.closed_form import (
+    decision_values,
+    equilibrium_m,
+    equilibrium_r,
+    retailer_reaction_m,
+)
+from dcclsc.oracle import best_response_retailer, sample_params
 from dcclsc.params import PLAYER_FIELDS
 
 # true joint-model equilibrium under the adopted demand variant at
@@ -146,7 +146,7 @@ class TestStackelbergSolve:
         run = {
             "solve": lambda: solve_stackelberg_numeric(ModelId.MR, params_mr),
             "certify": lambda: certify_mr_variant(
-                equilibrium_mr(params_mr, certify=False).decisions, params_mr),
+                equilibrium(ModelId.MR, params_mr, certify=False).decisions, params_mr),
             "soc": lambda: check_soc(ModelId.MR, numeric, params_mr),
             "residuals": lambda: stationarity_residuals(ModelId.MR, numeric.decisions, params_mr),
             "solve_verify": lambda: main(["solve", "--model", "mr", "--alpha", "0.6", "--cm", "1",
@@ -211,7 +211,11 @@ class TestStackelbergSolve:
         # optimum blows up and leaves the search box
         params = Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2)
         if outcome is None:
-            assert solve_stackelberg_numeric(model, params).provenance == "numeric_oracle"
+            eq = solve_stackelberg_numeric(model, params)
+            assert eq.provenance == "numeric_oracle"
+            # the solve and the second-order check apply one concavity rule
+            soc = check_soc(model, eq, params)
+            assert soc.follower_negative_definite and soc.leader_negative_definite
         else:
             with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
                 solve_stackelberg_numeric(model, params)
@@ -239,7 +243,7 @@ class TestSecondOrderConditions:
     def test_near_pole_leader_stage_fails(self):
         # just below the pole the reduced leader problem is indefinite
         p = Params(alpha=2.0 / 9.0 - 1e-3, c_m=0.5, c_r=0.25, s=0.1)
-        eq = equilibrium_r(p, guard=0.0)
+        eq = equilibrium(ModelId.R, p, guard=0.0)
         soc = check_soc(ModelId.R, eq, p)
         assert soc.follower_negative_definite
         assert not soc.leader_negative_definite
@@ -343,7 +347,7 @@ class TestStationarity:
         assert max(res.values()) < 1e-6
 
     def test_closed_forms_are_stationary_for_m_and_r(self):
-        from dcclsc import equilibrium_m as eq_m, equilibrium_r as eq_r
+        from dcclsc.closed_form import equilibrium_m as eq_m, equilibrium_r as eq_r
 
         for p in sample_params(20, seed=29):
             res_m = stationarity_residuals(ModelId.M, eq_m(p).decisions, p)
@@ -356,7 +360,7 @@ class TestStationarity:
         assert certify_mr_variant(d, params_mr) == "adopted"
 
     def test_printed_mr_point_certifies_nothing(self, params_mr):
-        eq = equilibrium_mr(params_mr, certify=False)
+        eq = equilibrium(ModelId.MR, params_mr, certify=False)
         assert certify_mr_variant(eq.decisions, params_mr) == "none"
 
 

@@ -1,11 +1,13 @@
 """Validation and decision-bundle plumbing."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dcclsc import DecisionSet, ModelId, OutOfDomain, Params, decision_fields, validate_params
+from dcclsc import DecisionSet, ModelId, OutOfDomain, Params, decision_fields
+from dcclsc.params import validate_params
 
 
 def test_validate_params_computes_delta():
@@ -38,8 +40,8 @@ def test_delta_cannot_be_injected():
 
 def test_zero_subsidy_is_boundary_not_error():
     p = Params(alpha=0.5, c_m=1.0, c_r=0.5, s=0.0)
-    assert p.subsidy_boundary
-    assert not Params(alpha=0.5, c_m=1.0, c_r=0.5, s=0.1).subsidy_boundary
+    assert p.s == 0.0
+    assert Params(alpha=0.5, c_m=1.0, c_r=0.5, s=0.1).s > 0.0
 
 
 def test_nonfinite_rejected():
@@ -97,8 +99,10 @@ def test_decision_set_rejects_nonfinite():
 def test_decision_set_dict_round_trip():
     d = DecisionSet(model=ModelId.MR, p_m=1.0, p_r=1.4, w=1.2, b_m=0.35, b_r=0.25, t=0.5)
     assert list(d.as_dict()) == list(decision_fields(ModelId.MR))
-    assert d.replace(p_m=1.1).p_m == 1.1
-    assert d.replace(p_m=1.1).p_r == d.p_r
+    assert dataclasses.replace(d, p_m=1.1).p_m == 1.1
+    assert dataclasses.replace(d, p_m=1.1).p_r == d.p_r
+    with pytest.raises(OutOfDomain):  # the replacement is validated again
+        dataclasses.replace(d, p_m=math.inf)
 
 
 def test_model_id_parse():
