@@ -7,7 +7,7 @@ parameter point, and shows how the attached validity report exposes
 parameter choices that push segment masses outside [0, 1].
 """
 
-from dcclsc import ModelId, Params, equilibrium
+from dcclsc import ModelId, Params, certify_mr_variant, equilibrium
 from dcclsc.closed_form import mr_helpers
 
 # Market primitives: direct-channel preference alpha, manufacturing cost,
@@ -47,10 +47,10 @@ for name, value in eq_r.decisions.as_dict().items():
 print(f"  transfer covers subsidy: {eq_r.decisions.t >= eq_r.decisions.b_r}")
 
 # Joint recycling (model MR). The published expressions are evaluated
-# verbatim, and every constructed equilibrium records whether a stationarity
-# check certifies them under either segment-3 demand variant. Here the
-# answer is 'none': the numeric solver, not these expressions, is the
-# trustworthy route for this model (see demo 02).
+# verbatim, and the oracle's stationarity check says whether they are an
+# equilibrium under either segment-3 demand variant. Here the answer is
+# 'none': the numeric solver, not these expressions, is the trustworthy
+# route for this model (see demo 02).
 params_mr = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
 x1, x2, x3 = mr_helpers(params_mr)
 print("\nmodel MR aggregation terms")
@@ -59,5 +59,6 @@ eq_mr = equilibrium(ModelId.MR, params_mr)
 print("model MR published-expression values")
 for name, value in eq_mr.decisions.as_dict().items():
     print(f"  {name:<4} = {value:.6f}")
-print(f"  stationarity-certified demand variant: {eq_mr.certified_demand_variant}")
+print(f"  stationarity-certified demand variant: "
+      f"{certify_mr_variant(eq_mr.decisions, params_mr)}")
 print(f"  interior valid: {eq_mr.validity.interior}")

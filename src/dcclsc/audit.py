@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, oracle
-from .errors import NonConcave, Singularity
-from .market import MrDemandVariant
+from .errors import BoxBoundary, NonConcave, Singularity
 from .params import ModelId, Params
 
 #: Default audit grids: the manufacturer-led model is evaluated across the
@@ -296,8 +295,7 @@ def audit_monotonicity(prop: str, params: Params,
 _THEOREM_MODEL = {"T1": ModelId.M, "T2": ModelId.R, "T3": ModelId.MR}
 
 
-def audit_uniqueness(theorem: str, params: Params,
-                     variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> AuditVerdict:
+def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
     """Audit an equilibrium-uniqueness theorem numerically.
 
     With unclamped masses both stages' profits are exactly quadratic, so the
@@ -305,15 +303,19 @@ def audit_uniqueness(theorem: str, params: Params,
     Hessian and the leader's reduced Hessian are negative definite there.
     Where either is not, the solve has no optimum to offer: the verdict is
     ``not_unique`` with no evidence and the solver's eigenvalues as its note.
+    A solve leaving the search box has passed that rule at both stages: the
+    verdict is ``unique`` with no evidence and the box message as its note.
     """
     theorem = theorem.upper()
     model = _THEOREM_MODEL[theorem]
     try:
-        eq = oracle.solve_stackelberg_numeric(model, params, variant=variant)
+        eq = oracle.solve_stackelberg_numeric(model, params)
     except NonConcave as exc:
         observed, evidence, notes = "not_unique", (), [str(exc)]
+    except BoxBoundary as exc:
+        observed, evidence, notes = "unique", (), [str(exc)]
     else:
-        soc = oracle.check_soc(model, eq, params, variant)
+        soc = oracle.check_soc(model, eq, params)
         observed = ("unique" if soc.follower_negative_definite and soc.leader_negative_definite
                     else "not_unique")
         evidence = ((params.alpha, float(eq.profit.pi_m)),)

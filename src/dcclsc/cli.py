@@ -41,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
 _VARIANTS = {"adopted": MrDemandVariant.ADOPTED, "as-printed": MrDemandVariant.AS_PRINTED}
 
 
-def _add_param_flags(p: _Parser, required: bool = True):
-    p.add_argument("--alpha", type=float, required=required, help="direct-channel preference in (0,1)")
-    p.add_argument("--cm", type=float, required=required, help="unit manufacturing cost")
-    p.add_argument("--cr", type=float, required=required, help="unit remanufacturing cost")
-    p.add_argument("--s", type=float, default=0.0, help="government unit subsidy (default 0)")
-
-
 def build_parser() -> _Parser:
     top = _Parser(prog="dcclsc", description=__doc__)
     top.add_argument("--version", action="version", version=f"dcclsc {__version__}")
@@ -59,7 +52,11 @@ def build_parser() -> _Parser:
     solve.error = top.error
     solve.add_argument("--config", help="flat key=value file preloading flags")
     solve.add_argument("--model", required=True, help="m, r, or mr")
-    _add_param_flags(solve)
+    solve.add_argument("--alpha", type=float, required=True,
+                       help="direct-channel preference in (0,1)")
+    solve.add_argument("--cm", type=float, required=True, help="unit manufacturing cost")
+    solve.add_argument("--cr", type=float, required=True, help="unit remanufacturing cost")
+    solve.add_argument("--s", type=float, default=0.0, help="government unit subsidy (default 0)")
     solve.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD,
                        help="half-width (>= 0) of the singularity guard band on alpha")
     solve.add_argument("--variant", choices=sorted(_VARIANTS), default="adopted",
@@ -199,24 +196,30 @@ def cmd_solve(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
     variant = _VARIANTS[args.variant]
+    as_printed = model is ModelId.MR and variant is MrDemandVariant.AS_PRINTED
     try:
         eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
+        certified = oracle.certify_mr_variant(eq.decisions, params) if model is ModelId.MR else None
     except OutOfDomain as exc:
-        if not args.verify:
+        if not args.verify or as_printed:
             raise
         try:  # the cross-check's own refusal of the same input belongs in the report
-            oracle.solve_stackelberg_numeric(model, params, None, variant)
+            oracle.solve_stackelberg_numeric(model, params)
         except OutOfDomain as numeric:
             raise OutOfDomain(exc.violations + numeric.violations) from None
         except (NonConcave, BoxBoundary):
             pass
         raise
     payload = eq.as_dict()
+    if certified is not None:
+        payload["certified_demand_variant"] = certified
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
     if args.verify:
+        if as_printed:
+            raise NonConcave("as-printed variant: the leader's reduced profit is convex along b_m")
         cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params))
-        numeric = oracle.solve_stackelberg_numeric(model, params, cfg, variant)
+        numeric = oracle.solve_stackelberg_numeric(model, params, cfg)
         deltas = {name: numeric.decisions.as_dict()[name] - value
                   for name, value in eq.decisions.as_dict().items()}
         payload["oracle"] = {
@@ -224,8 +227,8 @@ def cmd_solve(args) -> int:
             "deltas_vs_closed_form": deltas,
             "config": cfg.as_dict(),
         }
-        if model is ModelId.MR:
-            payload["oracle"]["certified_demand_variant"] = eq.certified_demand_variant
+        if certified is not None:
+            payload["oracle"]["certified_demand_variant"] = certified
     if args.format == "json":
         _write_or_print(report.to_json(payload), args.out, "equilibrium")
     else:
@@ -275,8 +278,7 @@ def cmd_sweep(args) -> int:
         alpha = args.alpha_from + k * args.alpha_step
         params = Params(alpha=alpha, c_m=args.cm, c_r=args.cr, s=args.s)
         try:
-            # no column prints the MR certification verdict
-            eq = closed_form.equilibrium(model, params, args.guard, variant, certify=False)
+            eq = closed_form.equilibrium(model, params, args.guard, variant)
         except Singularity:
             rows.append(report.singular_row(model, params))
             continue
@@ -312,7 +314,7 @@ def cmd_table4(args) -> int:
     cells = []
     for model, alpha, c_m, c_r, s, published in suites.PUBLISHED_TABLE_ROWS:
         params = Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s)
-        eq = closed_form.equilibrium(model, params, certify=False)
+        eq = closed_form.equilibrium(model, params)
         computed = eq.decisions.as_dict()
         q1 = eq.demands.q1
         for variable, pub in published.items():

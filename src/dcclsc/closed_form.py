@@ -4,9 +4,9 @@ The expressions here are evaluated exactly as published. For models M and R
 they coincide with the true backward-induction solution (the numeric solver
 in :mod:`dcclsc.oracle` confirms this independently). For the joint model MR
 the published expressions carry known transcription defects; they are still
-evaluated verbatim, and each constructed MR equilibrium records whether a
-stationarity check certifies it under either segment-3 demand variant. The
-numeric oracle, not this module, is the ground truth for MR.
+evaluated verbatim, and only evaluated: :func:`dcclsc.oracle.certify_mr_variant`
+judges whether an MR point is stationary under either segment-3 demand
+variant. The numeric oracle, not this module, is the ground truth for MR.
 
 One deliberate correction is applied: the published reaction of the retailer
 in model M is inconsistent with both the equilibrium expressions and their
@@ -15,8 +15,6 @@ the retailer profit derived directly from its first-order condition.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -117,7 +115,7 @@ def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict
     The common denominator 2a^3 + 3a^2 - 17a + 4 has a root near a = 0.2465;
     callers are expected to guard it. These expressions are known not to be
     stationary points of the joint profits under either demand variant; see
-    the certification carried by :func:`equilibrium`.
+    :func:`dcclsc.oracle.certify_mr_variant`.
     """
     a = alpha
     x1, x2, x3 = mr_helper_values(alpha, c_m, delta, s)
@@ -161,26 +159,17 @@ def limits(model: ModelId, params: Params) -> dict[str, tuple[float, float]]:
 
 
 def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
-                variant: MrDemandVariant = MrDemandVariant.ADOPTED,
-                certify: bool = True) -> Equilibrium:
+                variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
     Raises Singularity within ``guard`` of a denominator root of alpha. For
-    model MR only, the outcome is computed under ``variant``, and ``certify``
-    runs a stationarity check under both demand variants and records which
-    one, if any, the published point satisfies; "none" means it maximizes
-    neither profit system and the numeric oracle is authoritative.
+    model MR only, the outcome is computed under ``variant``.
     """
     model = ModelId(model)
     dist = _guard(model, params.alpha, guard)
     decisions = DecisionSet(model=model, **decision_values(
         model, params.alpha, params.c_m, params.delta, params.s))
-    eq = make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)
-    if certify and model is ModelId.MR:  # only once the outcome is known to be finite
-        from . import oracle
-
-        eq = replace(eq, certified_demand_variant=oracle.certify_mr_variant(decisions, params))
-    return eq
+    return make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)
 
 
 # bound by name in perfbench/tracer.py LAYERS and perfbench/workloads.py

@@ -375,10 +375,7 @@ class Equilibrium:
     expressions or from the numeric backward-induction solver. Demands,
     profits and validity are always recomputed from the decisions at
     construction (via :func:`make_equilibrium`), never stored independently.
-
-    ``certified_demand_variant`` is set for the joint model only: it names
-    the segment-3 variant under which the decision set passes a stationarity
-    check ("adopted", "as_printed"), or "none" when neither does.
+    An MR point's stationarity is judged by :func:`dcclsc.oracle.certify_mr_variant`.
     """
 
     model: ModelId
@@ -390,7 +387,6 @@ class Equilibrium:
     provenance: str
     singularity_distance: float
     demand_variant: MrDemandVariant | None = None
-    certified_demand_variant: str | None = None
 
     def as_dict(self) -> dict:
         out = {
@@ -405,8 +401,6 @@ class Equilibrium:
         }
         if self.demand_variant is not None:
             out["demand_variant"] = self.demand_variant.value
-        if self.certified_demand_variant is not None:
-            out["certified_demand_variant"] = self.certified_demand_variant
         return out
 
 
@@ -417,10 +411,9 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
 
     Both the closed-form and the numeric path end here; the segment masses
     are evaluated once and feed the demands, the profits and the validity
-    report. The MR certification is attached afterwards, by
-    :func:`dcclsc.closed_form.equilibrium`. Raises OutOfDomain
-    when a mass, a profit or a slack is not finite, so no payload carries an
-    infinity or a NaN (parameters so large that float arithmetic overflows).
+    report. Raises OutOfDomain when a mass, a profit or a slack is not
+    finite, so no payload carries an infinity or a NaN (parameters so large
+    that float arithmetic overflows).
     """
     model = ModelId(model)
     with np.errstate(over="ignore", invalid="ignore"):

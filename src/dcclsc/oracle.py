@@ -185,15 +185,15 @@ class _Game:
         return self.z0 - np.linalg.solve(jacobian, residual)
 
 
-def _identify(model: ModelId, params: Params, variant: MrDemandVariant,
-              centre: DecisionSet | None = None, cfg: OracleConfig | None = None) -> _Game:
+def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
+              cfg: OracleConfig | None = None, variant=MrDemandVariant.ADOPTED) -> _Game:
     """Identify the game from one evaluation of both profits on one stencil.
 
     The stencil is centred at the decisions ``centre``, else at the centre
     of ``cfg``'s box, and steps 1/8 of each variable's box width. Central
     differences are exact on a quadratic up to roundoff. The retailer's best
     response has shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the
-    only place the oracle evaluates a profit.
+    only place the oracle evaluates a profit; ``variant`` matters for MR only.
 
     Raises OutOfDomain when a profit overflows on the stencil or its roundoff
     swamps the curvature, and NonConcave unless the retailer's Hessian in its
@@ -254,13 +254,12 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
                                      f"model {model.value} leader sets {sorted(leader)}, "
                                      f"got {sorted(leader_vars)}")])
     x = np.array([float(leader_vars[n]) for n in leader])
-    y = _identify(model, params, MrDemandVariant.ADOPTED).response(x)
+    y = _identify(model, params).response(x)
     return dict(zip(follower, map(float, y)))
 
 
 def solve_stackelberg_numeric(model: ModelId, params: Params,
-                              cfg: OracleConfig | None = None,
-                              variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
+                              cfg: OracleConfig | None = None) -> Equilibrium:
     """Numeric Stackelberg equilibrium by backward induction.
 
     Both profits are exactly quadratic, so one identification at the centre
@@ -284,7 +283,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     leader, follower = PLAYER_FIELDS[model]
     decisions = None
     for _ in range(2):  # the Newton step, then the clean-up step
-        game = _identify(model, params, variant, decisions, cfg)
+        game = _identify(model, params, decisions, cfg)
         eigs = np.linalg.eigvalsh(game.leader()[1])
         if not _negative_definite(eigs):
             raise NonConcave(
@@ -298,11 +297,10 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
                 raise BoxBoundary(name, point[name], (lo, hi))
         decisions = DecisionSet(model=model, **point)
     return make_equilibrium(model, decisions, params, "numeric_oracle",
-                            singularity_distance(model, params.alpha), variant=variant)
+                            singularity_distance(model, params.alpha))
 
 
-def check_soc(model: ModelId, eq: Equilibrium, params: Params,
-              variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> SocReport:
+def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
     """Second-order conditions at an equilibrium point.
 
     One identification at the point gives the follower's Hessian and the
@@ -310,7 +308,7 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params,
     Raises NonConcave when the retailer has no best response to substitute.
     """
     model = ModelId(model)
-    game = _identify(model, params, variant, eq.decisions)
+    game = _identify(model, params, eq.decisions)
     eig_f, eig_l = game.follower_eigs, np.linalg.eigvalsh(game.leader()[1])
     return SocReport(
         follower_hessian_eigs=tuple(float(e) for e in eig_f),
@@ -381,8 +379,8 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
                             n=n, seed=seed)
 
 
-def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Params,
-                           variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> dict[str, float]:
+def stationarity_residuals(model: ModelId, decisions: DecisionSet,
+                           params: Params) -> dict[str, float]:
     """Scaled first-order residuals of a candidate equilibrium point.
 
     Partials of the retailer profit in the follower's variables and of the
@@ -393,8 +391,11 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
     response to substitute.
     """
     model = ModelId(model)
+    return _residuals(model, _identify(model, params, decisions))
+
+
+def _residuals(model: ModelId, game: _Game) -> dict[str, float]:
     leader, follower = PLAYER_FIELDS[model]
-    game = _identify(model, params, variant, decisions)
     scale_m, scale_r = (max(1.0, abs(float(v))) for v in game.values)
     out = {f"follower:{n}": abs(float(g)) / scale_r
            for n, g in zip(follower, game.grad[1, game.k:])}
@@ -407,23 +408,26 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet, params: Param
 STATIONARITY_TOL = 1e-6
 
 
-def certify_mr_variant(decisions: DecisionSet, params: Params,
-                       tol: float = STATIONARITY_TOL) -> str:
+def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
     """Which segment-3 demand variant, if any, makes an MR point stationary.
 
-    Returns "adopted", "as_printed", "both", or "none"; or
-    "follower_non_concave" when the retailer profit is not concave (alpha
-    <= 1/4), so no Stackelberg point exists to certify against. The verdict
-    is a deterministic function of (decisions, params); it takes one
-    identification per variant.
+    Returns "adopted", "as_printed", "both", or "none"; or, where no
+    Stackelberg point exists to certify against, "follower_non_concave"
+    (alpha <= 1/4) or "leader_non_concave" (the leader's reduced profit
+    under the adopted variant is not concave, alpha up to 0.27689). The
+    verdict is a deterministic function of (decisions, params); it takes
+    one identification per variant.
     """
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
         try:
-            res = stationarity_residuals(ModelId.MR, decisions, params, variant)
+            game = _identify(ModelId.MR, params, decisions, variant=variant)
         except NonConcave:
             return "follower_non_concave"
-        if max(res.values()) <= tol:
+        if variant is MrDemandVariant.ADOPTED and not _negative_definite(
+                np.linalg.eigvalsh(game.leader()[1])):
+            return "leader_non_concave"
+        if max(_residuals(ModelId.MR, game).values()) <= STATIONARITY_TOL:
             passing.append(variant.value)
     if not passing:
         return "none"

@@ -76,11 +76,11 @@ _W, _H = 640, 420
 _ML, _MR_, _MT, _MB = 64, 16, 34, 44
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart_svg(title: str, xs: list[float], ys: list[float],

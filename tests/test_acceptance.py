@@ -30,7 +30,7 @@ from dcclsc.audit import (
 )
 from dcclsc.cli import main as cli_main
 from dcclsc.closed_form import decision_values_m, equilibrium_m, equilibrium_mr
-from dcclsc.oracle import sample_params
+from dcclsc.oracle import certify_mr_variant, sample_params
 from dcclsc.suites import suite_mc, suite_oracle
 
 
@@ -84,8 +84,8 @@ def test_a03_mr_adjudication():
     tally: dict[str, int] = {}
     problems = []
     for idx, p in enumerate(sample_params(50, seed=31)):
-        first = equilibrium_mr(p).certified_demand_variant
-        second = equilibrium_mr(p).certified_demand_variant
+        first = certify_mr_variant(equilibrium_mr(p).decisions, p)
+        second = certify_mr_variant(equilibrium_mr(p).decisions, p)
         if first != second:
             problems.append(f"draw {idx} verdict not deterministic")
         if first not in ("adopted", "as_printed", "none"):

@@ -237,7 +237,8 @@ class TestUniqueness:
         assert any("stationary under variant: adopted" in n for n in v.notes)
 
     @pytest.mark.parametrize("theorem, alpha, stage", [
-        ("T2", 0.21, "leader"), ("T3", 0.26, "leader"), ("T3", 0.2, "retailer")])
+        ("T2", 0.21, "leader"), ("T3", 0.26, "leader"), ("T3", 0.2, "retailer"),
+        ("T3", 0.2768, "leader")])
     def test_failing_theorem_is_reported_not_raised(self, theorem, alpha, stage):
         # below the existence thresholds the solve raised NonConcave, so the
         # audit could never report T2 or T3 failing
@@ -245,6 +246,15 @@ class TestUniqueness:
         assert (v.claimed, v.observed, v.agree, v.evidence) == ("unique", "not_unique", False, ())
         assert len(v.notes) == 1
         assert v.notes[0].startswith(stage) and "eigenvalues" in v.notes[0]
+
+    @pytest.mark.parametrize("theorem, alpha", [
+        ("T2", 2.0 / 9.0 + 1e-4), ("T2", 0.2225), ("T3", 0.277), ("T3", 0.28)])
+    def test_optimum_beyond_the_box_is_unique(self, theorem, alpha):
+        # just above the existence thresholds both stages are concave, but the
+        # optimum lies outside the search box; the audit raised BoxBoundary
+        v = audit_uniqueness(theorem, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2))
+        assert (v.claimed, v.observed, v.agree, v.evidence) == ("unique", "unique", True, ())
+        assert len(v.notes) == 1 and "search box" in v.notes[0]
 
 
 class TestEndpoints:

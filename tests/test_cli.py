@@ -86,6 +86,22 @@ class TestSolve:
         assert code == 0
         assert len(csv.read_text().splitlines()) == 1 + 9
 
+    def test_mr_leader_non_concave_is_a_verdict(self, capsys):
+        # above alpha 1/4 the retailer is concave, but the leader only above 0.27689
+        code, out, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.26",
+                           "--cm", "1", "--cr", "0.5", "--s", "0.2")
+        assert code == 0
+        assert json.loads(out)["certified_demand_variant"] == "leader_non_concave"
+
+    def test_as_printed_verify_fails_without_solving(self, capsys, monkeypatch):
+        # under the as-printed variant no alpha has a numeric equilibrium
+        monkeypatch.setattr(oracle, "solve_stackelberg_numeric", None)
+        code, out, err = run(capsys, "solve", "--model", "mr", "--alpha", "0.6",
+                             "--cm", "1", "--cr", "0.5", "--s", "0.2",
+                             "--variant", "as-printed", "--verify")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "as-printed variant" in err
+
     def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--model", "m", "--alpha", "0.9",
                            "--cm", "0.15", "--cr", "0.12",

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcclsc import ModelId, Params, Singularity, equilibrium, limits, singularity_distance
+from dcclsc import (
+    ModelId,
+    Params,
+    Singularity,
+    certify_mr_variant,
+    equilibrium,
+    limits,
+    singularity_distance,
+)
 from dcclsc.closed_form import (
     MR_UNIT_ROOT,
     decision_values_m,
@@ -166,7 +174,7 @@ class TestModelMR:
         assert x3 == pytest.approx(0.0, abs=1e-15)
 
     def test_printed_decisions_golden(self, params_mr):
-        got = equilibrium(ModelId.MR, params_mr, certify=False).decisions.as_dict()
+        got = equilibrium(ModelId.MR, params_mr).decisions.as_dict()
         for name, val in GOLDEN_MR_PRINTED.items():
             assert got[name] == pytest.approx(val, abs=1e-12), name
 
@@ -182,13 +190,12 @@ class TestModelMR:
             equilibrium_mr(Params(alpha=MR_UNIT_ROOT, c_m=0.5, c_r=0.25, s=0.0))
 
     def test_certification_records_no_consistent_variant(self, params_mr):
-        eq = equilibrium_mr(params_mr)
-        assert eq.certified_demand_variant == "none"
+        assert certify_mr_variant(equilibrium_mr(params_mr).decisions, params_mr) == "none"
 
     def test_outcome_recomputed_from_decisions(self, params_mr):
         from dcclsc import demand
 
-        eq = equilibrium(ModelId.MR, params_mr, certify=False)
+        eq = equilibrium(ModelId.MR, params_mr)
         q = demand(ModelId.MR, eq.decisions, params_mr)
         assert eq.demands == q
 

@@ -180,7 +180,7 @@ class TestDemand:
             return segment_masses(*args, **kwargs)
 
         monkeypatch.setattr(market, "segment_masses", counting)
-        equilibrium(model, params_mr, certify=False)
+        equilibrium(model, params_mr)
         assert len(calls) == 1
 
 

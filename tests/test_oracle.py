@@ -146,7 +146,7 @@ class TestStackelbergSolve:
         run = {
             "solve": lambda: solve_stackelberg_numeric(ModelId.MR, params_mr),
             "certify": lambda: certify_mr_variant(
-                equilibrium(ModelId.MR, params_mr, certify=False).decisions, params_mr),
+                equilibrium(ModelId.MR, params_mr).decisions, params_mr),
             "soc": lambda: check_soc(ModelId.MR, numeric, params_mr),
             "residuals": lambda: stationarity_residuals(ModelId.MR, numeric.decisions, params_mr),
             "solve_verify": lambda: main(["solve", "--model", "mr", "--alpha", "0.6", "--cm", "1",
@@ -220,11 +220,18 @@ class TestStackelbergSolve:
             with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
                 solve_stackelberg_numeric(model, params)
 
-    def test_as_printed_variant_is_ill_posed(self, params_mr):
-        # segment-3 "1 - gap" variant makes the leader profit unbounded
-        with pytest.raises((NonConcave, BoxBoundary)):
-            solve_stackelberg_numeric(ModelId.MR, params_mr,
-                                      variant=MrDemandVariant.AS_PRINTED)
+    def test_as_printed_variant_is_ill_posed(self):
+        # the segment-3 "1 - gap" variant makes the leader's reduced profit
+        # convex along b_m: its curvature there is 2(1 - kappa)/(1 - alpha) > 0,
+        # with kappa = alpha(1 - 2 alpha)/(1 - 4 alpha) the slope of b_r* in b_m
+        b_m = PLAYER_FIELDS[ModelId.MR][0].index("b_m")
+        for alpha in (0.26, 0.3, 0.45, 0.6, 0.9):
+            game = oracle._identify(ModelId.MR, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2),
+                                    variant=MrDemandVariant.AS_PRINTED)
+            kappa = alpha * (1 - 2 * alpha) / (1 - 4 * alpha)
+            curvature = 2 * (1 - kappa) / (1 - alpha)
+            assert curvature > 0
+            assert game.leader()[1][b_m, b_m] == pytest.approx(curvature, rel=1e-9), alpha
 
 
 class TestSecondOrderConditions:
@@ -359,8 +366,16 @@ class TestStationarity:
         d = DecisionSet(model=ModelId.MR, **GOLDEN_MR_TRUE)
         assert certify_mr_variant(d, params_mr) == "adopted"
 
+    @pytest.mark.parametrize("alpha, verdict", [
+        (0.24, "follower_non_concave"), (0.26, "leader_non_concave"), (0.6, "none")])
+    def test_verdict_names_the_stage_without_an_equilibrium(self, alpha, verdict):
+        # on (1/4, 0.27689) the retailer is concave but the leader is not, so
+        # no Stackelberg point exists to certify the closed form against
+        p = Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2)
+        assert certify_mr_variant(equilibrium(ModelId.MR, p).decisions, p) == verdict
+
     def test_printed_mr_point_certifies_nothing(self, params_mr):
-        eq = equilibrium(ModelId.MR, params_mr, certify=False)
+        eq = equilibrium(ModelId.MR, params_mr)
         assert certify_mr_variant(eq.decisions, params_mr) == "none"
 
 
