@@ -199,7 +199,9 @@ def cmd_solve(args) -> int:
     as_printed = model is ModelId.MR and variant is MrDemandVariant.AS_PRINTED
     try:
         eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
-        certified = oracle.certify_mr_variant(eq.decisions, params) if model is ModelId.MR else None
+        # the CSV row has no verdict column
+        certified = (oracle.certify_mr_variant(eq.decisions, params)
+                     if model is ModelId.MR and args.format == "json" else None)
     except OutOfDomain as exc:
         if not args.verify or as_printed:
             raise

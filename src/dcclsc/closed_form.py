@@ -16,8 +16,6 @@ the retailer profit derived directly from its first-order condition.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import OutOfDomain, Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium
 from .params import DecisionSet, ModelId, Params
@@ -25,12 +23,13 @@ from .params import DecisionSet, ModelId, Params
 #: Default half-width of the guard band around denominator roots of alpha.
 DEFAULT_GUARD = 1e-6
 
-#: Real roots of the MR denominator 2*a^3 + 3*a^2 - 17*a + 4 (ascending).
-MR_DENOMINATOR_ROOTS: tuple[float, ...] = tuple(
-    sorted(float(r.real) for r in np.roots([2.0, 3.0, -17.0, 4.0]) if abs(r.imag) < 1e-12)
-)
+#: Real roots of the MR denominator 2*a^3 + 3*a^2 - 17*a + 4 (ascending), as
+#: numpy.roots computes them. The unit root is one ulp above the correctly
+#: rounded root; the golden MR payloads print distances to this value.
+MR_DENOMINATOR_ROOTS: tuple[float, ...] = (-3.8455740027732475, 0.2479351516421134,
+                                           2.0976388511311344)
 
-#: The single MR denominator root inside (0, 1), near 0.2465.
+#: The single MR denominator root inside (0, 1), near 0.24794.
 MR_UNIT_ROOT = next(r for r in MR_DENOMINATOR_ROOTS if 0.0 < r < 1.0)
 
 
@@ -112,7 +111,7 @@ def mr_helpers(params: Params) -> tuple[float, float, float]:
 def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict[str, float]:
     """Model-MR equilibrium decisions, evaluated verbatim as published.
 
-    The common denominator 2a^3 + 3a^2 - 17a + 4 has a root near a = 0.2465;
+    The common denominator 2a^3 + 3a^2 - 17a + 4 has a root near a = 0.24794;
     callers are expected to guard it. These expressions are known not to be
     stationary points of the joint profits under either demand variant; see
     :func:`dcclsc.oracle.certify_mr_variant`.

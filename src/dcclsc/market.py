@@ -258,17 +258,17 @@ def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
     Returns (q1, q2, q3, q4) with q4 = None outside the joint model.
     """
     model = ModelId(model)
-    ap = alpha * (1.0 - alpha)
+    ap = alpha * (1 - alpha)
     if ap < ALPHA_PRODUCT_GUARD:
         raise Singularity("alpha*(1-alpha) in segment masses", alpha, ap, ALPHA_PRODUCT_GUARD)
     q1 = (alpha * p_r - p_m) / ap
-    q2 = 1.0 - (p_r - p_m) / (1.0 - alpha)
+    q2 = 1 - (p_r - p_m) / (1 - alpha)
     if model is ModelId.M:
         return q1, q2, b_m, None
     if model is ModelId.R:
         return q1, q2, b_r / alpha, None
-    gap = (b_m - b_r) / (1.0 - alpha)
-    q3 = gap if MrDemandVariant(variant) is MrDemandVariant.ADOPTED else 1.0 - gap
+    gap = (b_m - b_r) / (1 - alpha)
+    q3 = gap if MrDemandVariant(variant) is MrDemandVariant.ADOPTED else 1 - gap
     q4 = (b_r - alpha * b_m) / ap
     return q1, q2, q3, q4
 
@@ -320,7 +320,7 @@ def profits(model: ModelId, decisions: DecisionSet, params: Params,
 
 def _range_check(name: str, value: float) -> ValidityCheck:
     # slack is the distance into [0, 1]; negative outside, zero on the boundary
-    return ValidityCheck(name=name, slack=min(value, 1.0 - value))
+    return ValidityCheck(name=name, slack=min(value, 1 - value))
 
 
 # bound by name in perfbench/tracer.py LAYERS
@@ -346,7 +346,7 @@ def _validity(model: ModelId, decisions: DecisionSet, params: Params,
     checks = [_range_check(f"{name}_in_unit", mass) for name, mass in q.as_dict().items()]
 
     lower = d.p_m / a
-    upper = (d.p_r - d.p_m) / (1.0 - a)
+    upper = (d.p_r - d.p_m) / (1 - a)
     checks.append(ValidityCheck("primary_threshold_nonneg", lower))
     checks.append(ValidityCheck("primary_thresholds_ordered", upper - lower))
     checks.append(ValidityCheck("primary_threshold_below_one", q.q2))
@@ -355,7 +355,7 @@ def _validity(model: ModelId, decisions: DecisionSet, params: Params,
         checks.append(_range_check("tradein_threshold_in_unit", q.q3))
     else:
         # explicit: under the as-printed variant q3 is not the split
-        gap = (d.b_m - d.b_r) / (1.0 - a)
+        gap = (d.b_m - d.b_r) / (1 - a)
         checks.append(_range_check("tradein_split_in_unit", gap))
         checks.append(_range_check("tradein_threshold_in_unit", d.b_r / a))
         checks.append(ValidityCheck("tradein_thresholds_ordered", d.b_r / a - gap))

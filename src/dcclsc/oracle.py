@@ -333,10 +333,11 @@ class MonteCarloDemand:
 
 
 #: Pairs per seeded substream, and pairs drawn and classified at once. The
-#: block divides the chunk; its workspace (draws 512 KiB, utilities 2 x 256
-#: KiB, masks 5 x 32 KiB) stays within a core's L2 cache for any n.
+#: block divides the chunk; its workspace (draws 256 KiB, utilities 2 x 128
+#: KiB, masks 5 x 16 KiB) stays within a core's L2 cache for any n. A block
+#: of 2^13 pairs runs slower: per-block call overhead outweighs the cache.
 _MC_CHUNK = 1 << 18
-_MC_BLOCK = _MC_CHUNK >> 3
+_MC_BLOCK = _MC_CHUNK >> 4
 
 
 def seeded_generator(seed: int, *spawn_key: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dcclsc import cli, oracle, suites
+from dcclsc import cli, market, oracle, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS
@@ -48,6 +48,22 @@ class TestSolve:
         assert float(cells["p_m"]) == pytest.approx(0.648387, abs=1e-6)
         assert cells["b_r"] == ""  # absent fields stay empty, never zero
         assert cells["interior_valid"] == "true"
+
+    @pytest.mark.parametrize("fmt,calls", [("json", 2), ("csv", 0)])
+    def test_only_json_certifies(self, capsys, monkeypatch, fmt, calls):
+        # the CSV row has no verdict column, so it costs no certification
+        seen = []
+        kernel = market.profit_values
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(market, "profit_values", counting)
+        code, _, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.6", "--cm", "1",
+                         "--cr", "0.5", "--s", "0.2", "--format", fmt)
+        assert code == 0
+        assert len(seen) == calls
 
     def test_verify_adds_oracle_block(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.6",

@@ -1,8 +1,15 @@
 """Closed-form equilibria: golden values, identities, limits, singularities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dcclsc
 from dcclsc import (
     ModelId,
     Params,
@@ -13,6 +20,7 @@ from dcclsc import (
     singularity_distance,
 )
 from dcclsc.closed_form import (
+    MR_DENOMINATOR_ROOTS,
     MR_UNIT_ROOT,
     decision_values_m,
     decision_values_mr,
@@ -184,6 +192,25 @@ class TestModelMR:
         assert den(0.35) == pytest.approx(-1.49675, abs=1e-5)
         assert den(0.24) > 0.0 > den(0.25)
         assert 0.24 < MR_UNIT_ROOT < 0.25
+
+    def test_denominator_roots_are_numpys(self):
+        # the literal keeps numpy.roots' values bit for bit: the golden MR
+        # payloads print distances to the unit root
+        want = sorted(float(r.real) for r in np.roots([2.0, 3.0, -17.0, 4.0])
+                      if abs(r.imag) < 1e-12)
+        assert [r.hex() for r in MR_DENOMINATOR_ROOTS] == [r.hex() for r in want]
+
+    def test_import_calls_no_root_finder(self):
+        # numpy.roots is an eigenvalue (LAPACK) call; importing the package makes none
+        code = ("import numpy\n"
+                "def refuse(*args, **kwargs):\n"
+                "    raise AssertionError('numpy.roots called')\n"
+                "numpy.roots = refuse\n"
+                "import dcclsc\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dcclsc.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_pole_raises(self):
         with pytest.raises(Singularity):

@@ -1,6 +1,7 @@
 """Utilities, segment masses, profits, and validity flags."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ class TestDemand:
             assert q1[i] == pytest.approx(q.q1)
             assert q2[i] == pytest.approx(q.q2)
         assert q3 == 0.2
+
+    @pytest.mark.parametrize("model,variant,want", [
+        (ModelId.M, MrDemandVariant.ADOPTED, (Fraction(1, 4), Fraction(1, 4), Fraction(3, 10),
+                                              None)),
+        (ModelId.R, MrDemandVariant.ADOPTED, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 3),
+                                              None)),
+        (ModelId.MR, MrDemandVariant.ADOPTED, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
+                                               Fraction(1, 12))),
+        (ModelId.MR, MrDemandVariant.AS_PRINTED, (Fraction(1, 4), Fraction(1, 4),
+                                                  Fraction(3, 4), Fraction(1, 12))),
+    ])
+    def test_kernel_stays_exact_in_fractions(self, model, variant, want):
+        got = segment_masses(model, Fraction(3, 10), Fraction(3, 5), Fraction(3, 10),
+                             Fraction(1, 5), Fraction(3, 5), variant)
+        assert all(g is None or type(g) is Fraction for g in got)
+        assert got == want
 
     @pytest.mark.parametrize("model", list(ModelId))
     def test_equilibrium_evaluates_masses_once(self, model, params_mr, monkeypatch):

@@ -183,6 +183,15 @@ class TestStackelbergSolve:
         for name, value in GOLDEN_MR_EXACT.items():
             assert abs(Fraction(num[name]) - value) <= 16 * Fraction(math.ulp(float(value))), name
 
+    def test_mr_manufacturer_subsidy_equals_transfer_price(self):
+        # a finding of the game's MR solution: b_m* = t*, hence t* - b_r* = (1 - alpha) q3*
+        for p in sample_params(300, 11):
+            eq = solve_stackelberg_numeric(ModelId.MR, p)
+            d = eq.decisions
+            scale = max(1.0, *(abs(v) for v in d.as_dict().values()))
+            assert abs(d.b_m - d.t) <= 1e-12 * scale
+            assert abs((d.t - d.b_r) - (1.0 - p.alpha) * eq.demands.q3) <= 1e-12 * scale
+
     def test_provenance_and_determinism(self, params_m):
         a = solve_stackelberg_numeric(ModelId.M, params_m)
         b = solve_stackelberg_numeric(ModelId.M, params_m)
@@ -344,7 +353,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 0.75 * 2**20
 
 
 class TestStationarity:
