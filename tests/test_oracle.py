@@ -326,8 +326,9 @@ class TestMonteCarlo:
             sample_params(1, -1)
 
     @pytest.mark.parametrize("model", list(ModelId))
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK,
-                                   _CHUNK + 1, 1_000_000])
+    # 2^15 +- 1 straddle the second block edge (and the block size before 2^14)
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 32767, 32768, 32769,
+                                   _CHUNK - 1, _CHUNK, _CHUNK + 1, 1_000_000])
     def test_blocks_keep_every_draw(self, model, n):
         # reference: pair i is draw i mod 2^18 of the substream seeded by
         # (seed, i // 2^18), each substream drawn in one call
