@@ -8,7 +8,8 @@ instances), 3 singular evaluation.
 A flat key=value file, where a line starting with ``#`` is a comment, preloads
 the subcommand's flags (``--config run.cfg`` or ``--config=run.cfg``); flags win.
 Reports go to stdout, data goes to ``--out`` paths, and output files are
-byte-stable for identical inputs.
+byte-stable for identical inputs. The CSV columns and the ``sweep --outputs``
+groups are defined once, in ``report``; sweep rows stay below alpha 1.
 """
 
 from __future__ import annotations
@@ -45,12 +46,18 @@ def build_parser() -> _Parser:
     top = _Parser(prog="dcclsc", description=__doc__)
     top.add_argument("--version", action="version", version=f"dcclsc {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
+    for name, text in (("solve", "one closed-form equilibrium"),
+                       ("sweep", "alpha sweep to CSV (and optional charts)"),
+                       ("table4", "published sensitivity table vs recomputation"),
+                       ("verify", "seeded verification suites"),
+                       ("simulate", "Monte Carlo choice simulation")):
+        parser = sub.add_parser(name, help=text)
+        parser.error = top.error  # usage errors exit 1 from every subcommand
+        parser.add_argument("--config", help="flat key=value file preloading flags")
+    solve, sweep, table4, verify, simulate = sub.choices.values()
 
-    solve = sub.add_parser("solve", parents=[], help="one closed-form equilibrium",
-                           description="Evaluate one closed-form equilibrium; "
-                                       "--verify adds the numeric cross-check.")
-    solve.error = top.error
-    solve.add_argument("--config", help="flat key=value file preloading flags")
+    solve.description = ("Evaluate one closed-form equilibrium; "
+                         "--verify adds the numeric cross-check.")
     solve.add_argument("--model", required=True, help="m, r, or mr")
     solve.add_argument("--alpha", type=float, required=True,
                        help="direct-channel preference in (0,1)")
@@ -66,9 +73,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--out", help="write the payload here instead of stdout")
 
-    sweep = sub.add_parser("sweep", help="alpha sweep to CSV (and optional charts)")
-    sweep.error = top.error
-    sweep.add_argument("--config")
     sweep.add_argument("--preset", choices=sorted(suites.FIGURE_PRESETS),
                        help="figure parameter preset; explicit flags override")
     sweep.add_argument("--model")
@@ -86,16 +90,10 @@ def build_parser() -> _Parser:
     sweep.add_argument("--plot-dir", dest="plot_dir",
                        help="emit one SVG line chart per decision variable here")
 
-    table4 = sub.add_parser("table4", help="published sensitivity table vs recomputation")
-    table4.error = top.error
-    table4.add_argument("--config")
     table4.add_argument("--format", choices=("text", "json", "csv"), default="text")
     table4.add_argument("--out")
 
-    verify = sub.add_parser("verify", help="seeded verification suites")
-    verify.error = top.error
     verify.add_argument("suite", choices=("oracle", "props", "mc", "endpoints", "all"))
-    verify.add_argument("--config")
     verify.add_argument("--samples", type=int,
                         help="draws per suite, >= 1 (default: the suite's)")
     verify.add_argument("--seed", type=int, help="suite seed, >= 0 (default: the suite's)")
@@ -104,9 +102,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--n", type=int, help="Monte Carlo sample count (default: the suite's)")
     verify.add_argument("--out", help="write the machine-readable report here")
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo choice simulation")
-    simulate.error = top.error
-    simulate.add_argument("--config")
     simulate.add_argument("--model", required=True)
     simulate.add_argument("--alpha", type=float, required=True)
     simulate.add_argument("--cm", type=float, default=0.5)
@@ -239,13 +234,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_OUTPUT_GROUPS = {
-    "decisions": ALL_DECISION_FIELDS,
-    "demands": ("q1", "q2", "q3", "q4"),
-    "profits": ("pi_m", "pi_r", "pi_s"),
-    "validity": ("interior_valid",),
-}
-
 #: Most rows one sweep may ask for; each row is held in memory until written.
 MAX_SWEEP_ROWS = 100_000
 
@@ -265,31 +253,28 @@ def cmd_sweep(args) -> int:
     if not (0.0 < args.alpha_from <= args.alpha_to < 1.0 and args.alpha_step > 0.0):
         top_error("need 0 < alpha-from <= alpha-to < 1 and alpha-step > 0")
     groups = set(g.strip() for g in args.outputs.split(",") if g.strip())
-    unknown = groups - set(_OUTPUT_GROUPS)
+    unknown = groups - set(report.OUTPUT_GROUPS)
     if unknown:
         top_error(f"unknown output groups {sorted(unknown)}")
+    hidden = dict.fromkeys(column for group, columns in report.OUTPUT_GROUPS.items()
+                           if group not in groups for column in columns)
 
-    steps = (args.alpha_to - args.alpha_from) / args.alpha_step + 1e-9
+    steps = (args.alpha_to - args.alpha_from) / args.alpha_step + 1e-9  # rounding slack
     if steps >= MAX_SWEEP_ROWS:  # refused before any row is built
         raise OutOfDomain.single("alpha_step", args.alpha_step,
                                  f"asks for more than {MAX_SWEEP_ROWS:,} sweep rows")
-    count = int(steps) + 1
+    alphas = [args.alpha_from + k * args.alpha_step for k in range(int(steps) + 1)]
+    if alphas[-1] >= 1.0:  # the slack's one row beyond --alpha-to, at alpha 1
+        alphas.pop()
     variant = _VARIANTS[args.variant]
     rows = []
-    for k in range(count):
-        alpha = args.alpha_from + k * args.alpha_step
+    for alpha in alphas:
         params = Params(alpha=alpha, c_m=args.cm, c_r=args.cr, s=args.s)
         try:
             eq = closed_form.equilibrium(model, params, args.guard, variant)
+            rows.append(report.equilibrium_row(eq) | hidden)
         except Singularity:
             rows.append(report.singular_row(model, params))
-            continue
-        row = report.equilibrium_row(eq)
-        for group, columns in _OUTPUT_GROUPS.items():
-            if group not in groups:
-                for column in columns:
-                    row[column] = None
-        rows.append(row)
 
     csv_text = report.rows_to_csv(rows)
     print(f"sweep {_echo(args)}")
@@ -298,14 +283,14 @@ def cmd_sweep(args) -> int:
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        xs = [r["alpha"] for r in rows if not r["singular"]]
+        solved = [r for r in rows if not r["singular"]]
+        xs = [r["alpha"] for r in solved]
         for var in decision_fields(model):
-            ys = [r[var] for r in rows if not r["singular"]]
+            ys = [r[var] for r in solved]
             if all(y is None for y in ys):
                 continue
-            svg = report.line_chart_svg(
-                f"model {model.value}: {var} vs alpha", xs,
-                [float(y) for y in ys], y_label=var)
+            svg = report.line_chart_svg(f"model {model.value}: {var} vs alpha", xs, ys,
+                                        y_label=var)
             path = plot_dir / f"{model.value}_{var}.svg"
             path.write_text(svg)
             print(f"wrote chart {path}")
@@ -314,38 +299,26 @@ def cmd_sweep(args) -> int:
 
 def cmd_table4(args) -> int:
     cells = []
+    lines = ["published sensitivity table vs closed-form recomputation",
+             f"{'row':<16}{'var':<6}{'published':>12}{'computed':>14}{'gap':>12}"]
     for model, alpha, c_m, c_r, s, published in suites.PUBLISHED_TABLE_ROWS:
         params = Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s)
         eq = closed_form.equilibrium(model, params)
-        computed = eq.decisions.as_dict()
-        q1 = eq.demands.q1
+        interior, q1 = eq.validity.interior, eq.demands.q1
+        flag = "" if interior else f"   [interior violated: q1={q1:.4f}]"
+        lines.append(f"-- {model.value} a={alpha} s={s}{flag}")
         for variable, pub in published.items():
-            cells.append({
-                "model": model.value, "alpha": alpha, "c_m": c_m, "c_r": c_r,
-                "delta": params.delta, "s": s, "variable": variable,
-                "published": float(pub), "computed": computed[variable],
-                "abs_gap": abs(computed[variable] - pub),
-                "interior_valid": eq.validity.interior,
-                "q1": q1,
-            })
+            computed = getattr(eq.decisions, variable)
+            gap = abs(computed - pub)
+            cells.append({"model": model.value, **params.as_dict(), "variable": variable,
+                          "published": float(pub), "computed": computed, "abs_gap": gap,
+                          "interior_valid": interior, "q1": q1})
+            lines.append(f"{'':<16}{variable:<6}{pub:>12.4f}{computed:>14.6f}{gap:>12.6f}")
     if args.format == "json":
-        text = report.to_json({"command": "table4", "version": __version__,
-                               "cells": cells})
+        text = report.to_json({"command": "table4", "version": __version__, "cells": cells})
     elif args.format == "csv":
         text = report.rows_to_csv(cells, list(cells[0]))
     else:
-        lines = ["published sensitivity table vs closed-form recomputation",
-                 f"{'row':<16}{'var':<6}{'published':>12}{'computed':>14}{'gap':>12}"]
-        seen = set()
-        for cell in cells:
-            row_id = f"{cell['model']} a={cell['alpha']} s={cell['s']}"
-            if row_id not in seen:
-                seen.add(row_id)
-                flag = "" if cell["interior_valid"] else \
-                    f"   [interior violated: q1={cell['q1']:.4f}]"
-                lines.append(f"-- {row_id}{flag}")
-            lines.append(f"{'':<16}{cell['variable']:<6}{cell['published']:>12.4f}"
-                         f"{cell['computed']:>14.6f}{cell['abs_gap']:>12.6f}")
         text = "\n".join(lines) + "\n"
     _write_or_print(text, args.out, "table comparison")
     return EXIT_OK

@@ -1,6 +1,8 @@
 """Numeric ground truth: backward-induction Stackelberg solver and choice simulation.
 
-Nothing in this module evaluates the closed-form equilibrium expressions.
+Nothing in this module evaluates the closed-form equilibrium expressions or
+reads their poles: its sampling guard and the singularity distance of a
+numeric equilibrium use the game's own poles (``_POLES``).
 Segment masses enter the profits unclamped, so both players' profits are
 exactly quadratic in the decisions, and one call of the profit kernel on one
 central-difference stencil over all of the model's decisions identifies the
@@ -38,10 +40,21 @@ from typing import Mapping
 import numpy as np
 
 from . import market
-from .closed_form import singularity_distance
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium
 from .params import ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params
+
+#: The game's own poles in alpha: the roots of the common denominators of its
+#: equilibria, alpha - 4 (M), 9 alpha - 2 (R) and 2 alpha^2 - 15 alpha + 4 (MR).
+#: The published MR expressions put theirs elsewhere; the oracle never reads those.
+_POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
+          ModelId.MR: ((15.0 - math.sqrt(193.0)) / 4.0, (15.0 + math.sqrt(193.0)) / 4.0)}
+
+
+def _pole_distance(model: ModelId, alpha: float) -> float:
+    """Distance from alpha to the nearest pole of the model's game."""
+    return min(abs(alpha - pole) for pole in _POLES[model])
+
 
 #: Base search interval; the default box scales it with the cost level.
 _BASE_BOX = (-1.0, 3.0)
@@ -297,7 +310,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
                 raise BoxBoundary(name, point[name], (lo, hi))
         decisions = DecisionSet(model=model, **point)
     return make_equilibrium(model, decisions, params, "numeric_oracle",
-                            singularity_distance(model, params.alpha))
+                            _pole_distance(model, params.alpha))
 
 
 def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
@@ -445,18 +458,20 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     """Seeded random admissible parameter draws for verification protocols.
 
     alpha is uniform on ``alpha_range`` excluding ``guard_band``-wide bands
-    around the closed-form poles (2/9 and the MR denominator root), c_m is
-    uniform on ``c_m_range``, c_r uniform on (0, c_m), s uniform on
-    [0, s_max]. Deterministic given (n, seed). Raises OutOfDomain for a
-    negative seed, or when ``alpha_range`` has no admissible mass, detected
-    as 100,000 consecutive draws inside the guard bands.
+    around the game's poles, 2/9 for R and (15 +- sqrt(193))/4 for MR (those
+    in (0, 1), 2/9 and ~0.27689, are where R and MR start to have an
+    equilibrium). c_m is uniform on ``c_m_range``, c_r uniform on (0, c_m),
+    s uniform on [0, s_max]. Deterministic given (n, seed). Raises
+    OutOfDomain for a negative seed, or when ``alpha_range`` has no
+    admissible mass, detected as 100,000 consecutive draws inside the guard
+    bands.
     """
     rng = seeded_generator(seed)
     out = []
     rejected = 0
     while len(out) < n:
         alpha = float(rng.uniform(*alpha_range))
-        if any(singularity_distance(m, alpha) < guard_band for m in (ModelId.R, ModelId.MR)):
+        if any(_pole_distance(m, alpha) < guard_band for m in (ModelId.R, ModelId.MR)):
             rejected += 1
             if rejected == _MAX_REJECTIONS:
                 raise OutOfDomain.single("alpha_range", alpha_range,

@@ -1,9 +1,11 @@
 """Serialization with byte-stable output: CSV, JSON, and minimal SVG charts.
 
-One fixed CSV schema serves all three models so files diff cleanly; fields a
-model does not use stay empty, never zero. Floats are rendered with Python's
-shortest round-trip representation, line endings are '\n', and nothing
-time- or environment-dependent is ever written, so identical inputs yield
+This module states the CSV schema. One fixed set of columns serves all three
+models so files diff cleanly; fields a model does not use stay empty, never
+zero. ``CSV_COLUMNS`` derives from the ``sweep --outputs`` groups
+(``OUTPUT_GROUPS``). Floats are rendered with Python's shortest round-trip
+representation, line endings are '\n', and nothing time- or
+environment-dependent is ever written, so identical inputs yield
 byte-identical files.
 """
 
@@ -15,13 +17,18 @@ from typing import Iterable, Mapping, Sequence
 from .market import Equilibrium
 from .params import ALL_DECISION_FIELDS, ModelId, Params
 
-#: Fixed column order of every sweep/solve CSV.
-CSV_COLUMNS = (
-    "model", "alpha", "c_m", "c_r", "delta", "s", *ALL_DECISION_FIELDS,
-    "q1", "q2", "q3", "q4",
-    "pi_m", "pi_r", "pi_s",
-    "interior_valid", "singular",
-)
+#: The ``sweep --outputs`` groups, in column order: the columns each one fills.
+OUTPUT_GROUPS = {
+    "decisions": ALL_DECISION_FIELDS,
+    "demands": ("q1", "q2", "q3", "q4"),
+    "profits": ("pi_m", "pi_r", "pi_s"),
+    "validity": ("interior_valid",),
+}
+
+#: Fixed column order of every sweep/solve CSV: the model, its parameters,
+#: the output groups, then whether the row fell in a singularity guard band.
+CSV_COLUMNS = ("model", "alpha", "c_m", "c_r", "delta", "s",
+               *(column for group in OUTPUT_GROUPS.values() for column in group), "singular")
 
 
 def format_value(value) -> str:
@@ -35,26 +42,21 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _base_row(model: ModelId, params: Params, singular: bool) -> dict:
+    return {**dict.fromkeys(CSV_COLUMNS), "model": ModelId(model).value,
+            **params.as_dict(), "singular": singular}
+
+
 def equilibrium_row(eq: Equilibrium) -> dict:
-    """One CSV row for a solved equilibrium."""
-    row = {name: None for name in CSV_COLUMNS}
-    row["model"] = eq.model.value
-    row.update(eq.params.as_dict())
-    row.update(eq.decisions.as_dict())
-    row.update(eq.demands.as_dict())
-    row.update(eq.profit.as_dict())
-    row["interior_valid"] = eq.validity.interior
-    row["singular"] = False
-    return row
+    """One CSV row for a solved equilibrium: the base row with every group filled."""
+    return {**_base_row(eq.model, eq.params, False), **eq.decisions.as_dict(),
+            **eq.demands.as_dict(), **eq.profit.as_dict(),
+            "interior_valid": eq.validity.interior}
 
 
 def singular_row(model: ModelId, params: Params) -> dict:
-    """A sweep row inside a guard band: marked singular, values left empty."""
-    row = {name: None for name in CSV_COLUMNS}
-    row["model"] = ModelId(model).value
-    row.update(params.as_dict())
-    row["singular"] = True
-    return row
+    """A sweep row inside a guard band: the base row, marked singular, values left empty."""
+    return _base_row(model, params, True)
 
 
 def rows_to_csv(rows: Iterable[Mapping], columns: Sequence[str] = CSV_COLUMNS) -> str:

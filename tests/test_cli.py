@@ -14,7 +14,7 @@ import pytest
 from dcclsc import cli, market, oracle, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
-from dcclsc.report import CSV_COLUMNS
+from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
 from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_mc, suite_oracle
 
 
@@ -264,15 +264,37 @@ class TestSweep:
         assert all(b_r[i] > b_r[i + 1] for i in range(len(b_r) - 1))
         assert all(float(r[idx["p_r"]]) > float(r[idx["p_m"]]) for r in rows)
 
-    def test_outputs_filter(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.5",
+    def test_csv_columns_pinned(self):
+        assert CSV_COLUMNS == (
+            "model", "alpha", "c_m", "c_r", "delta", "s", "p_m", "p_r", "w", "b_m", "b_r", "t",
+            "q1", "q2", "q3", "q4", "pi_m", "pi_r", "pi_s", "interior_valid", "singular")
+
+    @pytest.mark.parametrize("group", sorted(OUTPUT_GROUPS))
+    def test_outputs_filter(self, capsys, group):
+        # MR fills every column, so the blank cells are exactly the hidden groups'
+        code, out, _ = run(capsys, "sweep", "--model", "mr", "--alpha-from", "0.5",
                            "--alpha-to", "0.5", "--alpha-step", "1", "--cm", "0.6",
-                           "--cr", "0.3", "--s", "0.1", "--outputs", "decisions")
+                           "--cr", "0.3", "--s", "0.1", "--outputs", group)
         assert code == 0
-        row = [l for l in out.splitlines() if l.startswith("M,")][0].split(",")
-        idx = {name: i for i, name in enumerate(CSV_COLUMNS)}
-        assert row[idx["p_m"]] != ""
-        assert row[idx["q1"]] == "" and row[idx["pi_m"]] == ""
+        header, row = (l.split(",") for l in out.splitlines()[2:])
+        blank = {name for name, cell in zip(header, row) if cell == ""}
+        assert blank == {column for other, columns in OUTPUT_GROUPS.items() if other != group
+                         for column in columns}
+
+    @pytest.mark.parametrize("alpha_from, alpha_to, step, last", [
+        ("0.01", "0.99999999999", "0.01", "0.99"),
+        ("0.5", "0.9999999999", "0.5", "0.5"),
+    ])
+    def test_no_row_at_alpha_one(self, capsys, alpha_from, alpha_to, step, last):
+        # the row count's slack once added a row at alpha 1.0, which exited 1
+        code, out, err = run(capsys, "sweep", "--model", "m", "--alpha-from", alpha_from,
+                             "--alpha-to", alpha_to, "--alpha-step", step, "--cm", "1",
+                             "--cr", "0.5", "--s", "0")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[3:]
+        assert len(rows) == round((float(last) - float(alpha_from)) / float(step)) + 1
+        assert out.splitlines()[1] == f"rows={len(rows)} singular=0"
+        assert rows[-1].split(",")[1] == last
 
     def test_sweep_needs_preset_or_full_flags(self, capsys):
         code, _, _ = run(capsys, "sweep", "--model", "m")

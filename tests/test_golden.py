@@ -4,10 +4,14 @@ Each case runs ``cli.main`` in-process with ``--out`` pointing into a
 temporary directory and compares the written file byte for byte with its
 recorded twin. A change that moves any output bit fails here.
 
-Re-record (only when an output change is intended, and name every changed
-file in CHANGES.md; the script prints whether each file's bytes changed):
+Run as a script, it writes every output to a temporary directory, prints
+whether each file's bytes changed against its recorded twin, and exits 1 if
+any did; nothing under tests/golden/ is touched:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Re-record with ``--record`` (only when an output change is intended, and name
+every changed file in CHANGES.md); it prints the same lines and exits 0.
 """
 
 from __future__ import annotations
@@ -66,9 +70,21 @@ def test_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import argparse
+    import tempfile
+
+    ap = argparse.ArgumentParser(description="Compare the seeded CLI outputs with "
+                                             "tests/golden/; exit 1 if any changed.")
+    ap.add_argument("--record", action="store_true",
+                    help="rewrite the files under tests/golden/ instead")
+    record = ap.parse_args().record
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case in sorted(CASES):
-        path = GOLDEN_DIR / case
-        before = path.read_bytes() if path.exists() else None
-        print("changed  " if _write(case, GOLDEN_DIR).read_bytes() != before else "unchanged", path)
-    sys.exit(0)
+    changed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in sorted(CASES):
+            path = GOLDEN_DIR / case
+            before = path.read_bytes() if path.exists() else None
+            same = _write(case, GOLDEN_DIR if record else Path(scratch)).read_bytes() == before
+            changed += not same
+            print("unchanged" if same else "changed  ", path)
+    sys.exit(1 if changed and not record else 0)

@@ -11,6 +11,10 @@ PACKAGE = Path(dcclsc.__file__).parent
 ORDER = ("errors", "params", "market", "closed_form", "oracle", "audit", "report", "suites",
          "cli")
 
+#: Imports the order allows but the design forbids: the oracle is the route
+#: independent of the published expressions, so it reads nothing of theirs.
+FORBIDDEN = {"oracle": {"closed_form"}}
+
 
 def _package_imports(tree: ast.Module):
     """(line, imported module) for every import of a package module, at any depth."""
@@ -41,3 +45,11 @@ def test_imports_only_reach_down():
             if target != "__version__" and target not in ORDER[:rank]:
                 backward.append(f"{module}.py:{line} imports {target}")
     assert backward == []
+
+
+def test_forbidden_imports():
+    found = [f"{module}.py:{line} imports {target}"
+             for module, targets in FORBIDDEN.items()
+             for line, target in _package_imports(ast.parse((PACKAGE / f"{module}.py").read_text()))
+             if target in targets]
+    assert found == []

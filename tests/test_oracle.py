@@ -229,6 +229,12 @@ class TestStackelbergSolve:
             with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
                 solve_stackelberg_numeric(model, params)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+    def test_mr_singularity_distance_is_the_games(self, alpha):
+        # the game's MR pole, not the published denominator's root near 0.24794
+        eq = solve_stackelberg_numeric(ModelId.MR, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2))
+        assert eq.singularity_distance == abs(alpha - (15 - math.sqrt(193)) / 4)
+
     def test_as_printed_variant_is_ill_posed(self):
         # the segment-3 "1 - gap" variant makes the leader's reduced profit
         # convex along b_m: its curvature there is 2(1 - kappa)/(1 - alpha) > 0,
@@ -404,3 +410,10 @@ class TestSampling:
         # (0.222, 0.2225) lies inside the guard band around the pole at 2/9
         with pytest.raises(OutOfDomain):
             sample_params(1, 0, alpha_range=(0.222, 0.2225))
+
+    def test_guard_bands_surround_the_games_poles(self):
+        # the MR band sits at (15 - sqrt(193))/4 ~ 0.27689, where the game's MR
+        # equilibrium begins, not at the published denominator's root
+        with pytest.raises(OutOfDomain):
+            sample_params(1, 0, alpha_range=(0.2765, 0.2775))
+        assert 0.2475 <= sample_params(1, 0, alpha_range=(0.2475, 0.2485))[0].alpha <= 0.2485
