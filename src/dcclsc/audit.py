@@ -10,7 +10,7 @@ the uniqueness theorems). Disagreements are reported, never corrected:
 several published claims demonstrably fail, and surfacing them is the point
 of this module.
 
-Verdicts are bit-reproducible functions of (claim id, params, grid, seed).
+Verdicts are bit-reproducible functions of (claim id, params, grid).
 """
 
 from __future__ import annotations

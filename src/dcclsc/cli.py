@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def build_parser() -> _Parser:
     table4.add_argument("--format", choices=("text", "json", "csv"), default="text")
     table4.add_argument("--out")
 
-    verify.add_argument("suite", choices=("oracle", "props", "mc", "endpoints", "all"))
+    verify.add_argument("suite", choices=(*suites.SUITES, "all"))
     verify.add_argument("--samples", type=int,
                         help="draws per suite, >= 1 (default: the suite's)")
     verify.add_argument("--seed", type=int, help="suite seed, >= 0 (default: the suite's)")
@@ -168,9 +169,10 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
     return [sub_name, *from_file, *rest[1:]]
 
 
-def _echo(args: argparse.Namespace, skip=("command", "config", "out", "plot_dir")) -> str:
+def _echo(args: argparse.Namespace) -> str:
     # output paths are not part of the computation's configuration; leaving
     # them out keeps emitted payloads byte-identical across destinations
+    skip = ("command", "config", "out", "plot_dir")
     pairs = sorted((k, v) for k, v in vars(args).items() if k not in skip)
     return " ".join(f"{k}={v}" for k, v in pairs)
 
@@ -250,8 +252,8 @@ def cmd_sweep(args) -> int:
     if missing:
         top_error("missing " + ", ".join(sorted(missing)) + " (flag or preset)")
     model = ModelId.parse(args.model)
-    if not (0.0 < args.alpha_from <= args.alpha_to < 1.0 and args.alpha_step > 0.0):
-        top_error("need 0 < alpha-from <= alpha-to < 1 and alpha-step > 0")
+    if not (0.0 < args.alpha_from <= args.alpha_to < 1.0 and 0.0 < args.alpha_step < math.inf):
+        top_error("need 0 < --alpha-from <= --alpha-to < 1 and a finite --alpha-step > 0")
     groups = set(g.strip() for g in args.outputs.split(",") if g.strip())
     unknown = groups - set(report.OUTPUT_GROUPS)
     if unknown:
@@ -333,18 +335,17 @@ def cmd_verify(args) -> int:
     given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
     overrides = {k: v for k, v in given.items() if v is not None}
     if args.suite == "all":
-        reports, code = suites.suite_all(**overrides)
+        reports = suites.suite_all(**overrides)
     else:
-        fn = getattr(suites, f"suite_{args.suite}")
-        rep, code = fn(**suites.suite_options(fn, overrides))
-        reports = [rep]
+        fn = suites.SUITES[args.suite]
+        reports = [fn(**suites.suite_options(fn, overrides))]
     for rep in reports:
         print(rep.render_text())
     if args.out:
         payload = [rep.as_dict() for rep in reports]
         Path(args.out).write_text(report.to_json(payload))
         print(f"wrote report to {args.out}")
-    return code
+    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_VERIFY
 
 
 def cmd_simulate(args) -> int:

@@ -309,12 +309,10 @@ def demand(model: ModelId, decisions: DecisionSet, params: Params,
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def profits(model: ModelId, decisions: DecisionSet, params: Params,
-            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> ProfitProfile:
+def profits(model: ModelId, decisions: DecisionSet, params: Params) -> ProfitProfile:
     """Manufacturer and retailer profits at one decision set."""
     d = decisions
-    pi_m, pi_r = profit_values(model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t,
-                               params, variant)
+    pi_m, pi_r = profit_values(model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t, params)
     return ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r))
 
 
@@ -324,8 +322,7 @@ def _range_check(name: str, value: float) -> ValidityCheck:
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def validity(model: ModelId, decisions: DecisionSet, params: Params,
-             variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> ValidityReport:
+def validity(model: ModelId, decisions: DecisionSet, params: Params) -> ValidityReport:
     """Evaluate every interiority constraint with signed slacks.
 
     Never raises on constraint violations; the report carries them. Checks
@@ -336,7 +333,7 @@ def validity(model: ModelId, decisions: DecisionSet, params: Params,
     reads the mass.
     """
     model = ModelId(model)
-    return _validity(model, decisions, params, demand(model, decisions, params, variant))
+    return _validity(model, decisions, params, demand(model, decisions, params))
 
 
 def _validity(model: ModelId, decisions: DecisionSet, params: Params,

@@ -340,10 +340,6 @@ class MonteCarloDemand:
     n: int
     seed: int
 
-    def as_dict(self) -> dict:
-        return {"shares": self.shares.as_dict(), "stderr": self.stderr.as_dict(),
-                "n": self.n, "seed": self.seed}
-
 
 #: Pairs per seeded substream, and pairs drawn and classified at once. The
 #: block divides the chunk; its workspace (draws 256 KiB, utilities 2 x 128

@@ -12,6 +12,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping, Sequence
 
 from .market import Equilibrium
@@ -85,9 +86,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(5)]
 
 
-def line_chart_svg(title: str, xs: list[float], ys: list[float],
-                   x_label: str = "alpha", y_label: str = "") -> str:
-    """One polyline on labeled axes; deterministic text output.
+def line_chart_svg(title: str, xs: list[float], ys: list[float], y_label: str) -> str:
+    """One polyline of ``y_label`` against alpha; deterministic text output.
 
     Points with non-finite y are dropped. Intended as a convenience view of
     sweep columns; the CSV remains the contract.
@@ -99,8 +99,9 @@ def line_chart_svg(title: str, xs: list[float], ys: list[float],
     py = [p[1] for p in pts]
     x_lo, x_hi = min(px), max(px)
     y_lo, y_hi = min(py), max(py)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    if y_hi == y_lo:  # pad by 0.5, or by one float step toward 0 where 0.5 is below the spacing
+        y_lo = min(y_lo - 0.5, math.nextafter(y_lo, 0.0))
+        y_hi = max(y_hi + 0.5, math.nextafter(y_hi, 0.0))
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     span_x = x_hi - x_lo
@@ -133,12 +134,11 @@ def line_chart_svg(title: str, xs: list[float], ys: list[float],
             f'font-family="sans-serif" font-size="11">{ty:.4g}</text>')
     parts.append(
         f'<text x="{_W / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>')
-    if y_label:
-        parts.append(
-            f'<text x="14" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_MT + plot_h / 2:.1f})">{y_label}</text>')
+        f'font-family="sans-serif" font-size="12">alpha</text>')
+    parts.append(
+        f'<text x="14" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {_MT + plot_h / 2:.1f})">{y_label}</text>')
     coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
     parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" '
                  f'stroke-width="1.5"/>')

@@ -2,7 +2,7 @@
 Monte Carlo demand consistency, and endpoint identities.
 
 Each suite runs a deterministic protocol over seeded random parameter draws
-and reduces to a ``RunReport`` plus an exit status. Expected findings are
+and returns a ``RunReport`` whose ``ok`` is its verdict. Expected findings are
 part of the golden pattern: several published claims are known to fail
 numerically (the retailer-subsidy monotonicity claim at the retailer-led
 figure parameters being the canonical example), and a suite FAILS if such a
@@ -73,12 +73,11 @@ class RunReport:
     counts: dict = field(default_factory=dict)
     findings: list = field(default_factory=list)
     ok: bool = True
-    version: str = _version
     elapsed_seconds: float | None = None
 
     def as_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": _version,
             "command": self.command,
             "seed": self.seed,
             "config": self.config,
@@ -88,7 +87,7 @@ class RunReport:
         }
 
     def render_text(self) -> str:
-        lines = [f"== {self.command} (version {self.version}, seed {self.seed}) =="]
+        lines = [f"== {self.command} (version {_version}, seed {self.seed}) =="]
         for key, value in self.config.items():
             lines.append(f"   config {key} = {value}")
         for key, value in self.counts.items():
@@ -105,14 +104,14 @@ def _timed(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
-        report, code = fn(*args, **kwargs)
+        report = fn(*args, **kwargs)
         report.elapsed_seconds = time.perf_counter() - start
-        return report, code
+        return report
     return wrapper
 
 
 @_timed
-def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> tuple[RunReport, int]:
+def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunReport:
     """Closed form vs numeric backward induction for models M and R.
 
     Relative deviation per decision variable must stay within ``tol`` on
@@ -133,19 +132,17 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> tuple
                 if rel > worst:
                     worst = rel
                     worst_case = f"draw {idx} model {model.value} variable {name}"
-    ok = worst <= tol
-    report = RunReport(
+    return RunReport(
         command="verify oracle", seed=seed,
         config={"samples": samples, "tol": tol, "oracle": cfg.as_dict()},
         counts={"draws": len(draws), "comparisons": comparisons},
         findings=[f"max relative deviation {worst:.3e} at {worst_case}"],
-        ok=ok,
+        ok=worst <= tol,
     )
-    return report, 0 if ok else 2
 
 
 @_timed
-def suite_props(samples: int = 50, seed: int = 7) -> tuple[RunReport, int]:
+def suite_props(samples: int = 50, seed: int = 7) -> RunReport:
     """Proposition audits over random draws plus the figure-parameter cases.
 
     Golden expectations: the direct-price ordering claim agrees on every
@@ -189,14 +186,12 @@ def suite_props(samples: int = 50, seed: int = 7) -> tuple[RunReport, int]:
         findings.append(f"{prop}: claimed {verdict.claimed}, observed {verdict.observed}, "
                         f"agree {verdict.agree}")
 
-    ok = p1_ok and flagged
-    report = RunReport(
+    return RunReport(
         command="verify props", seed=seed,
         config={"samples": samples},
         counts={"draws": len(draws), "p1_agree": p1_agree},
-        findings=findings, ok=ok,
+        findings=findings, ok=p1_ok and flagged,
     )
-    return report, 0 if ok else 2
 
 
 def sample_interior_case(model: ModelId, rng) -> tuple[Params, DecisionSet]:
@@ -243,7 +238,7 @@ MC_FAMILY_ALPHA = 1e-6
 
 
 @_timed
-def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> tuple[RunReport, int]:
+def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> RunReport:
     """Monte Carlo choice simulation vs analytic masses.
 
     Each segment share is gated at the Bonferroni z limit over all of the
@@ -292,19 +287,17 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> tuple[RunR
         f"{adopted!r}, as-printed form {printed!r} "
         f"({'adopted variant confirmed' if variant_ok else 'VARIANT CHECK FAILED'})")
 
-    ok = failures == 0 and variant_ok
-    report = RunReport(
+    return RunReport(
         command="verify mc", seed=seed,
         config={"samples": samples, "n": n},
         counts={"checks": checks, "failures": failures,
                 "worst_sigma": round(worst_z, 3)},
-        findings=findings, ok=ok,
+        findings=findings, ok=failures == 0 and variant_ok,
     )
-    return report, 0 if ok else 2
 
 
 @_timed
-def suite_endpoints(samples: int = 25, seed: int = 5) -> tuple[RunReport, int]:
+def suite_endpoints(samples: int = 25, seed: int = 5) -> RunReport:
     """Endpoint limits vs published endpoint forms over random draws.
 
     The observed agreement pattern must match the expected one exactly:
@@ -323,31 +316,28 @@ def suite_endpoints(samples: int = 25, seed: int = 5) -> tuple[RunReport, int]:
                     deviations.append(
                         f"draw {idx} {model.value} {verdict.variable} {verdict.sub_id}: "
                         f"agree={verdict.agree}, expected {expected}")
-    ok = not deviations
     findings = deviations or ["endpoint agreement pattern reproduced on every draw "
                               "(including the known published-form mismatches)"]
-    report = RunReport(
+    return RunReport(
         command="verify endpoints", seed=seed,
         config={"samples": samples},
         counts={"draws": len(draws), "checks": checks, "pattern_deviations": len(deviations)},
-        findings=findings, ok=ok,
+        findings=findings, ok=not deviations,
     )
-    return report, 0 if ok else 2
 
 
-def suite_all(**overrides) -> tuple[list[RunReport], int]:
+#: Every suite by its ``verify`` name, in the order ``verify all`` runs them.
+SUITES = {"oracle": suite_oracle, "props": suite_props, "mc": suite_mc,
+          "endpoints": suite_endpoints}
+
+
+def suite_all(**overrides) -> list[RunReport]:
     """Run every suite with its own defaults.
 
     ``overrides`` (``samples``, ``seed``, ``tol``, ``n``) replace a default
     in each suite whose signature takes that option.
     """
-    reports = []
-    worst = 0
-    for fn in (suite_oracle, suite_props, suite_mc, suite_endpoints):
-        report, code = fn(**suite_options(fn, overrides))
-        reports.append(report)
-        worst = max(worst, code)
-    return reports, worst
+    return [fn(**suite_options(fn, overrides)) for fn in SUITES.values()]
 
 
 def suite_options(fn, overrides: dict) -> dict:

@@ -72,8 +72,8 @@ def test_a01_endpoint_identities():
 
 def test_a02_oracle_agreement():
     """Numeric backward induction matches closed forms, 1e-3 relative, M and R."""
-    report, code = suite_oracle(samples=100, seed=42, tol=1e-3)
-    ok = code == 0 and report.elapsed_seconds < 60.0
+    report = suite_oracle(samples=100, seed=42, tol=1e-3)
+    ok = report.ok and report.elapsed_seconds < 60.0
     _report("A02 oracle agreement (M, R)", ok,
             f"{report.findings[0]}, {report.elapsed_seconds:.1f}s over 100 draws")
 
@@ -182,8 +182,8 @@ def test_a07_figure3_qualitative():
 
 def test_a08_monte_carlo_demand():
     """Empirical shares within the Bonferroni z limit of analytic (family-wise 1e-6)."""
-    report, code = suite_mc(samples=20, seed=1, n=1_000_000)
-    ok = code == 0 and report.elapsed_seconds < 60.0
+    report = suite_mc(samples=20, seed=1, n=1_000_000)
+    ok = report.ok and report.elapsed_seconds < 60.0
     _report("A08 Monte Carlo demand consistency", ok,
             f"{report.counts['checks']} checks, worst {report.counts['worst_sigma']} "
             f"sigma, equal-subsidy case q3=0 confirmed, "

@@ -1,0 +1,65 @@
+"""Findings about the paper's own figures and table, pinned at measured values.
+
+Each test states one finding of the README: the published figure sweeps have
+no interior row, fig5 is not drawn from the game's MR solution, and the
+published MR table rows match the game rather than the published MR
+expressions.
+"""
+
+import csv
+
+import pytest
+
+from dcclsc import closed_form, oracle
+from dcclsc.cli import main
+from dcclsc.params import ModelId, Params
+from dcclsc.suites import FIGURE_PRESETS, PUBLISHED_TABLE_ROWS
+
+
+def _sweep_rows(capsys, preset: str) -> list[dict]:
+    assert main(["sweep", "--preset", preset]) == 0
+    return list(csv.DictReader(capsys.readouterr().out.splitlines()[2:]))
+
+
+def _largest_gap(computed: dict, published: dict) -> float:
+    return max(abs(computed[name] - value) for name, value in published.items())
+
+
+@pytest.mark.parametrize("preset, rows", [("fig3", 99), ("fig4", 56), ("fig5", 56)])
+def test_no_figure_row_is_an_interior_equilibrium(capsys, preset, rows):
+    swept = _sweep_rows(capsys, preset)
+    assert len(swept) == rows
+    assert {row["singular"] for row in swept} == {"false"}
+    assert {row["interior_valid"] for row in swept} == {"false"}
+
+
+def test_fig5_is_not_the_games_mr_solution(capsys):
+    # measured 2.21 to 3.10: the largest gap over the decisions, relative to
+    # max(1, |decision|) of the numeric solve
+    *_, c_m, c_r, s = FIGURE_PRESETS["fig5"]
+    gaps = []
+    for row in _sweep_rows(capsys, "fig5"):
+        params = Params(alpha=float(row["alpha"]), c_m=c_m, c_r=c_r, s=s)
+        published = closed_form.equilibrium(ModelId.MR, params).decisions.as_dict()
+        game = oracle.solve_stackelberg_numeric(ModelId.MR, params).decisions.as_dict()
+        gaps.append(max(abs(published[k] - v) / max(1.0, abs(v)) for k, v in game.items()))
+    assert len(gaps) == 56
+    assert min(gaps) > 2.0
+
+
+@pytest.mark.parametrize("row", PUBLISHED_TABLE_ROWS,
+                         ids=[f"{r[0].value}-{r[1]}" for r in PUBLISHED_TABLE_ROWS])
+def test_published_table_rows_follow_the_game(row):
+    model, alpha, c_m, c_r, s, table = row
+    params = Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s)
+    published = closed_form.equilibrium(model, params).decisions.as_dict()
+    game = oracle.solve_stackelberg_numeric(model, params).decisions.as_dict()
+    if model is ModelId.MR:
+        # measured 0.171 and 0.174 from the game, 2.714 and 2.844 from the expressions
+        assert _largest_gap(game, table) < 0.18
+        assert _largest_gap(published, table) > 2.7
+    else:
+        # measured 0.30 to 0.51; the two routes agree to roundoff
+        assert max(abs(published[k] - v) for k, v in game.items()) < 1e-12
+        assert 0.29 < _largest_gap(published, table) < 0.52
+        assert 0.29 < _largest_gap(game, table) < 0.52
