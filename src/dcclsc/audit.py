@@ -35,9 +35,7 @@ def default_alpha_grid(model: ModelId) -> tuple[float, ...]:
     model = ModelId(model)
     lo, hi = (0.01, 0.99) if model is ModelId.M else (0.30, 0.95)
     n = int(math.floor((hi - lo) / GRID_STEP + 1e-9)) + 1
-    grid = (lo + k * GRID_STEP for k in range(n))
-    return tuple(a for a in grid
-                 if closed_form.singularity_distance(model, a) > closed_form.DEFAULT_GUARD)
+    return tuple(lo + k * GRID_STEP for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -334,12 +332,16 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
         agree=observed == "unique", evidence=evidence, notes=tuple(notes))
 
 
+#: The one published endpoint that is indeterminate as printed: its expression
+#: retains alpha symbols, so the claims table holds it evaluated at alpha = 1.
+_INDETERMINATE_AS_PRINTED = {(ModelId.R, "t", 1.0)}
+
+
 def _endpoint_claims(model: ModelId, params: Params):
     """Published endpoint expressions per variable at alpha -> 0 and 1.
 
-    Returns {variable: {0.0: value | None, 1.0: value | None}} with None for
-    the one published endpoint that is indeterminate as printed (it retains
-    alpha symbols); the caller reports it rather than guessing.
+    Returns {variable: {0.0: value, 1.0: value}}; an entry of
+    ``_INDETERMINATE_AS_PRINTED`` holds its expression evaluated at the endpoint.
     """
     c_m, d, s = params.c_m, params.delta, params.s
     model = ModelId(model)
@@ -357,7 +359,8 @@ def _endpoint_claims(model: ModelId, params: Params):
             "b_r": {0.0: 0.0, 1.0: (2.0 * d + 2.0 * s + 1.0 - c_m) / 7.0},
             "p_m": {0.0: c_m / 2.0, 1.0: (2.0 * d + 2.0 * s + 8.0 + c_m) / 14.0},
             "p_r": {0.0: (2.0 * c_m + 3.0) / 4.0, 1.0: (c_m + d + s + 2.0) / 3.0},
-            "t": {0.0: (4.0 * d + 4.0 * s - 2.0 * c_m + 9.0) / 4.0, 1.0: None},
+            "t": {0.0: (4.0 * d + 4.0 * s - 2.0 * c_m + 9.0) / 4.0,
+                  1.0: (20.0 * d - 10.0 * c_m + 20.0 * s + 9.0) / 4.0},
         }
     return {}
 
@@ -377,30 +380,20 @@ def audit_endpoints(model: ModelId, params: Params) -> list[AuditVerdict]:
     for var, sides in claims.items():
         for at, published in sides.items():
             computed = lim[var][0 if at == 0.0 else 1]
-            if published is None:
-                # indeterminate as printed: the expression keeps alpha terms;
-                # evaluate it with alpha set to the endpoint and flag it
-                forced = (20.0 * params.delta - 10.0 * params.c_m
-                          + 20.0 * params.s + 9.0) / 4.0
-                out.append(AuditVerdict(
-                    prop_id=f"LIM-{model.value}", sub_id=f"alpha->{int(at)}", variable=var,
-                    params=params, condition_value=None, claimed="equal",
-                    observed="indeterminate_as_printed", agree=False,
-                    evidence=((at, float(computed)), (at, float(forced))),
-                    notes=("published endpoint expression retains alpha symbols; "
-                           "value shown evaluates it at alpha=1",),
-                ))
-                continue
-            diff = computed - published
-            observed = ("equal" if abs(diff) <= ENDPOINT_TOL
-                        else "greater_than" if diff > 0 else "less_than")
+            if (model, var, at) in _INDETERMINATE_AS_PRINTED:
+                observed = "indeterminate_as_printed"
+                notes = ("published endpoint expression retains alpha symbols; "
+                         "value shown evaluates it at alpha=1",)
+            else:
+                diff = computed - published
+                observed = ("equal" if abs(diff) <= ENDPOINT_TOL
+                            else "greater_than" if diff > 0 else "less_than")
+                notes = () if observed == "equal" else (
+                    f"computed limit {computed!r} vs published {published!r} (gap {diff:.6g})",)
             out.append(AuditVerdict(
                 prop_id=f"LIM-{model.value}", sub_id=f"alpha->{int(at)}", variable=var,
                 params=params, condition_value=None, claimed="equal",
-                observed=observed, agree=bool(observed == "equal"),
-                evidence=((at, float(computed)), (at, float(published))),
-                notes=() if observed == "equal" else
-                (f"computed limit {computed!r} vs published {published!r} "
-                 f"(gap {diff:.6g})",),
+                observed=observed, agree=observed == "equal",
+                evidence=((at, float(computed)), (at, float(published))), notes=notes,
             ))
     return out

@@ -193,29 +193,17 @@ def cmd_solve(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
     variant = _VARIANTS[args.variant]
-    as_printed = model is ModelId.MR and variant is MrDemandVariant.AS_PRINTED
-    try:
-        eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
-        # the CSV row has no verdict column
-        certified = (oracle.certify_mr_variant(eq.decisions, params)
-                     if model is ModelId.MR and args.format == "json" else None)
-    except OutOfDomain as exc:
-        if not args.verify or as_printed:
-            raise
-        try:  # the cross-check's own refusal of the same input belongs in the report
-            oracle.solve_stackelberg_numeric(model, params)
-        except OutOfDomain as numeric:
-            raise OutOfDomain(exc.violations + numeric.violations) from None
-        except (NonConcave, BoxBoundary):
-            pass
-        raise
+    eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
     payload = eq.as_dict()
+    # the CSV row has no verdict column
+    certified = (oracle.certify_mr_variant(eq.decisions, params)
+                 if model is ModelId.MR and args.format == "json" else None)
     if certified is not None:
         payload["certified_demand_variant"] = certified
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
     if args.verify:
-        if as_printed:
+        if model is ModelId.MR and variant is MrDemandVariant.AS_PRINTED:
             raise NonConcave("as-printed variant: the leader's reduced profit is convex along b_m")
         cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params))
         numeric = oracle.solve_stackelberg_numeric(model, params, cfg)

@@ -18,9 +18,9 @@ other is kept behind an explicit ``MrDemandVariant.AS_PRINTED`` switch so
 numeric audits can adjudicate between them.
 
 ``PROFIT_TERMS`` states each model's payoffs once, as (margin check name,
-per-unit margin, payer, segment) terms. The profits, the informational margin
-checks of ``validity`` and the trade-in utilities (who funds each trade-in
-segment) are all read from it.
+per-unit margin, payer, segment) terms; the profits and the informational
+margin checks of ``validity`` are read from it. The trade-in utilities are
+read from the subsidies the model sets (``params.PLAYER_FIELDS``).
 
 The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
 scalars or numpy arrays; the simulation runs the choice kernel over whole
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
-from .params import DecisionSet, ModelId, Params
+from .params import DecisionSet, ModelId, Params, decision_fields
 
 #: Guard on alpha * (1 - alpha) below which segment masses are not evaluated.
 ALPHA_PRODUCT_GUARD = 1e-12
@@ -70,22 +70,6 @@ PROFIT_TERMS = {
                             ("margin_tradein_m_via_r", "tradein_via_r", MANUFACTURER, 4),
                             ("margin_tradein_r", "tradein_r", RETAILER, 4)),
 }
-
-
-def _funders(terms) -> tuple[int, ...]:
-    """Who funds each trade-in segment (3, then 4 in MR): the retailer where
-    it earns a margin on the segment, else the manufacturer."""
-    earners = {(segment, payer) for *_, payer, segment in terms}
-    return tuple(RETAILER if (segment, RETAILER) in earners else MANUFACTURER
-                 for segment in sorted({segment for segment, _ in earners} - {1, 2}))
-
-
-_FUNDERS = {model: _funders(terms) for model, terms in PROFIT_TERMS.items()}
-
-#: Utility of trading in under the manufacturer's subsidy, and under the retailer's.
-_SUBSIDY_UTILITY = (lambda d, u, alpha, out: np.subtract(d.b_m, u, out=out),
-                    lambda d, u, alpha, out: np.subtract(d.b_r, np.multiply(alpha, u, out=out),
-                                                         out=out))
 
 
 class MrDemandVariant(str, Enum):
@@ -180,9 +164,15 @@ def _primary_utilities(d: DecisionSet, v, alpha: float, out=(None, None)):
 
 
 def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float, out=(None, None)):
-    """(U3,) or, in the joint model, (U3, U4) of return-cost valuations u; broadcasts."""
-    return tuple(_SUBSIDY_UTILITY[funder](d, u, alpha, o)
-                 for funder, o in zip(_FUNDERS[model], out))
+    """One utility of return-cost valuations u per trade-in subsidy the model
+    sets: b_m - u for the manufacturer's, then b_r - alpha*u for the
+    retailer's; (U3,) or, in the joint model, (U3, U4). Broadcasts."""
+    fields, out = decision_fields(model), iter(out)
+    manufacturer = (np.subtract(d.b_m, u, out=next(out)),) if "b_m" in fields else ()
+    if "b_r" not in fields:
+        return manufacturer
+    o = next(out)
+    return (*manufacturer, np.subtract(d.b_r, np.multiply(alpha, u, out=o), out=o))
 
 
 def _choose(x, y, out=(None, None), tmp=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterable, Mapping, Sequence
 
 from .market import Equilibrium
@@ -79,41 +80,37 @@ _W, _H = 640, 420
 _ML, _MR_, _MT, _MB = 64, 16, 34, 44
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / 4
-    return [lo + i * step for i in range(5)]
+def _axis(lo: float, hi: float):
+    """(ticks, lo/2, hi/2, half the span) of an axis over [lo, hi]; half-values
+    keep a range wider than the float range finite. A flat range is padded by
+    0.5, or by one float step toward 0 where 0.5 is below the spacing."""
+    if hi / 2 == lo / 2:
+        lo = min(lo - 0.5, math.nextafter(lo, 0.0))
+        hi = max(hi + 0.5, math.nextafter(hi, 0.0))
+    half = hi / 2 - lo / 2
+    # rounding may carry the top tick one step past the largest float
+    ticks = [min(2 * (lo / 2 + i * (half / 4)), sys.float_info.max) for i in range(5)]
+    return ticks, lo / 2, hi / 2, half
 
 
 def line_chart_svg(title: str, xs: list[float], ys: list[float], y_label: str) -> str:
     """One polyline of ``y_label`` against alpha; deterministic text output.
 
-    Points with non-finite y are dropped. Intended as a convenience view of
-    sweep columns; the CSV remains the contract.
+    Points with a non-finite coordinate are dropped. Intended as a convenience
+    view of sweep columns; the CSV remains the contract.
     """
-    pts = [(x, y) for x, y in zip(xs, ys) if y == y and abs(y) != float("inf")]
-    if not pts:
-        pts = [(0.0, 0.0)]
-    px = [p[0] for p in pts]
-    py = [p[1] for p in pts]
-    x_lo, x_hi = min(px), max(px)
-    y_lo, y_hi = min(py), max(py)
-    if y_hi == y_lo:  # pad by 0.5, or by one float step toward 0 where 0.5 is below the spacing
-        y_lo = min(y_lo - 0.5, math.nextafter(y_lo, 0.0))
-        y_hi = max(y_hi + 0.5, math.nextafter(y_hi, 0.0))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    span_x = x_hi - x_lo
-    span_y = y_hi - y_lo
+    pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)] or [(0.0, 0.0)]
+    px, py = zip(*pts)
+    x_ticks, half_x_lo, _, half_x_span = _axis(min(px), max(px))
+    y_ticks, _, half_y_hi, half_y_span = _axis(min(py), max(py))
     plot_w = _W - _ML - _MR_
     plot_h = _H - _MT - _MB
 
     def sx(x: float) -> float:
-        return _ML + (x - x_lo) / span_x * plot_w
+        return _ML + (x / 2 - half_x_lo) / half_x_span * plot_w
 
     def sy(y: float) -> float:
-        return _MT + (y_hi - y) / span_y * plot_h
+        return _MT + (half_y_hi - y / 2) / half_y_span * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -124,11 +121,11 @@ def line_chart_svg(title: str, xs: list[float], ys: list[float], y_label: str) -
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for tx in _ticks(x_lo, x_hi):
+    for tx in x_ticks:
         parts.append(
             f'<text x="{sx(tx):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tx:.3g}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in y_ticks:
         parts.append(
             f'<text x="{_ML - 6}" y="{sy(ty):.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{ty:.4g}</text>')

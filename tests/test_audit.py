@@ -210,6 +210,12 @@ class TestGridEvaluation:
                     want = d[var_a] - d[var_b] if var_b else d[var_a]
                     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_default_grid_stays_off_the_poles(self, model):
+        # a caller's grid may land on a pole (next test); the defaults never do
+        for alpha in default_alpha_grid(model):
+            assert closed_form.singularity_distance(model, alpha) > closed_form.DEFAULT_GUARD
+
     def test_grid_point_on_a_pole_raises(self):
         p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)
         grid = (0.1, 2.0 / 9.0, 0.5)  # model R's pole
@@ -281,7 +287,12 @@ class TestEndpoints:
         verdicts = {(v.variable, v.sub_id): v for v in audit_endpoints(ModelId.R, p)}
         t1 = verdicts[("t", "alpha->1")]
         assert t1.observed == "indeterminate_as_printed"
+        assert t1.claimed == "equal" and t1.agree is False
         assert any("retains alpha" in n for n in t1.notes)
+        # the printed expression evaluated at alpha = 1 stands beside the limit
+        limit = closed_form.limits(ModelId.R, p)["t"][1]
+        printed = (20.0 * p.delta - 10.0 * p.c_m + 20.0 * p.s + 9.0) / 4.0
+        assert t1.evidence == ((1.0, float(limit)), (1.0, printed))
 
     def test_joint_model_has_no_published_endpoints(self, params_mr):
         assert audit_endpoints(ModelId.MR, params_mr) == []

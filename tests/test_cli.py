@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dcclsc import cli, market, oracle, suites
+from dcclsc import cli, market, oracle, report, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
@@ -169,7 +170,20 @@ class TestSolve:
         # while the difference step stayed 0.5 at every cost level
         code, _, err = run(capsys, "solve", "--alpha", "0.5", *argv, "--verify")
         assert code == 1
-        assert "profit" in err and cause in err
+        assert cause in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "r", "--cm", "1e300", "--cr", "1", "--s", "1e300"],
+        ["--model", "m", "--cm", "1e160", "--cr", "1"],
+    ])
+    def test_closed_form_refusal_stands_under_verify(self, capsys, monkeypatch, argv):
+        # the closed form's refusal is the report: the numeric solver is not
+        # run a second time to append its own
+        monkeypatch.setattr(oracle, "solve_stackelberg_numeric", None)
+        code, out, err = run(capsys, "solve", "--alpha", "0.5", *argv, "--verify")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("model", ["m", "r", "mr"])
     def test_closed_form_beyond_float_range_is_a_domain_error(self, capsys, model):
@@ -356,6 +370,22 @@ class TestSweep:
         charts = sorted(plot_dir.glob("*.svg"))
         assert len(charts) == 4
         assert not any("nan" in chart.read_text() for chart in charts)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.1, 0.2], [-1e308, 1e308]),  # a y range wider than the float range
+        ([-1e308, 1e308], [0.0, 1.0]),  # the same on the x axis
+        ([1e20], [1.0]),  # a flat x range where a 0.5 pad is below the spacing
+        ([math.nan, 0.2, math.inf], [0.0, 1.0, 2.0]),  # points off the x axis are dropped
+    ])
+    def test_chart_axes_beyond_float_spacing(self, xs, ys):
+        # once nan coordinates (the spans overflowed) or a ZeroDivisionError
+        svg = report.line_chart_svg("t", xs, ys, "y")
+        points = svg.split('<polyline points="')[1].split('"')[0].split()
+        coords = [float(c) for point in points for c in point.split(",")]
+        coords += [float(v) for v in re.findall(r'<text x="([^"]+)"', svg)]
+        coords += [float(v) for v in re.findall(r'<text x="[^"]+" y="([^"]+)"', svg)]
+        assert all(0.0 <= c <= 640.0 for c in coords), coords
+        assert "nan" not in svg and "inf" not in svg
 
     def test_plots_emitted(self, tmp_path, capsys):
         plot_dir = tmp_path / "charts"

@@ -1,6 +1,7 @@
 """The package's public surface, and every demo script runs to completion against it."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,17 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the one python block under "## Library" in README.md
+    library = (REPO / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, flags=re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 #: One entry per concept; the per-model wrappers and scalar duplicates left it.

@@ -229,6 +229,12 @@ class TestStackelbergSolve:
             with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
                 solve_stackelberg_numeric(model, params)
 
+    @pytest.mark.parametrize("model, c_m, s", [(ModelId.R, 1e300, 1e300), (ModelId.M, 1e160, 0.0)])
+    def test_profit_beyond_float_range_is_refused(self, model, c_m, s):
+        # the solver's own refusal, independent of the closed form's
+        with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
+            solve_stackelberg_numeric(model, Params(alpha=0.5, c_m=c_m, c_r=1.0, s=s))
+
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     def test_mr_singularity_distance_is_the_games(self, alpha):
         # the game's MR pole, not the published denominator's root near 0.24794
