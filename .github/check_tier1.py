@@ -18,9 +18,16 @@ BY_DESIGN = {"tests.test_acceptance::test_a01_endpoint_identities",
 
 def main(path: str) -> int:
     cases = list(ET.parse(path).getroot().iter("testcase"))
-    failed = {f"{case.get('classname')}::{case.get('name')}" for case in cases
-              if case.find("failure") is not None or case.find("error") is not None}
-    print(f"{len(cases)} tests, {len(cases) - len(failed)} passed, {len(failed)} failed")
+
+    def having(*tags: str) -> set[str]:
+        return {f"{case.get('classname')}::{case.get('name')}" for case in cases
+                if any(case.find(tag) is not None for tag in tags)}
+
+    failed, skipped = having("failure", "error"), having("skipped")
+    passed = len(cases) - len(failed | skipped)
+    print(f"{len(cases)} tests, {passed} passed, {len(failed)} failed, {len(skipped)} skipped")
+    for name in sorted(skipped):
+        print(f"skipped: {name}")
     for name in sorted(failed - BY_DESIGN):
         print(f"unexpected failure: {name}")
     for name in sorted(BY_DESIGN - failed):

@@ -2,13 +2,15 @@
 uniqueness, and endpoint claims.
 
 Each audit encodes one published claim: its applicability condition, the
-claimed conclusion, and the published threshold expressions, all evaluated
-verbatim. Conclusions are then tested against the closed-form expressions on
-an alpha grid, evaluated in one array call per grid (the claims are
-statements about those expressions, so the numeric solver is used only for
-the uniqueness theorems). Disagreements are reported, never corrected:
-several published claims demonstrably fail, and surfacing them is the point
-of this module.
+claimed conclusion, and the published threshold expression, evaluated
+verbatim. Each threshold is stated once, in its claim's row of ``_ORDERING``
+or ``_MONOTONICITY``, and raises Singularity only where its own denominator
+vanishes; :func:`thresholds` collects them from those rows. Conclusions are
+then tested against the closed-form expressions on an alpha grid, evaluated
+in one array call per grid (the claims are statements about those
+expressions, so the numeric solver is used only for the uniqueness
+theorems). Disagreements are reported, never corrected: several published
+claims demonstrably fail, and surfacing them is the point of this module.
 
 Verdicts are bit-reproducible functions of (claim id, params, grid).
 """
@@ -36,60 +38,6 @@ def default_alpha_grid(model: ModelId) -> tuple[float, ...]:
     lo, hi = (0.01, 0.99) if model is ModelId.M else (0.30, 0.95)
     n = int(math.floor((hi - lo) / GRID_STEP + 1e-9)) + 1
     return tuple(lo + k * GRID_STEP for k in range(n))
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """All published cost and preference thresholds, evaluated at one Params.
-
-    ``alpha_star`` separates the price ordering of the joint model and
-    ``alpha_hat`` its subsidy ordering; the ``prop*`` maps carry the c_m
-    thresholds governing each decision variable's claimed monotonicity in
-    alpha. Values may lie outside (0, 1); that is meaningful (no interior
-    crossing), not an error.
-    """
-
-    alpha_star: float
-    alpha_hat: float
-    prop2: dict[str, float]
-    prop4: dict[str, float]
-    prop7: dict[str, float]
-
-
-def thresholds(params: Params) -> Thresholds:
-    """Evaluate every published threshold expression at ``params``."""
-    c_m, d, s = params.c_m, params.delta, params.s
-    den_star = 3.0 * c_m - 3.0 * d - 3.0 * s + 21.0
-    den_hat = 10.0 * d - 5.0 * c_m + 10.0 * s + 2.0
-    for name, den in (("price-ordering threshold", den_star),
-                      ("subsidy-ordering threshold", den_hat)):
-        if abs(den) < 1e-12:
-            raise Singularity(name, params.alpha, abs(den), 1e-12)
-    return Thresholds(
-        alpha_star=(6.0 * c_m - 4.0 * d - 4.0 * s + 4.0) / den_star,
-        alpha_hat=(5.0 * c_m - 10.0 * d - 10.0 * s + 8.0) / den_hat,
-        prop2={
-            "w": 2.0 * d + 2.0 * s + 1.0,
-            "b_m": 2.0 * d + 2.0 * s + 4.0,
-            "p_m": 2.0 * d + 2.0 * s + 4.0,
-            "p_r": (4.0 * (d + s) - 1.0) / 2.0,
-        },
-        prop4={
-            "w": (5.0 + d + s) / 4.0,
-            "b_r": 2.0 * d + 2.0 * s + 1.0,
-            "p_m": (2.0 * d + 2.0 * s + 8.0) / 3.0,
-            "p_r": (4.0 * (d + s) - 1.0) / 2.0,
-            "t": (4.0 * (d + s) + 9.0) / 2.0,
-        },
-        prop7={
-            "w": (10.0 * d + 6.0 * s + 8.0) / 9.0,
-            "b_m": 2.0 * d + 2.0 * s + 1.0,
-            "b_r": (8.0 * d + 8.0 * s + 5.0) / 5.0,
-            "p_m": (6.0 * d + 6.0 * s + 4.0) / 7.0,
-            "p_r": (6.0 * d + 6.0 * s + 4.0) / 5.0,
-            "t": (6.0 * d + 6.0 * s + 9.0) / 4.0,
-        },
-    )
 
 
 #: Alternate published threshold for the retailer subsidy claim: the proof
@@ -150,13 +98,24 @@ def _relation(diffs: np.ndarray) -> str:
             else "greater_than" if np.all(diffs > 0.0) else "mixed")
 
 
-#: Ordering claims: prop -> (model, (a, b), threshold alpha as a function of
-#: Params or None if unconditional, relation of a to b above the threshold).
+def _ratio(what: str, params: Params, num: float, den: float) -> float:
+    """A published threshold num / den, refused where its denominator vanishes."""
+    if abs(den) < 1e-12:
+        raise Singularity(what, params.alpha, abs(den), 1e-12)
+    return num / den
+
+
+#: Ordering claims: prop -> (model, (a, b), published threshold alpha as a
+#: function of Params or None if unconditional, relation of a to b above it).
 _ORDERING = {
     "P1": (ModelId.M, ("p_m", "p_r"), None, "less_than"),
     "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than"),
-    "P5": (ModelId.MR, ("p_m", "p_r"), lambda p: thresholds(p).alpha_star, "less_than"),
-    "P6": (ModelId.MR, ("b_m", "b_r"), lambda p: thresholds(p).alpha_hat, "greater_than"),
+    "P5": (ModelId.MR, ("p_m", "p_r"), lambda p: _ratio(
+        "price-ordering threshold", p, 6.0 * p.c_m - 4.0 * p.delta - 4.0 * p.s + 4.0,
+        3.0 * p.c_m - 3.0 * p.delta - 3.0 * p.s + 21.0), "less_than"),
+    "P6": (ModelId.MR, ("b_m", "b_r"), lambda p: _ratio(
+        "subsidy-ordering threshold", p, 5.0 * p.c_m - 10.0 * p.delta - 10.0 * p.s + 8.0,
+        10.0 * p.delta - 5.0 * p.c_m + 10.0 * p.s + 2.0), "greater_than"),
 }
 
 _OPPOSITE = {"less_than": "greater_than", "greater_than": "less_than"}
@@ -205,7 +164,7 @@ def audit_ordering(prop: str, params: Params,
             f"alpha={float(grid[i])!r}, tolerance {tol_eq:.6g}, "
             f"{'within' if abs(float(diffs[i])) <= tol_eq else 'OUTSIDE'} tolerance")
     if prop == "P3":
-        for name, mask in (("below", grid < 2.0 / 9.0), ("above", grid > 2.0 / 9.0)):
+        for name, mask in (("below", grid < theta), ("above", grid > theta)):
             if np.any(mask):
                 notes.append(f"{name} the pole at 2/9: observed {_relation(diffs[mask])}")
     flips = grid[1:][signs[1:] != signs[:-1]].tolist()
@@ -221,19 +180,52 @@ def audit_ordering(prop: str, params: Params,
     )
 
 
-#: Monotonicity claims: prop -> (model, its Thresholds field, ((sub id,
-#: variable, increasing-when), ...)). "below": increasing iff c_m < the
-#: variable's threshold; "above": increasing iff c_m > it.
+#: Monotonicity claims: prop -> (model, ((sub id, variable, increasing-when,
+#: published c_m threshold as a function of (delta, s)), ...)). "below":
+#: increasing iff c_m < the threshold; "above": increasing iff c_m > it.
 _MONOTONICITY = {
-    "P2": (ModelId.M, "prop2", (("i", "w", "below"), ("ii", "b_m", "below"),
-                                ("ii", "p_m", "below"), ("iii", "p_r", "below"))),
-    "P4": (ModelId.R, "prop4", (("i", "w", "below"), ("ii", "b_r", "below"),
-                                ("iii", "p_m", "below"), ("iv", "p_r", "below"),
-                                ("v", "t", "above"))),
-    "P7": (ModelId.MR, "prop7", (("i", "w", "below"), ("ii", "b_m", "below"),
-                                 ("ii", "b_r", "below"), ("iii", "p_m", "below"),
-                                 ("iii", "p_r", "below"), ("iv", "t", "above"))),
+    "P2": (ModelId.M, (("i", "w", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0),
+                       ("ii", "b_m", "below", lambda d, s: 2.0 * d + 2.0 * s + 4.0),
+                       ("ii", "p_m", "below", lambda d, s: 2.0 * d + 2.0 * s + 4.0),
+                       ("iii", "p_r", "below", lambda d, s: (4.0 * (d + s) - 1.0) / 2.0))),
+    "P4": (ModelId.R, (("i", "w", "below", lambda d, s: (5.0 + d + s) / 4.0),
+                       ("ii", "b_r", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0),
+                       ("iii", "p_m", "below", lambda d, s: (2.0 * d + 2.0 * s + 8.0) / 3.0),
+                       ("iv", "p_r", "below", lambda d, s: (4.0 * (d + s) - 1.0) / 2.0),
+                       ("v", "t", "above", lambda d, s: (4.0 * (d + s) + 9.0) / 2.0))),
+    "P7": (ModelId.MR, (("i", "w", "below", lambda d, s: (10.0 * d + 6.0 * s + 8.0) / 9.0),
+                        ("ii", "b_m", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0),
+                        ("ii", "b_r", "below", lambda d, s: (8.0 * d + 8.0 * s + 5.0) / 5.0),
+                        ("iii", "p_m", "below", lambda d, s: (6.0 * d + 6.0 * s + 4.0) / 7.0),
+                        ("iii", "p_r", "below", lambda d, s: (6.0 * d + 6.0 * s + 4.0) / 5.0),
+                        ("iv", "t", "above", lambda d, s: (6.0 * d + 6.0 * s + 9.0) / 4.0))),
 }
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    """All published cost and preference thresholds, evaluated at one Params.
+
+    ``alpha_star`` separates the price ordering of the joint model and
+    ``alpha_hat`` its subsidy ordering; the ``prop*`` maps carry the c_m
+    thresholds governing each decision variable's claimed monotonicity in
+    alpha. Values may lie outside (0, 1); that is meaningful (no interior
+    crossing), not an error.
+    """
+
+    alpha_star: float
+    alpha_hat: float
+    prop2: dict[str, float]
+    prop4: dict[str, float]
+    prop7: dict[str, float]
+
+
+def thresholds(params: Params) -> Thresholds:
+    """Evaluate every published threshold expression at ``params``, from the claim rows."""
+    def cost(prop: str) -> dict[str, float]:
+        return {var: thr(params.delta, params.s) for _, var, _, thr in _MONOTONICITY[prop][1]}
+    return Thresholds(alpha_star=_ORDERING["P5"][2](params), alpha_hat=_ORDERING["P6"][2](params),
+                      prop2=cost("P2"), prop4=cost("P4"), prop7=cost("P7"))
 
 
 def classify_direction(values) -> tuple[str, list[int]]:
@@ -261,13 +253,12 @@ def audit_monotonicity(prop: str, params: Params,
     over the grid; the claimed direction from the published c_m threshold.
     """
     prop = prop.upper()
-    model, field_name, items = _MONOTONICITY[prop]
-    th = getattr(thresholds(params), field_name)
+    model, items = _MONOTONICITY[prop]
     grid, values = _grid_values(model, alpha_grid, params)
     out = []
-    for sub_id, var, direction in items:
+    for sub_id, var, direction, threshold in items:
         observed, swap_idx = classify_direction(values[var])
-        thr = th[var]
+        thr = threshold(params.delta, params.s)
         condition = (thr - params.c_m) if direction == "below" else (params.c_m - thr)
         claimed = "increasing" if condition > 0.0 else "decreasing"
         notes = []

@@ -8,6 +8,9 @@ evaluated verbatim, and only evaluated: :func:`dcclsc.oracle.certify_mr_variant`
 judges whether an MR point is stationary under either segment-3 demand
 variant. The numeric oracle, not this module, is the ground truth for MR.
 
+Each model's denominator roots are stated once, in ``POLES``. :func:`equilibrium`
+raises Singularity within its guard band of one, and where a denominator is zero.
+
 One deliberate correction is applied: the published reaction of the retailer
 in model M is inconsistent with both the equilibrium expressions and their
 endpoint values, so :func:`retailer_reaction_m` implements the maximizer of
@@ -23,11 +26,13 @@ from .params import DecisionSet, ModelId, Params
 #: Default half-width of the guard band around denominator roots of alpha.
 DEFAULT_GUARD = 1e-6
 
-#: Real roots of the MR denominator 2*a^3 + 3*a^2 - 17*a + 4 (ascending), as
-#: numpy.roots computes them. The unit root is one ulp above the correctly
-#: rounded root; the golden MR payloads print distances to this value.
-MR_DENOMINATOR_ROOTS: tuple[float, ...] = (-3.8455740027732475, 0.2479351516421134,
-                                           2.0976388511311344)
+#: Real roots in alpha of each model's published denominators, ascending. The
+#: MR roots are those of 2*a^3 + 3*a^2 - 17*a + 4 as numpy.roots computes them:
+#: the unit root is one ulp above the correctly rounded root, and the golden MR
+#: payloads print distances to this value.
+POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
+         ModelId.MR: (-3.8455740027732475, 0.2479351516421134, 2.0976388511311344)}
+MR_DENOMINATOR_ROOTS = POLES[ModelId.MR]
 
 #: The single MR denominator root inside (0, 1), near 0.24794.
 MR_UNIT_ROOT = next(r for r in MR_DENOMINATOR_ROOTS if 0.0 < r < 1.0)
@@ -35,21 +40,7 @@ MR_UNIT_ROOT = next(r for r in MR_DENOMINATOR_ROOTS if 0.0 < r < 1.0)
 
 def singularity_distance(model: ModelId, alpha: float) -> float:
     """Distance from alpha to the nearest denominator root of the model."""
-    model = ModelId(model)
-    if model is ModelId.M:
-        return abs(alpha - 4.0)
-    if model is ModelId.R:
-        return abs(alpha - 2.0 / 9.0)
-    return min(abs(alpha - r) for r in MR_DENOMINATOR_ROOTS)
-
-
-def _guard(model: ModelId, alpha: float, guard: float) -> float:
-    if not guard >= 0.0:
-        raise OutOfDomain.single("guard", guard, "must be >= 0")
-    dist = singularity_distance(model, alpha)
-    if dist < guard:
-        raise Singularity(f"model {ModelId(model).value} equilibrium", alpha, dist, guard)
-    return dist
+    return min(abs(alpha - root) for root in POLES[ModelId(model)])
 
 
 def retailer_reaction_m(w: float, p_m: float, params: Params) -> float:
@@ -161,13 +152,22 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
                 variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
-    Raises Singularity within ``guard`` of a denominator root of alpha. For
-    model MR only, the outcome is computed under ``variant``.
+    Raises Singularity within ``guard`` of a denominator root of alpha, or
+    where a denominator evaluates to zero. For model MR only, the outcome is
+    computed under ``variant``.
     """
     model = ModelId(model)
-    dist = _guard(model, params.alpha, guard)
-    decisions = DecisionSet(model=model, **decision_values(
-        model, params.alpha, params.c_m, params.delta, params.s))
+    if not guard >= 0.0:
+        raise OutOfDomain.single("guard", guard, "must be >= 0")
+    dist = singularity_distance(model, params.alpha)
+    try:
+        values = None if dist < guard else decision_values(
+            model, params.alpha, params.c_m, params.delta, params.s)
+    except ZeroDivisionError:
+        values = None
+    if values is None:
+        raise Singularity(f"model {model.value} equilibrium", params.alpha, dist, guard)
+    decisions = DecisionSet(model=model, **values)
     return make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)
 
 

@@ -38,7 +38,7 @@ class OutOfDomain(DcclscError):
 
 
 class Singularity(DcclscError):
-    """Evaluation requested too close to a denominator root."""
+    """Evaluation at a zero denominator or within the guard band of its root."""
 
     def __init__(self, what: str, alpha: float, distance: float, guard: float):
         self.what = what
@@ -47,7 +47,7 @@ class Singularity(DcclscError):
         self.guard = guard
         super().__init__(
             f"singular evaluation: {what} at alpha={alpha!r} "
-            f"(distance {distance:.3e} < guard {guard:.3e})"
+            f"(distance {distance:.3e}, guard {guard:.3e})"
         )
 
 

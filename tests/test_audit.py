@@ -5,6 +5,7 @@ import pytest
 from dcclsc import ModelId, Params, Singularity, closed_form, oracle
 from dcclsc.audit import (
     AuditVerdict,
+    Thresholds,
     audit_endpoints,
     audit_monotonicity,
     audit_ordering,
@@ -48,6 +49,66 @@ class TestThresholds:
         # 10*delta - 5*c_m + 10*s + 2 = 0 at (c_m=0.6, c_r=0.5, s=0)
         with pytest.raises(Singularity):
             thresholds(Params(alpha=0.5, c_m=0.6, c_r=0.5, s=0.0))
+
+    def test_built_from_the_claim_rows_as_written_out(self):
+        # every published threshold written out in full is the reference: the
+        # claim rows must reproduce it bit for bit, and refuse where it refuses
+        draws = oracle.sample_params(300, 11, c_m_range=(0.05, 2.0))
+        for p in draws:
+            assert thresholds(p) == _written_out_thresholds(p), p
+        for p in (Params(alpha=0.5, c_m=0.6, c_r=0.5, s=0.0),
+                  Params(alpha=0.5, c_m=1.0, c_r=0.7, s=0.0)):
+            with pytest.raises(Singularity) as want:
+                _written_out_thresholds(p)
+            with pytest.raises(Singularity) as got:
+                thresholds(p)
+            assert str(got.value) == str(want.value)
+
+    def test_each_claim_reads_only_its_own_threshold(self):
+        # 10*delta - 5*c_m + 10*s + 2 is 4.4e-16 here: only alpha_hat is refused
+        p = Params(alpha=0.5, c_m=1.0, c_r=0.7, s=0.0)
+        for prop in ("P2", "P4", "P7"):
+            assert audit_monotonicity(prop, p)
+        assert audit_ordering("P5", p).prop_id == "P5"
+        with pytest.raises(Singularity, match="subsidy-ordering threshold"):
+            audit_ordering("P6", p)
+        with pytest.raises(Singularity, match="subsidy-ordering threshold"):
+            thresholds(p)
+
+
+def _written_out_thresholds(params: Params) -> Thresholds:
+    c_m, d, s = params.c_m, params.delta, params.s
+    den_star = 3.0 * c_m - 3.0 * d - 3.0 * s + 21.0
+    den_hat = 10.0 * d - 5.0 * c_m + 10.0 * s + 2.0
+    for name, den in (("price-ordering threshold", den_star),
+                      ("subsidy-ordering threshold", den_hat)):
+        if abs(den) < 1e-12:
+            raise Singularity(name, params.alpha, abs(den), 1e-12)
+    return Thresholds(
+        alpha_star=(6.0 * c_m - 4.0 * d - 4.0 * s + 4.0) / den_star,
+        alpha_hat=(5.0 * c_m - 10.0 * d - 10.0 * s + 8.0) / den_hat,
+        prop2={
+            "w": 2.0 * d + 2.0 * s + 1.0,
+            "b_m": 2.0 * d + 2.0 * s + 4.0,
+            "p_m": 2.0 * d + 2.0 * s + 4.0,
+            "p_r": (4.0 * (d + s) - 1.0) / 2.0,
+        },
+        prop4={
+            "w": (5.0 + d + s) / 4.0,
+            "b_r": 2.0 * d + 2.0 * s + 1.0,
+            "p_m": (2.0 * d + 2.0 * s + 8.0) / 3.0,
+            "p_r": (4.0 * (d + s) - 1.0) / 2.0,
+            "t": (4.0 * (d + s) + 9.0) / 2.0,
+        },
+        prop7={
+            "w": (10.0 * d + 6.0 * s + 8.0) / 9.0,
+            "b_m": 2.0 * d + 2.0 * s + 1.0,
+            "b_r": (8.0 * d + 8.0 * s + 5.0) / 5.0,
+            "p_m": (6.0 * d + 6.0 * s + 4.0) / 7.0,
+            "p_r": (6.0 * d + 6.0 * s + 4.0) / 5.0,
+            "t": (6.0 * d + 6.0 * s + 9.0) / 4.0,
+        },
+    )
 
 
 class TestOrdering:

@@ -147,6 +147,15 @@ class TestSolve:
         assert code == 3
         assert "2.222e-08" in err or "singular" in err
 
+    @pytest.mark.parametrize("alpha", ["0.2222222222222222", "0.22222222222222224"])
+    def test_zero_denominator_outside_the_guard_is_singular(self, capsys, alpha):
+        # at --guard 0 the band is empty, but 9*alpha - 2 still evaluates to 0
+        code, out, err = run(capsys, "solve", "--model", "r", "--alpha", alpha,
+                             "--cm", "1", "--cr", "0.5", "--guard", "0")
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("singular:")
+
     def test_usage_exit_code(self, capsys):
         code, _, _ = run(capsys, "solve", "--model", "m", "--alpha", "0.9")
         assert code == 1
@@ -266,6 +275,14 @@ class TestSweep:
         assert len(singular) == 2  # alpha = 0.220 and 0.225 sit within 0.004 of 2/9
         for r in singular:
             assert r[idx["p_m"]] == "" and r[idx["pi_s"]] == ""
+
+    def test_zero_denominator_row_is_singular_at_guard_zero(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--model", "r", "--alpha-from", "0.2",
+                           "--alpha-to", "0.25", "--alpha-step", "0.02222222222222222",
+                           "--cm", "1", "--cr", "0.5", "--s", "0", "--guard", "0")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[3:]]
+        assert [r[CSV_COLUMNS.index("singular")] for r in rows] == ["false", "true", "false"]
 
     def test_fig4_preset_subsidy_decreases(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
