@@ -3,12 +3,14 @@ uniqueness, and endpoint claims.
 
 Each audit encodes one published claim: its applicability condition, the
 claimed conclusion, and the published threshold expression, evaluated
-verbatim. Each threshold is stated once, in its claim's row of ``_ORDERING``
-or ``_MONOTONICITY``, and raises Singularity only where its own denominator
-vanishes; :func:`thresholds` collects them from those rows. Conclusions are
-then tested against the closed-form expressions on an alpha grid, evaluated
-in one array call per grid (the claims are statements about those
-expressions, so the numeric solver is used only for the uniqueness
+verbatim. Each claim is stated whole in its row of ``_ORDERING`` or
+``_MONOTONICITY``: its threshold, which raises Singularity only where its own
+denominator vanishes, and optionally a label for that threshold (an ordering
+row) or an alternate published threshold (a monotonicity row).
+:func:`thresholds` collects the primary thresholds from those rows.
+Conclusions are then tested against the closed-form expressions on an alpha
+grid, evaluated in one array call per grid (the claims are statements about
+those expressions, so the numeric solver is used only for the uniqueness
 theorems). Disagreements are reported, never corrected: several published
 claims demonstrably fail, and surfacing them is the point of this module.
 
@@ -40,13 +42,6 @@ def default_alpha_grid(model: ModelId) -> tuple[float, ...]:
     return tuple(lo + k * GRID_STEP for k in range(n))
 
 
-#: Alternate published threshold for the retailer subsidy claim: the proof
-#: block prints a different expression than the proposition text. Both are
-#: evaluated and reported.
-def prop4_subsidy_alternate_threshold(params: Params) -> float:
-    return (2.0 * params.delta + 2.0 * params.s + 8.0) / 3.0
-
-
 @dataclass(frozen=True)
 class AuditVerdict:
     """One claim, its numeric test, and whether they agree.
@@ -68,29 +63,22 @@ class AuditVerdict:
     evidence: tuple[tuple[float, float], ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    def as_dict(self) -> dict:
-        return {
-            "prop_id": self.prop_id,
-            "sub_id": self.sub_id,
-            "variable": self.variable,
-            "params": self.params.as_dict(),
-            "condition_value": self.condition_value,
-            "claimed": self.claimed,
-            "observed": self.observed,
-            "agree": self.agree,
-            "evidence": [list(pair) for pair in self.evidence],
-            "notes": list(self.notes),
-        }
-
 
 def _grid_values(model: ModelId, alpha_grid, params: Params):
     """The audit grid (the model's default unless given) and every decision
-    on it, in one array evaluation. A grid point on a pole raises, as the
-    scalar division would, instead of yielding inf or nan evidence."""
+    on it, in one array evaluation. A grid point on a pole raises Singularity
+    at the point nearest a pole, as the closed form does at guard 0, instead
+    of yielding inf or nan evidence."""
     grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid,
                       dtype=float)
     with np.errstate(divide="raise", invalid="raise"):
-        return grid, closed_form.decision_values(model, grid, params.c_m, params.delta, params.s)
+        try:
+            return grid, closed_form.decision_values(model, grid, params.c_m, params.delta,
+                                                     params.s)
+        except FloatingPointError:
+            alpha = min(grid.tolist(), key=lambda a: closed_form.singularity_distance(model, a))
+    raise Singularity(f"model {model.value} audit grid", alpha,
+                      closed_form.singularity_distance(model, alpha), 0.0)
 
 
 def _relation(diffs: np.ndarray) -> str:
@@ -106,10 +94,13 @@ def _ratio(what: str, params: Params, num: float, den: float) -> float:
 
 
 #: Ordering claims: prop -> (model, (a, b), published threshold alpha as a
-#: function of Params or None if unconditional, relation of a to b above it).
+#: function of Params or None if unconditional, relation of a to b above it,
+#: and optionally a label for the threshold). A labelled row also notes the
+#: observed relation on each side of its threshold.
 _ORDERING = {
     "P1": (ModelId.M, ("p_m", "p_r"), None, "less_than"),
-    "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than"),
+    "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than",
+           "the pole at 2/9"),
     "P5": (ModelId.MR, ("p_m", "p_r"), lambda p: _ratio(
         "price-ordering threshold", p, 6.0 * p.c_m - 4.0 * p.delta - 4.0 * p.s + 4.0,
         3.0 * p.c_m - 3.0 * p.delta - 3.0 * p.s + 21.0), "less_than"),
@@ -132,7 +123,7 @@ def audit_ordering(prop: str, params: Params,
     beyond that band contradicts the claimed side.
     """
     prop = prop.upper()
-    model, (var_a, var_b), threshold, above_claim = _ORDERING[prop]
+    model, (var_a, var_b), threshold, above_claim, *label = _ORDERING[prop]
     theta = -math.inf if threshold is None else threshold(params)
     grid, values = _grid_values(model, alpha_grid, params)
     diffs = values[var_a] - values[var_b]
@@ -163,10 +154,9 @@ def audit_ordering(prop: str, params: Params,
             f"equality at threshold: |diff|={abs(float(diffs[i])):.6g} at "
             f"alpha={float(grid[i])!r}, tolerance {tol_eq:.6g}, "
             f"{'within' if abs(float(diffs[i])) <= tol_eq else 'OUTSIDE'} tolerance")
-    if prop == "P3":
-        for name, mask in (("below", grid < theta), ("above", grid > theta)):
-            if np.any(mask):
-                notes.append(f"{name} the pole at 2/9: observed {_relation(diffs[mask])}")
+    for name, mask in (("below", grid < theta), ("above", grid > theta)):
+        if label and np.any(mask):
+            notes.append(f"{name} {label[0]}: observed {_relation(diffs[mask])}")
     flips = grid[1:][signs[1:] != signs[:-1]].tolist()
     if flips:
         notes.append("observed sign flips near alpha in " + repr([round(f, 6) for f in flips]))
@@ -181,15 +171,19 @@ def audit_ordering(prop: str, params: Params,
 
 
 #: Monotonicity claims: prop -> (model, ((sub id, variable, increasing-when,
-#: published c_m threshold as a function of (delta, s)), ...)). "below":
-#: increasing iff c_m < the threshold; "above": increasing iff c_m > it.
+#: published c_m threshold as a function of (delta, s), and optionally an
+#: alternate published threshold of the same form), ...)). "below":
+#: increasing iff c_m < the threshold; "above": increasing iff c_m > it. An
+#: alternate (P4's b_r, whose proof block prints another expression than the
+#: proposition text) is evaluated and reported in a note.
 _MONOTONICITY = {
     "P2": (ModelId.M, (("i", "w", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0),
                        ("ii", "b_m", "below", lambda d, s: 2.0 * d + 2.0 * s + 4.0),
                        ("ii", "p_m", "below", lambda d, s: 2.0 * d + 2.0 * s + 4.0),
                        ("iii", "p_r", "below", lambda d, s: (4.0 * (d + s) - 1.0) / 2.0))),
     "P4": (ModelId.R, (("i", "w", "below", lambda d, s: (5.0 + d + s) / 4.0),
-                       ("ii", "b_r", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0),
+                       ("ii", "b_r", "below", lambda d, s: 2.0 * d + 2.0 * s + 1.0,
+                        lambda d, s: (2.0 * d + 2.0 * s + 8.0) / 3.0),
                        ("iii", "p_m", "below", lambda d, s: (2.0 * d + 2.0 * s + 8.0) / 3.0),
                        ("iv", "p_r", "below", lambda d, s: (4.0 * (d + s) - 1.0) / 2.0),
                        ("v", "t", "above", lambda d, s: (4.0 * (d + s) + 9.0) / 2.0))),
@@ -223,7 +217,8 @@ class Thresholds:
 def thresholds(params: Params) -> Thresholds:
     """Evaluate every published threshold expression at ``params``, from the claim rows."""
     def cost(prop: str) -> dict[str, float]:
-        return {var: thr(params.delta, params.s) for _, var, _, thr in _MONOTONICITY[prop][1]}
+        return {var: thr(params.delta, params.s)
+                for _, var, _, thr, *_ in _MONOTONICITY[prop][1]}
     return Thresholds(alpha_star=_ORDERING["P5"][2](params), alpha_hat=_ORDERING["P6"][2](params),
                       prop2=cost("P2"), prop4=cost("P4"), prop7=cost("P7"))
 
@@ -245,6 +240,13 @@ def classify_direction(values) -> tuple[str, list[int]]:
     return "non_monotone", (np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist()
 
 
+def _claimed_direction(direction: str, threshold, params: Params) -> tuple[float, float, str]:
+    """A c_m threshold's value, the claim's condition slack, and the claimed direction."""
+    thr = threshold(params.delta, params.s)
+    condition = (thr - params.c_m) if direction == "below" else (params.c_m - thr)
+    return thr, condition, "increasing" if condition > 0.0 else "decreasing"
+
+
 def audit_monotonicity(prop: str, params: Params,
                        alpha_grid: tuple[float, ...] | None = None) -> list[AuditVerdict]:
     """Audit one proposition's monotonicity claims, one verdict per variable.
@@ -256,18 +258,15 @@ def audit_monotonicity(prop: str, params: Params,
     model, items = _MONOTONICITY[prop]
     grid, values = _grid_values(model, alpha_grid, params)
     out = []
-    for sub_id, var, direction, threshold in items:
+    for sub_id, var, direction, threshold, *alternate in items:
         observed, swap_idx = classify_direction(values[var])
-        thr = threshold(params.delta, params.s)
-        condition = (thr - params.c_m) if direction == "below" else (params.c_m - thr)
-        claimed = "increasing" if condition > 0.0 else "decreasing"
+        thr, condition, claimed = _claimed_direction(direction, threshold, params)
         notes = []
         if swap_idx:
             locs = [round(a, 6) for a in grid[swap_idx].tolist()]
             notes.append("direction changes near alpha in " + repr(locs))
-        if prop == "P4" and var == "b_r":
-            alt = prop4_subsidy_alternate_threshold(params)
-            alt_claim = "increasing" if params.c_m < alt else "decreasing"
+        for alt_threshold in alternate:
+            alt, _, alt_claim = _claimed_direction(direction, alt_threshold, params)
             notes.append(
                 f"alternate published threshold {alt!r} would claim {alt_claim}; "
                 f"primary threshold {thr!r} claims {claimed}")

@@ -32,10 +32,6 @@ DEFAULT_GUARD = 1e-6
 #: payloads print distances to this value.
 POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
          ModelId.MR: (-3.8455740027732475, 0.2479351516421134, 2.0976388511311344)}
-MR_DENOMINATOR_ROOTS = POLES[ModelId.MR]
-
-#: The single MR denominator root inside (0, 1), near 0.24794.
-MR_UNIT_ROOT = next(r for r in MR_DENOMINATOR_ROOTS if 0.0 < r < 1.0)
 
 
 def singularity_distance(model: ModelId, alpha: float) -> float:

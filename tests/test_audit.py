@@ -12,9 +12,9 @@ from dcclsc.audit import (
     audit_uniqueness,
     classify_direction,
     default_alpha_grid,
-    prop4_subsidy_alternate_threshold,
     thresholds,
 )
+from dcclsc.audit import _MONOTONICITY, _ORDERING
 
 FIG3 = Params(alpha=0.5, c_m=6.0, c_r=4.0, s=1.5)
 FIG4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
@@ -138,6 +138,17 @@ class TestOrdering:
         assert any("above the pole" in n for n in v.notes)
         assert any("below the pole" in n for n in v.notes)
 
+    def test_every_labelled_threshold_notes_both_sides(self):
+        labelled = {prop: row for prop, row in _ORDERING.items() if len(row) > 4}
+        assert sorted(labelled) == ["P3"]
+        p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)
+        for prop, (_, _, threshold, _, label) in labelled.items():
+            theta = threshold(p)
+            grid = tuple(theta + d for d in (-0.07, -0.04, -0.02, 0.08, 0.18, 0.38))
+            notes = audit_ordering(prop, p, alpha_grid=grid).notes
+            for side in ("below", "above"):
+                assert len([n for n in notes if n.startswith(f"{side} {label}: observed ")]) == 1
+
     def test_joint_price_ordering_does_not_flip_at_threshold(self):
         v = audit_ordering("P5", THRESHOLD_CASE)
         assert v.claimed == "mixed"  # threshold lies inside the grid
@@ -209,8 +220,21 @@ class TestMonotonicity:
 
     def test_alternate_subsidy_threshold_reported(self):
         verdicts = {v.variable: v for v in audit_monotonicity("P4", FIG4)}
-        assert prop4_subsidy_alternate_threshold(FIG4) == pytest.approx(28.0 / 3.0)
-        assert any("alternate published threshold" in n for n in verdicts["b_r"].notes)
+        assert ("alternate published threshold 9.333333333333334 would claim decreasing; "
+                "primary threshold 21.0 claims increasing") in verdicts["b_r"].notes
+
+    def test_every_alternate_threshold_is_noted(self):
+        rows = [(prop, row) for prop, (_, items) in _MONOTONICITY.items()
+                for row in items if len(row) > 4]
+        assert [(prop, row[1]) for prop, row in rows] == [("P4", "b_r")]
+        for prop, (_, var, direction, primary, alternate) in rows:
+            (verdict,) = [v for v in audit_monotonicity(prop, FIG4) if v.variable == var]
+            thr, alt = primary(FIG4.delta, FIG4.s), alternate(FIG4.delta, FIG4.s)
+            rising = FIG4.c_m < alt if direction == "below" else FIG4.c_m > alt
+            noted = [n for n in verdict.notes if n.startswith("alternate published threshold ")]
+            assert noted == [f"alternate published threshold {alt!r} would claim "
+                             f"{'increasing' if rising else 'decreasing'}; "
+                             f"primary threshold {thr!r} claims {verdict.claimed}"]
 
     def test_transfer_price_has_inverted_condition(self):
         verdicts = {v.variable: v for v in audit_monotonicity("P4", FIG4)}
@@ -278,12 +302,16 @@ class TestGridEvaluation:
             assert closed_form.singularity_distance(model, alpha) > closed_form.DEFAULT_GUARD
 
     def test_grid_point_on_a_pole_raises(self):
-        p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)
-        grid = (0.1, 2.0 / 9.0, 0.5)  # model R's pole
-        with pytest.raises(ArithmeticError):
-            audit_ordering("P3", p, alpha_grid=grid)
-        with pytest.raises(ArithmeticError):
-            audit_monotonicity("P4", p, alpha_grid=grid)
+        # both grids hold model R's pole 2/9: Singularity names it, as the
+        # closed form refuses it at guard 0
+        for p, grid in ((Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2), (0.1, 2.0 / 9.0, 0.5)),
+                        (Params(0.5, 1.0, 0.5, 0.2), (0.2, 2.0 / 9.0, 0.3))):
+            for audit, prop in ((audit_ordering, "P3"), (audit_monotonicity, "P4")):
+                with pytest.raises(Singularity) as exc:
+                    audit(prop, p, alpha_grid=grid)
+                assert (exc.value.alpha, exc.value.distance, exc.value.guard) == \
+                    (2.0 / 9.0, 0.0, 0.0)
+                assert "model R audit grid" in str(exc.value)
 
 
 class TestUniqueness:
@@ -365,12 +393,3 @@ class TestEndpoints:
         computed, published = w0.evidence[0][1], w0.evidence[1][1]
         assert computed == pytest.approx((0.6 + 1.0) / 2.0, abs=1e-12)
         assert published == pytest.approx((0.6 - 1.0) / 2.0, abs=1e-12)
-
-
-def test_verdict_serialization_round_trip():
-    v = audit_ordering("P1", Params(alpha=0.5, c_m=0.3, c_r=0.1, s=0.05))
-    assert isinstance(v, AuditVerdict)
-    payload = v.as_dict()
-    assert payload["prop_id"] == "P1"
-    assert payload["agree"] is True
-    assert payload["evidence"]

@@ -20,8 +20,7 @@ from dcclsc import (
     singularity_distance,
 )
 from dcclsc.closed_form import (
-    MR_DENOMINATOR_ROOTS,
-    MR_UNIT_ROOT,
+    POLES,
     decision_values_m,
     decision_values_mr,
     decision_values_r,
@@ -32,6 +31,9 @@ from dcclsc.closed_form import (
     mr_helpers,
     retailer_reaction_m,
 )
+
+#: the one MR pole in (0, 1), near 0.24794
+MR_UNIT_ROOT = POLES[ModelId.MR][1]
 
 # frozen from exact rational evaluation of the expressions
 GOLDEN_M = {"p_m": 0.6483870967741936, "p_r": 0.7233870967741935,
@@ -191,6 +193,7 @@ class TestModelMR:
         assert den(0.0) == pytest.approx(4.0)
         assert den(0.35) == pytest.approx(-1.49675, abs=1e-5)
         assert den(0.24) > 0.0 > den(0.25)
+        assert [r for r in POLES[ModelId.MR] if 0.0 < r < 1.0] == [MR_UNIT_ROOT]
         assert 0.24 < MR_UNIT_ROOT < 0.25
 
     def test_denominator_roots_are_numpys(self):
@@ -198,7 +201,7 @@ class TestModelMR:
         # payloads print distances to the unit root
         want = sorted(float(r.real) for r in np.roots([2.0, 3.0, -17.0, 4.0])
                       if abs(r.imag) < 1e-12)
-        assert [r.hex() for r in MR_DENOMINATOR_ROOTS] == [r.hex() for r in want]
+        assert [r.hex() for r in POLES[ModelId.MR]] == [r.hex() for r in want]
 
     def test_import_calls_no_root_finder(self):
         # numpy.roots is an eigenvalue (LAPACK) call; importing the package makes none

@@ -3,7 +3,9 @@
 Each test states one finding of the README: the published figure sweeps have
 no interior row, fig5 is not drawn from the game's MR solution, the
 published MR table rows match the game rather than the published MR
-expressions, and no seeded draw is interior in all three models' games.
+expressions, no seeded draw is interior in all three models' games, and the
+published expressions and the game decide the abstract's cross-framework
+claims differently.
 """
 
 import csv
@@ -65,13 +67,41 @@ def test_published_table_rows_follow_the_game(row):
         assert 0.29 < _largest_gap(game, table) < 0.52
 
 
-def test_no_draw_is_interior_in_all_three_games():
+@pytest.fixture(scope="module")
+def seeded_games():
+    """Each draw of sample_params(300, 11) with its numeric solve in every model."""
+    return [(params, {model: oracle.solve_stackelberg_numeric(model, params)
+                      for model in ModelId})
+            for params in oracle.sample_params(300, 11)]
+
+
+def test_no_draw_is_interior_in_all_three_games(seeded_games):
     # every draw solves numerically in M, R and MR; measured interior counts
     # M 33, R 67 and MR 0 of 300
-    interior = {model: [] for model in ModelId}
-    for params in oracle.sample_params(300, 11):
-        for model in ModelId:
-            interior[model].append(
-                oracle.solve_stackelberg_numeric(model, params).validity.interior)
-    assert [sum(flags) for flags in interior.values()] == [33, 67, 0]
-    assert not any(all(flags) for flags in zip(*interior.values()))
+    interior = [[games[model].validity.interior for model in ModelId]
+                for _, games in seeded_games]
+    assert [sum(flags) for flags in zip(*interior)] == [33, 67, 0]
+    assert not any(all(flags) for flags in interior)
+
+
+def _cross_framework_claims(solved: dict) -> tuple[bool, ...]:
+    """The abstract's claims on one draw: MR's p_r below M's and R's, MR's p_m
+    below M's, MR's trade-in mass q3 + q4 above M's and R's q3, and R's
+    subsidy b_r above M's b_m."""
+    m, r, mr = solved[ModelId.M], solved[ModelId.R], solved[ModelId.MR]
+    return (mr.decisions.p_r < min(m.decisions.p_r, r.decisions.p_r),
+            mr.decisions.p_m < m.decisions.p_m,
+            mr.demands.q3 + mr.demands.q4 > max(m.demands.q3, r.demands.q3),
+            r.decisions.b_r > m.decisions.b_m)
+
+
+def test_routes_disagree_on_the_abstracts_cross_framework_claims(seeded_games):
+    # measured draws of 300 where each claim holds: the published expressions
+    # affirm lower MR prices and the game denies them, and the reverse for
+    # MR's trade-ins; the two routes agree only on the subsidies
+    published = [_cross_framework_claims({model: closed_form.equilibrium(model, params)
+                                          for model in ModelId})
+                 for params, _ in seeded_games]
+    game = [_cross_framework_claims(games) for _, games in seeded_games]
+    assert [sum(held) for held in zip(*published)] == [300, 16, 0, 130]
+    assert [sum(held) for held in zip(*game)] == [0, 0, 300, 130]
