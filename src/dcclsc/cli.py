@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, closed_form, market, oracle, report, suites
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity
 from .market import MrDemandVariant
-from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, decision_fields
+from .params import DecisionSet, ModelId, Params, decision_fields
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -339,14 +339,9 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
-    flag_map = {n: getattr(args, n.replace("_", "")) for n in ALL_DECISION_FIELDS}
-    needed = decision_fields(model)
-    missing = [name for name in needed if flag_map[name] is None]
-    if missing:
-        _parser().error(
-            f"model {model.value} needs --" +
-            ", --".join(n.replace('_', '') for n in missing))
-    decisions = DecisionSet(model=model, **{n: flag_map[n] for n in needed})
+    # flags the model does not use are ignored; DecisionSet refuses a missing one
+    decisions = DecisionSet(model=model, **{n: getattr(args, n.replace("_", ""))
+                                            for n in decision_fields(model)})
     analytic = market.demand(model, decisions, params).as_dict()
     market.require_finite(analytic)  # so are the as-printed ones: only q3 differs, as 1 - q3
     mc = oracle.monte_carlo_demand(model, decisions, params, n=args.n, seed=args.seed)

@@ -19,8 +19,11 @@ numeric audits can adjudicate between them.
 
 ``PROFIT_TERMS`` states each model's payoffs once, as (margin check name,
 per-unit margin, payer, segment) terms; the profits and the informational
-margin checks of ``validity`` are read from it. The trade-in utilities are
-read from the subsidies the model sets (``params.PLAYER_FIELDS``).
+margin checks of ``validity`` are read from it. A decision set names its
+model (``DecisionSet.model``); every function of one reads the model there,
+and the trade-in utilities read the subsidies that model sets
+(``params.PLAYER_FIELDS``). A ``model`` argument that ``demand`` and
+``make_equilibrium`` still take must agree (``model_of``).
 
 The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
 scalars or numpy arrays; the simulation runs the choice kernel over whole
@@ -163,11 +166,11 @@ def _primary_utilities(d: DecisionSet, v, alpha: float, out=(None, None)):
             np.subtract(v, d.p_r, out=out[1]))
 
 
-def _tradein_utilities(model: ModelId, d: DecisionSet, u, alpha: float, out=(None, None)):
-    """One utility of return-cost valuations u per trade-in subsidy the model
-    sets: b_m - u for the manufacturer's, then b_r - alpha*u for the
-    retailer's; (U3,) or, in the joint model, (U3, U4). Broadcasts."""
-    fields, out = decision_fields(model), iter(out)
+def _tradein_utilities(d: DecisionSet, u, alpha: float, out=(None, None)):
+    """One utility of return-cost valuations u per trade-in subsidy the
+    decisions' model sets: b_m - u for the manufacturer's, then b_r - alpha*u
+    for the retailer's; (U3,) or, in the joint model, (U3, U4). Broadcasts."""
+    fields, out = decision_fields(d.model), iter(out)
     manufacturer = (np.subtract(d.b_m, u, out=next(out)),) if "b_m" in fields else ()
     if "b_r" not in fields:
         return manufacturer
@@ -191,8 +194,7 @@ def _check_valuations(v: float, u: float):
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
-              params: Params) -> dict[str, float]:
+def utilities(decisions: DecisionSet, v: float, u: float, params: Params) -> dict[str, float]:
     """Per-segment utilities of a (v, u) customer pair.
 
     v is the primary customer's valuation, u the replacement customer's
@@ -200,7 +202,7 @@ def utilities(model: ModelId, decisions: DecisionSet, v: float, u: float,
     """
     _check_valuations(v, u)
     values = (*_primary_utilities(decisions, v, params.alpha),
-              *_tradein_utilities(ModelId(model), decisions, u, params.alpha))
+              *_tradein_utilities(decisions, u, params.alpha))
     return {f"U{i}": x for i, x in enumerate(values, 1)}
 
 
@@ -209,7 +211,7 @@ def choice_workspace(n: int):
     return np.empty((2, n)), np.empty((5, n), dtype=bool)
 
 
-def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params, out=None):
+def choice_masks(decisions: DecisionSet, v, u, params: Params, out=None):
     """Vectorized choice kernel: boolean masks (s1, s2, s3, s4) of the segments
     that (v, u) pairs choose, with s4 None outside the joint model.
 
@@ -222,14 +224,14 @@ def choice_masks(model: ModelId, decisions: DecisionSet, v, u, params: Params, o
     # pairs needs two float rows and five bool rows (21 bytes a pair)
     utils, (s1, s2, s3, s4, tmp) = ((None, None), (None,) * 5) if out is None else out
     s1, s2 = _choose(*_primary_utilities(decisions, v, params.alpha, utils), (s1, s2), tmp)
-    tradein = _tradein_utilities(ModelId(model), decisions, u, params.alpha, utils)
+    tradein = _tradein_utilities(decisions, u, params.alpha, utils)
     if len(tradein) == 1:
         return s1, s2, np.greater_equal(tradein[0], 0.0, out=s3), None
     return (s1, s2, *_choose(*tradein, (s3, s4), tmp))
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
+def choice_segment(decisions: DecisionSet, v: float, u: float,
                    params: Params) -> tuple[int, int]:
     """Resolve the choice of one (v, u) pair: (primary segment, trade-in segment).
 
@@ -237,7 +239,7 @@ def choice_segment(model: ModelId, decisions: DecisionSet, v: float, u: float,
     :func:`choice_masks`.
     """
     _check_valuations(v, u)
-    s1, s2, s3, s4 = choice_masks(model, decisions, v, u, params)  # s4 is None outside MR
+    s1, s2, s3, s4 = choice_masks(decisions, v, u, params)  # s4 is None outside MR
     return (1 if s1 else 2 if s2 else 0), (3 if s3 else 4 if s4 else 0)
 
 
@@ -291,18 +293,27 @@ def _demand_profile(q) -> DemandProfile:
                          q4=float(q4) if q4 is not None else None)
 
 
+def model_of(model: ModelId, decisions: DecisionSet) -> ModelId:
+    """``decisions.model``; OutOfDomain, naming both, if ``model`` is another."""
+    if ModelId(model) is decisions.model:
+        return decisions.model
+    raise OutOfDomain.single("model", ModelId(model).value,
+                             f"the decisions belong to model {decisions.model.value}")
+
+
 def demand(model: ModelId, decisions: DecisionSet, params: Params,
            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> DemandProfile:
     """Closed-form segment masses for one decision set (unclamped)."""
     d = decisions
-    return _demand_profile(segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant))
+    q = segment_masses(model_of(model, d), d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
+    return _demand_profile(q)
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def profits(model: ModelId, decisions: DecisionSet, params: Params) -> ProfitProfile:
+def profits(decisions: DecisionSet, params: Params) -> ProfitProfile:
     """Manufacturer and retailer profits at one decision set."""
     d = decisions
-    pi_m, pi_r = profit_values(model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t, params)
+    pi_m, pi_r = profit_values(d.model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t, params)
     return ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r))
 
 
@@ -312,7 +323,7 @@ def _range_check(name: str, value: float) -> ValidityCheck:
 
 
 # bound by name in perfbench/tracer.py LAYERS
-def validity(model: ModelId, decisions: DecisionSet, params: Params) -> ValidityReport:
+def validity(decisions: DecisionSet, params: Params) -> ValidityReport:
     """Evaluate every interiority constraint with signed slacks.
 
     Never raises on constraint violations; the report carries them. Checks
@@ -322,12 +333,10 @@ def validity(model: ModelId, decisions: DecisionSet, params: Params) -> Validity
     the model's ``PROFIT_TERMS``. A threshold whose value is a segment mass
     reads the mass.
     """
-    model = ModelId(model)
-    return _validity(model, decisions, params, demand(model, decisions, params))
+    return _validity(decisions, params, demand(decisions.model, decisions, params))
 
 
-def _validity(model: ModelId, decisions: DecisionSet, params: Params,
-              q: DemandProfile) -> ValidityReport:
+def _validity(decisions: DecisionSet, params: Params, q: DemandProfile) -> ValidityReport:
     a = params.alpha
     d = decisions
     checks = [_range_check(f"{name}_in_unit", mass) for name, mass in q.as_dict().items()]
@@ -350,7 +359,7 @@ def _validity(model: ModelId, decisions: DecisionSet, params: Params,
     if d.t is not None:
         checks.append(ValidityCheck("transfer_covers_subsidy", d.t - d.b_r))
     checks.extend(ValidityCheck(name, _MARGINS[margin](d, params), informational=True)
-                  for name, margin, _, _ in PROFIT_TERMS[model])
+                  for name, margin, _, _ in PROFIT_TERMS[d.model])
     return ValidityReport(checks=tuple(checks))
 
 
@@ -365,7 +374,6 @@ class Equilibrium:
     An MR point's stationarity is judged by :func:`dcclsc.oracle.certify_mr_variant`.
     """
 
-    model: ModelId
     params: Params
     decisions: DecisionSet
     demands: DemandProfile
@@ -374,6 +382,11 @@ class Equilibrium:
     provenance: str
     singularity_distance: float
     demand_variant: MrDemandVariant | None = None
+
+    @property
+    def model(self) -> ModelId:
+        """The decisions' model, stored once, in ``decisions``."""
+        return self.decisions.model
 
     def as_dict(self) -> dict:
         out = {
@@ -398,23 +411,22 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
 
     Both the closed-form and the numeric path end here; the segment masses
     are evaluated once and feed the demands, the profits and the validity
-    report. Raises OutOfDomain when a mass, a profit or a slack is not
-    finite, so no payload carries an infinity or a NaN (parameters so large
-    that float arithmetic overflows).
+    report. Raises OutOfDomain for another model than the decisions', or when
+    a mass, a profit or a slack is not finite, so no payload carries an
+    infinity or a NaN (parameters so large that float arithmetic overflows).
     """
-    model = ModelId(model)
+    model = model_of(model, decisions)
     with np.errstate(over="ignore", invalid="ignore"):
         d = decisions
         q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
         demands = _demand_profile(q)
         pi_m, pi_r = _profit_sums(model, d, params, q)
         eq = Equilibrium(
-            model=model,
             params=params,
             decisions=decisions,
             demands=demands,
             profit=ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r)),
-            validity=_validity(model, d, params, demands),
+            validity=_validity(d, params, demands),
             provenance=provenance,
             singularity_distance=singularity_distance,
             demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,

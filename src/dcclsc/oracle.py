@@ -41,7 +41,7 @@ import numpy as np
 
 from . import market
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
-from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium
+from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
 from .params import ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params
 
 #: The game's own poles in alpha: the roots of the common denominators of its
@@ -318,9 +318,13 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
 
     One identification at the point gives the follower's Hessian and the
     leader's reduced Hessian, each judged by the solver's concavity rule.
-    Raises NonConcave when the retailer has no best response to substitute.
+    Raises OutOfDomain unless ``model`` and ``params`` are the equilibrium's,
+    and NonConcave when the retailer has no best response to substitute.
     """
-    model = ModelId(model)
+    model = model_of(model, eq.decisions)
+    if params != eq.params:
+        raise OutOfDomain.single("params", params.as_dict(),
+                                 f"the equilibrium is at {eq.params.as_dict()}")
     game = _identify(model, params, eq.decisions)
     eig_f, eig_l = game.follower_eigs, np.linalg.eigvalsh(game.leader()[1])
     return SocReport(
@@ -366,11 +370,12 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
     (seed, n) fixes every draw; the substream is drawn in blocks of
     ``_MC_BLOCK`` pairs, which moves no draw, and every block is drawn and
     classified in one workspace allocated per call (sliced for a partial
-    last block). Raises OutOfDomain for n < 1 or a negative seed.
+    last block). Raises OutOfDomain for n < 1, a negative seed, or a
+    ``model`` that is not the decisions' own.
     """
     if n < 1:
         raise OutOfDomain.single("n", n, "must be >= 1")
-    model = ModelId(model)
+    model_of(model, decisions)
     size = min(_MC_BLOCK, n)
     draws, (utils, flags) = np.empty((size, 2)), market.choice_workspace(size)
     counts = [0] * 4
@@ -379,7 +384,7 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
             rng = seeded_generator(seed, start // _MC_CHUNK)
         m = min(_MC_BLOCK, n - start)
         rng.random(out=draws[:m])
-        masks = market.choice_masks(model, decisions, draws[:m, 0], draws[:m, 1], params,
+        masks = market.choice_masks(decisions, draws[:m, 0], draws[:m, 1], params,
                                     out=(utils[:, :m], flags[:, :m]))
         counts = [c + int(np.count_nonzero(mask)) for c, mask in zip(counts, masks)
                   if mask is not None]
@@ -397,10 +402,10 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet,
     leader's reduced profit (follower at its best response) in the leader's
     variables, divided by max(1, |profit|) at the point; one identification
     at the point gives all of them. All residuals vanish at a true interior
-    Stackelberg solution. Raises NonConcave when the retailer has no best
-    response to substitute.
+    Stackelberg solution. Raises OutOfDomain for another model than the
+    decisions', and NonConcave when the retailer has no best response.
     """
-    model = ModelId(model)
+    model = model_of(model, decisions)
     return _residuals(model, _identify(model, params, decisions))
 
 
@@ -426,8 +431,10 @@ def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
     (alpha <= 1/4) or "leader_non_concave" (the leader's reduced profit
     under the adopted variant is not concave, alpha up to 0.27689). The
     verdict is a deterministic function of (decisions, params); it takes
-    one identification per variant.
+    one identification per variant. Raises OutOfDomain for decisions of
+    another model.
     """
+    model_of(ModelId.MR, decisions)
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
         try:

@@ -415,6 +415,25 @@ class TestSweep:
         assert names == ["M_b_m.svg", "M_p_m.svg", "M_p_r.svg", "M_w.svg"]
         assert "<svg" in (plot_dir / "M_p_m.svg").read_text()
 
+    def test_no_chart_without_the_decisions(self, tmp_path, capsys):
+        # the decision columns are blank, so there is nothing to draw
+        plot_dir = tmp_path / "charts"
+        code, out, _ = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.2",
+                           "--alpha-to", "0.8", "--alpha-step", "0.1", "--cm", "0.6",
+                           "--cr", "0.3", "--s", "0.1", "--outputs", "demands,profits",
+                           "--plot-dir", str(plot_dir))
+        assert code == 0
+        assert list(plot_dir.iterdir()) == []
+        assert "wrote chart" not in out
+
+    def test_unknown_output_group_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.2",
+                             "--alpha-to", "0.8", "--cm", "0.6", "--cr", "0.3", "--s", "0.1",
+                             "--outputs", "demands,nope")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: unknown output groups ['nope']"
+
 
 class TestCertificationCalls:
     @pytest.fixture
@@ -637,9 +656,11 @@ class TestSimulate:
         assert "q1=-inf" in err and "q2=inf" in err
 
     def test_missing_decision_flag(self, capsys):
-        code, _, _ = run(capsys, "simulate", "--model", "m", "--alpha", "0.5",
-                         "--pm", "0.3", "--pr", "0.6", "--w", "0.4")
+        code, out, err = run(capsys, "simulate", "--model", "m", "--alpha", "0.5",
+                             "--pm", "0.3", "--pr", "0.6", "--w", "0.4")
         assert code == 1
+        assert out == ""
+        assert err == "error: b_m=nan violates: model M requires a finite b_m\n"
 
 
 class TestConfigFile:
@@ -677,6 +698,26 @@ class TestConfigFile:
         assert text == f"wrote equilibrium to {out}\n"
         assert json.loads(out.read_text())["params"]["alpha"] == 0.9
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value, verified", [("true", True), ("off", False)])
+    def test_switch_set_in_config(self, tmp_path, capsys, value, verified):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = m\nalpha = 0.9\ncm = 0.15\ncr = 0.12\nverify = {value}\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "solve")
+        assert code == 0
+        assert ("oracle" in json.loads(out)) is verified
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "--config requires a subcommand"),
+        (("frobnicate",), "unknown subcommand 'frobnicate'"),
+    ])
+    def test_config_without_a_known_subcommand(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = m\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -756,6 +797,16 @@ class TestSuiteInternals:
         report = suite_endpoints(samples=3, seed=11)
         assert report.ok
         assert report.counts["pattern_deviations"] == 0
+
+    def test_endpoint_suite_reports_each_deviation(self, monkeypatch):
+        flipped = {key: not agree for key, agree in suites.EXPECTED_ENDPOINT_AGREEMENT.items()}
+        monkeypatch.setattr(suites, "EXPECTED_ENDPOINT_AGREEMENT", flipped)
+        report = suite_endpoints(samples=1, seed=11)
+        assert not report.ok
+        assert report.counts["pattern_deviations"] == report.counts["checks"] > 0
+        assert len(report.findings) == report.counts["checks"]
+        assert all(re.fullmatch(r"draw 0 [MR] \w+ alpha->[01]: agree=(True|False), "
+                                r"expected (True|False)", f) for f in report.findings)
 
 
 #: Values from the corners of the float range: huge, tiny, negative, non-finite.

@@ -45,21 +45,21 @@ def _dmr(p_m=0.3, p_r=0.6, w=0.4, b_m=0.3, b_r=0.3, t=0.35):
 class TestUtilities:
     def test_direct_channel_indifference(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
-        us = utilities(ModelId.M, _dm(p_m=0.3), 0.6, 0.5, p)
+        us = utilities(_dm(p_m=0.3), 0.6, 0.5, p)
         assert us["U1"] == pytest.approx(0.0, abs=1e-15)
 
     def test_tradein_indifference(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
-        us = utilities(ModelId.M, _dm(b_m=0.2), 0.5, 0.2, p)
+        us = utilities(_dm(b_m=0.2), 0.5, 0.2, p)
         assert us["U3"] == pytest.approx(0.0, abs=1e-15)
 
     def test_mr_subsidy_tie(self):
         p = Params(alpha=0.6, c_m=0.2, c_r=0.1, s=0.0)
-        us = utilities(ModelId.MR, _dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)
+        us = utilities(_dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)
         assert us["U3"] == pytest.approx(0.15)
         assert us["U4"] == pytest.approx(0.15)
         # the tie resolves to the manufacturer's subsidy
-        assert choice_segment(ModelId.MR, _dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)[1] == 3
+        assert choice_segment(_dmr(b_m=0.4, b_r=0.3), 0.5, 0.25, p)[1] == 3
 
     @pytest.mark.parametrize("model, d, workspace", [
         pytest.param(model, d, workspace, id=f"{model.value}-d{i}" + "-workspace" * workspace)
@@ -76,7 +76,7 @@ class TestUtilities:
         v, u = pairs[:, 0], pairs[:, 1]
         expected = []
         for k in range(v.size):
-            us = utilities(model, d, float(v[k]), float(u[k]), p)
+            us = utilities(d, float(v[k]), float(u[k]), p)
             if us["U1"] >= us["U2"] and us["U1"] >= 0.0:
                 primary = 1
             elif us["U2"] > us["U1"] and us["U2"] >= 0.0:
@@ -92,13 +92,13 @@ class TestUtilities:
             else:
                 tradein = 0
             expected.append([seg for seg in (primary, tradein) if seg])
-            assert choice_segment(model, d, float(v[k]), float(u[k]), p) == (primary, tradein)
+            assert choice_segment(d, float(v[k]), float(u[k]), p) == (primary, tradein)
 
         def chosen(masks, k):
             return [seg for seg, m in enumerate(masks, 1) if m is not None and m[k]]
 
         out = market.choice_workspace(v.size) if workspace else None
-        masks = choice_masks(model, d, v, u, p, out=out)
+        masks = choice_masks(d, v, u, p, out=out)
         assert [chosen(masks, k) for k in range(v.size)] == expected
         if workspace:
             assert all(m is None or np.shares_memory(m, out[1]) for m in masks)
@@ -107,16 +107,16 @@ class TestUtilities:
             m = v.size // 3 + 1
             out[0].fill(np.nan)
             np.invert(out[1], out=out[1])
-            part = choice_masks(model, d, v[:m], u[:m], p, out=(out[0][:, :m], out[1][:, :m]))
+            part = choice_masks(d, v[:m], u[:m], p, out=(out[0][:, :m], out[1][:, :m]))
             assert all(x is None or x.shape == (m,) for x in part)
             assert [chosen(part, k) for k in range(m)] == expected[:m]
 
     def test_valuations_must_be_in_unit_interval(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         with pytest.raises(OutOfDomain):
-            utilities(ModelId.M, _dm(), 1.5, 0.5, p)
+            utilities(_dm(), 1.5, 0.5, p)
         with pytest.raises(OutOfDomain):
-            utilities(ModelId.M, _dm(), 0.5, -0.1, p)
+            utilities(_dm(), 0.5, -0.1, p)
 
 
 class TestDemand:
@@ -211,7 +211,7 @@ class TestProfits:
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.05)
         b_m = p.delta + p.s  # with p_m = c_m this zeroes the trade-in margin
         d = DecisionSet(model=ModelId.M, p_m=p.c_m, p_r=p.c_m, w=p.c_m, b_m=b_m)
-        out = profits(ModelId.M, d, p)
+        out = profits(d, p)
         assert out.pi_m == pytest.approx(0.0, abs=1e-15)
         assert out.pi_r == pytest.approx(0.0, abs=1e-15)
 
@@ -219,12 +219,12 @@ class TestProfits:
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         d = _dm(p_m=0.2, p_r=0.7, w=0.4)  # p_r - p_m = 1 - alpha forces q2 = 0
         assert demand(ModelId.M, d, p).q2 == pytest.approx(0.0, abs=1e-15)
-        assert profits(ModelId.M, d, p).pi_r == pytest.approx(0.0, abs=1e-15)
+        assert profits(d, p).pi_r == pytest.approx(0.0, abs=1e-15)
 
     def test_r_transfer_at_subsidy_zeroes_tradein_term(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         d = _dr(p_m=0.2, p_r=0.2, w=0.2, b_r=0.3, t=0.3)  # p_r = w and t = b_r
-        assert profits(ModelId.R, d, p).pi_r == pytest.approx(0.0, abs=1e-15)
+        assert profits(d, p).pi_r == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("model, variant", [
         (ModelId.M, MrDemandVariant.ADOPTED), (ModelId.R, MrDemandVariant.ADOPTED),
@@ -251,7 +251,7 @@ class TestProfits:
 
     def test_chain_profit_is_exact_sum(self):
         p = Params(alpha=0.65, c_m=1.5, c_r=0.7, s=0.2)
-        out = profits(ModelId.R, _dr(), p)
+        out = profits(_dr(), p)
         assert out.pi_s == out.pi_m + out.pi_r  # bitwise, not approximate
 
 
@@ -270,15 +270,15 @@ class TestValidity:
     def test_boundary_is_not_interior(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         d = _dm(p_m=0.3, p_r=0.6)  # p_m = alpha * p_r exactly
-        report = validity(ModelId.M, d, p)
+        report = validity(d, p)
         assert report.check("q1_in_unit").slack == pytest.approx(0.0, abs=1e-15)
         assert not report.interior
 
     def test_transfer_flag(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
-        bad = validity(ModelId.R, _dr(b_r=0.4, t=0.1), p)
+        bad = validity(_dr(b_r=0.4, t=0.1), p)
         assert not bad.check("transfer_covers_subsidy").ok
-        good = validity(ModelId.R, _dr(b_r=0.1, t=0.4), p)
+        good = validity(_dr(b_r=0.1, t=0.4), p)
         assert good.check("transfer_covers_subsidy").ok
 
     def test_margins_are_informational(self):
@@ -286,9 +286,50 @@ class TestValidity:
         eq = equilibrium_m(p)
         assert eq.validity.interior
         # a negative wholesale margin does not break interiority by itself
-        worse = validity(ModelId.M, dataclasses.replace(eq.decisions, w=0.14), p)
+        worse = validity(dataclasses.replace(eq.decisions, w=0.14), p)
         assert not worse.check("margin_wholesale").ok
         assert worse.check("margin_wholesale").informational
+
+    def test_unknown_check_is_a_key_error(self, params_m):
+        with pytest.raises(KeyError, match="nope"):
+            equilibrium_m(params_m).validity.check("nope")
+
+
+#: The golden MR point; each model's closed-form decisions there.
+_OWN_PARAMS = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
+
+
+def _own(model: ModelId) -> DecisionSet:
+    return equilibrium(model, _OWN_PARAMS).decisions
+
+
+#: (model argument, model of the decisions): once M's masses of MR decisions
+#: (q1 = -7.37), a TypeError for (R, M), and an Equilibrium labelled M
+#: holding MR decisions.
+_DISAGREEING = [(ModelId.M, ModelId.MR), (ModelId.R, ModelId.M)]
+
+
+class TestOwnModel:
+    """A value names its model once; an entry taking a second model refuses
+    one that disagrees, naming both."""
+
+    @pytest.mark.parametrize("model, owner", _DISAGREEING)
+    def test_demand_refuses_another_model(self, model, owner):
+        with pytest.raises(OutOfDomain) as exc:
+            demand(model, _own(owner), _OWN_PARAMS)
+        assert str(exc.value) == (f"model={model.value!r} violates: "
+                                  f"the decisions belong to model {owner.value}")
+
+    @pytest.mark.parametrize("model, owner", _DISAGREEING)
+    def test_make_equilibrium_refuses_another_model(self, model, owner):
+        with pytest.raises(OutOfDomain, match=f"model='{model.value}' .* model {owner.value}$"):
+            market.make_equilibrium(model, _own(owner), _OWN_PARAMS, "closed_form", 1.0)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_equilibrium_model_is_its_decisions(self, model):
+        eq = market.make_equilibrium(model, _own(model), _OWN_PARAMS, "closed_form", 1.0)
+        assert eq.model is eq.decisions.model is model
+        assert eq.as_dict()["model"] == model.value
 
 
 finite_price = st.floats(-0.5, 1.5)
@@ -320,7 +361,7 @@ class TestAlgebraicInvariants:
     def test_profit_sum_identity(self, alpha, p_m, p_r, w, b_r, t):
         p = Params(alpha=alpha, c_m=0.5, c_r=0.25, s=0.1)
         d = DecisionSet(model=ModelId.R, p_m=p_m, p_r=p_r, w=w, b_r=b_r, t=t)
-        out = profits(ModelId.R, d, p)
+        out = profits(d, p)
         assert out.pi_s == out.pi_m + out.pi_r
 
     @given(alpha=unit_alpha, v=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
@@ -328,8 +369,8 @@ class TestAlgebraicInvariants:
     def test_choice_consistent_with_utilities(self, alpha, v, u):
         p = Params(alpha=alpha, c_m=0.5, c_r=0.25, s=0.0)
         d = _dmr(p_m=0.3, p_r=0.6, b_m=0.35, b_r=0.3)
-        us = utilities(ModelId.MR, d, v, u, p)
-        primary, tradein = choice_segment(ModelId.MR, d, v, u, p)
+        us = utilities(d, v, u, p)
+        primary, tradein = choice_segment(d, v, u, p)
         if primary == 1:
             assert us["U1"] >= us["U2"] and us["U1"] >= 0.0
         if tradein == 4:

@@ -235,6 +235,12 @@ class TestStackelbergSolve:
         with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
             solve_stackelberg_numeric(model, Params(alpha=0.5, c_m=c_m, c_r=1.0, s=s))
 
+    def test_curvature_lost_to_roundoff_is_refused(self):
+        # a fixed box at a cost of 1e10: the stencil's profits dwarf its second differences
+        p = Params(alpha=0.5, c_m=1e10, c_r=5e9, s=0.0)
+        with pytest.raises(OutOfDomain, match="too large to resolve its curvature"):
+            solve_stackelberg_numeric(ModelId.M, p, OracleConfig(leader_box=WIDE_BOX))
+
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     def test_mr_singularity_distance_is_the_games(self, alpha):
         # the game's MR pole, not the published denominator's root near 0.24794
@@ -267,6 +273,15 @@ class TestSecondOrderConditions:
         soc = check_soc(ModelId.M, equilibrium_m(params_m), params_m)
         assert soc.follower_negative_definite
         assert soc.leader_negative_definite
+
+    def test_report_as_dict(self, params_m):
+        soc = check_soc(ModelId.M, equilibrium_m(params_m), params_m)
+        assert soc.as_dict() == {
+            "follower_hessian_eigs": list(soc.follower_hessian_eigs),
+            "leader_reduced_hessian_eigs": list(soc.leader_reduced_hessian_eigs),
+            "follower_negative_definite": True,
+            "leader_negative_definite": True,
+        }
 
     def test_near_pole_leader_stage_fails(self):
         # just below the pole the reduced leader problem is indefinite
@@ -350,7 +365,7 @@ class TestMonteCarlo:
         for idx, start in enumerate(range(0, n, _CHUNK)):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(17, spawn_key=(idx,))))
             draws = rng.random((min(_CHUNK, n - start), 2))
-            masks = market.choice_masks(model, d, draws[:, 0], draws[:, 1], p)
+            masks = market.choice_masks(d, draws[:, 0], draws[:, 1], p)
             counts += [0 if m is None else np.count_nonzero(m) for m in masks]
         mc = monte_carlo_demand(model, d, p, n=n, seed=17)
         shares = list(mc.shares.as_dict().values())
@@ -399,6 +414,51 @@ class TestStationarity:
     def test_printed_mr_point_certifies_nothing(self, params_mr):
         eq = equilibrium(ModelId.MR, params_mr)
         assert certify_mr_variant(eq.decisions, params_mr) == "none"
+
+
+#: Each model's closed-form equilibrium at the golden MR point.
+_OWN = {model: equilibrium(model, Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2))
+        for model in ModelId}
+
+
+def _model_refusal(model: ModelId, owner: ModelId) -> str:
+    return f"^model='{model.value}' violates: the decisions belong to model {owner.value}$"
+
+
+class TestOwnModel:
+    """An entry taking a model besides the decisions refuses one that
+    disagrees, naming both."""
+
+    @pytest.mark.parametrize("model, owner", [(ModelId.M, ModelId.MR), (ModelId.R, ModelId.M)])
+    def test_monte_carlo_refuses_another_model(self, model, owner):
+        # once a silent simulation of MR decisions as M, and numpy's UFuncTypeError
+        eq = _OWN[owner]
+        with pytest.raises(OutOfDomain, match=_model_refusal(model, owner)):
+            monte_carlo_demand(model, eq.decisions, eq.params, n=10, seed=0)
+
+    def test_stationarity_refuses_another_model(self):
+        # once blamed on "overflows on the difference stencil"
+        eq = _OWN[ModelId.M]
+        with pytest.raises(OutOfDomain, match=_model_refusal(ModelId.R, ModelId.M)):
+            stationarity_residuals(ModelId.R, eq.decisions, eq.params)
+
+    def test_certification_refuses_decisions_of_another_model(self):
+        eq = _OWN[ModelId.M]
+        with pytest.raises(OutOfDomain, match=_model_refusal(ModelId.MR, ModelId.M)):
+            certify_mr_variant(eq.decisions, eq.params)
+
+    def test_soc_refuses_another_model(self):
+        # once a report on MR's point, judged as M's game
+        eq = _OWN[ModelId.MR]
+        with pytest.raises(OutOfDomain, match=_model_refusal(ModelId.M, ModelId.MR)):
+            check_soc(ModelId.M, eq, eq.params)
+
+    def test_soc_refuses_other_params(self):
+        eq, other = _OWN[ModelId.M], Params(alpha=0.3, c_m=1.0, c_r=0.5, s=0.2)
+        with pytest.raises(OutOfDomain) as exc:
+            check_soc(ModelId.M, eq, other)
+        assert str(exc.value) == (f"params={other.as_dict()!r} violates: "
+                                  f"the equilibrium is at {eq.params.as_dict()!r}")
 
 
 class TestSampling:
