@@ -8,11 +8,11 @@ verbatim. Each claim is stated whole in its row of ``_ORDERING`` or
 denominator vanishes, and optionally a label for that threshold (an ordering
 row) or an alternate published threshold (a monotonicity row).
 :func:`thresholds` collects the primary thresholds from those rows.
-Conclusions are then tested against the closed-form expressions on an alpha
-grid, evaluated in one array call per grid (the claims are statements about
-those expressions, so the numeric solver is used only for the uniqueness
-theorems). Disagreements are reported, never corrected: several published
-claims demonstrably fail, and surfacing them is the point of this module.
+Conclusions are tested against the closed-form expressions on an alpha grid in
+one array call, refused at a pole or an overflow as the closed form refuses it
+(the claims are statements about those expressions; the numeric solver serves
+only the uniqueness theorems). Disagreements are reported, never corrected:
+several published claims demonstrably fail; surfacing them is this module's point.
 
 Verdicts are bit-reproducible functions of (claim id, params, grid).
 """
@@ -65,20 +65,9 @@ class AuditVerdict:
 
 
 def _grid_values(model: ModelId, alpha_grid, params: Params):
-    """The audit grid (the model's default unless given) and every decision
-    on it, in one array evaluation. A grid point on a pole raises Singularity
-    at the point nearest a pole, as the closed form does at guard 0, instead
-    of yielding inf or nan evidence."""
-    grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid,
-                      dtype=float)
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            return grid, closed_form.decision_values(model, grid, params.c_m, params.delta,
-                                                     params.s)
-        except FloatingPointError:
-            alpha = min(grid.tolist(), key=lambda a: closed_form.singularity_distance(model, a))
-    raise Singularity(f"model {model.value} audit grid", alpha,
-                      closed_form.singularity_distance(model, alpha), 0.0)
+    """The audit grid (the model's default unless given) and every decision on it."""
+    grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid, float)
+    return grid, closed_form.decision_values(model, grid, params.c_m, params.delta, params.s)
 
 
 def _relation(diffs: np.ndarray) -> str:

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, closed_form, market, oracle, report, suites
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity
 from .market import MrDemandVariant
-from .params import DecisionSet, ModelId, Params, decision_fields
+from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, decision_fields
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -317,8 +317,8 @@ def cmd_table4(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         _parser().error("--samples must be >= 1")
-    if args.tol is not None and not args.tol >= 0.0:  # also refuses nan
-        raise OutOfDomain.single("tol", args.tol, "must be >= 0")
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:  # also refuses nan
+        raise OutOfDomain.single("tol", args.tol, "must be finite and >= 0")
     # only the flags the user set
     given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
     overrides = {k: v for k, v in given.items() if v is not None}
@@ -339,9 +339,9 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = ModelId.parse(args.model)
     params = _params_from(args)
-    # flags the model does not use are ignored; DecisionSet refuses a missing one
+    # DecisionSet refuses a missing decision flag, and one the model does not use
     decisions = DecisionSet(model=model, **{n: getattr(args, n.replace("_", ""))
-                                            for n in decision_fields(model)})
+                                            for n in ALL_DECISION_FIELDS})
     analytic = market.demand(model, decisions, params).as_dict()
     market.require_finite(analytic)  # so are the as-printed ones: only q3 differs, as 1 - q3
     mc = oracle.monte_carlo_demand(model, decisions, params, n=args.n, seed=args.seed)

@@ -8,8 +8,8 @@ evaluated verbatim, and only evaluated: :func:`dcclsc.oracle.certify_mr_variant`
 judges whether an MR point is stationary under either segment-3 demand
 variant. The numeric oracle, not this module, is the ground truth for MR.
 
-Each model's denominator roots are stated once, in ``POLES``. :func:`equilibrium`
-raises Singularity within its guard band of one, and where a denominator is zero.
+Each model's denominator roots are stated once, in ``POLES``. Only
+:func:`decision_values` refuses an evaluation; :func:`equilibrium` adds a guard band.
 
 One deliberate correction is applied: the published reaction of the retailer
 in model M is inconsistent with both the equilibrium expressions and their
@@ -19,8 +19,10 @@ the retailer profit derived directly from its first-order condition.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import OutOfDomain, Singularity
-from .market import Equilibrium, MrDemandVariant, make_equilibrium
+from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite
 from .params import DecisionSet, ModelId, Params
 
 #: Default half-width of the guard band around denominator roots of alpha.
@@ -99,7 +101,7 @@ def decision_values_mr(alpha: float, c_m: float, delta: float, s: float) -> dict
     """Model-MR equilibrium decisions, evaluated verbatim as published.
 
     The common denominator 2a^3 + 3a^2 - 17a + 4 has a root near a = 0.24794;
-    callers are expected to guard it. These expressions are known not to be
+    :func:`decision_values` refuses it. These expressions are known not to be
     stationary points of the joint profits under either demand variant; see
     :func:`dcclsc.oracle.certify_mr_variant`.
     """
@@ -126,21 +128,32 @@ _VALUE_FUNCTIONS = {
 
 def decision_values(model: ModelId, alpha: float, c_m: float, delta: float,
                     s: float) -> dict[str, float]:
-    """Equilibrium decision values for any model at raw primitives."""
-    return _VALUE_FUNCTIONS[ModelId(model)](alpha, c_m, delta, s)
+    """Equilibrium decision values for any model at raw primitives.
+
+    ``alpha`` is a float, a Fraction (exact with Fraction primitives) or a numpy
+    grid, refused at its failing point nearest a pole as that float: Singularity
+    (guard 0) at a zero denominator, whatever its numerator, else OutOfDomain.
+    """
+    model = ModelId(model)
+    if isinstance(alpha, np.ndarray):
+        with np.errstate(all="ignore"):
+            values = _VALUE_FUNCTIONS[model](alpha, c_m, delta, s)
+        finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
+        if not finite.all():
+            i = min(np.flatnonzero(~finite), key=lambda j: singularity_distance(model, alpha[j]))
+            decision_values(model, float(alpha[i]), c_m, delta, s)
+            require_finite({name: v[i] for name, v in values.items()})  # numpy may round otherwise
+        return values
+    try:
+        return require_finite(_VALUE_FUNCTIONS[model](alpha, c_m, delta, s))
+    except ZeroDivisionError:
+        raise Singularity(f"model {model.value} closed form", alpha,
+                          singularity_distance(model, alpha), 0.0) from None
 
 
 def limits(model: ModelId, params: Params) -> dict[str, tuple[float, float]]:
-    """Endpoint limits of each decision variable as alpha -> 0 and alpha -> 1.
-
-    Exposed as explicit evaluators because alpha = 0 and alpha = 1 lie
-    outside the admissible parameter domain; the rational expressions
-    themselves are continuous there for every model.
-    """
-    model = ModelId(model)
-    f = _VALUE_FUNCTIONS[model]
-    at0 = f(0.0, params.c_m, params.delta, params.s)
-    at1 = f(1.0, params.c_m, params.delta, params.s)
+    """Each decision's limits as alpha -> 0 and alpha -> 1, both outside the domain."""
+    at0, at1 = (decision_values(model, a, params.c_m, params.delta, params.s) for a in (0.0, 1.0))
     return {name: (at0[name], at1[name]) for name in at0}
 
 
@@ -148,22 +161,18 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
                 variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
-    Raises Singularity within ``guard`` of a denominator root of alpha, or
-    where a denominator evaluates to zero. For model MR only, the outcome is
+    Raises Singularity within ``guard`` of a denominator root of alpha, then
+    refuses as :func:`decision_values` does. For model MR only, the outcome is
     computed under ``variant``.
     """
     model = ModelId(model)
     if not guard >= 0.0:
         raise OutOfDomain.single("guard", guard, "must be >= 0")
     dist = singularity_distance(model, params.alpha)
-    try:
-        values = None if dist < guard else decision_values(
-            model, params.alpha, params.c_m, params.delta, params.s)
-    except ZeroDivisionError:
-        values = None
-    if values is None:
-        raise Singularity(f"model {model.value} equilibrium", params.alpha, dist, guard)
-    decisions = DecisionSet(model=model, **values)
+    if dist < guard:
+        raise Singularity(f"model {model.value} closed form", params.alpha, dist, guard)
+    decisions = DecisionSet(model=model, **decision_values(
+        model, params.alpha, params.c_m, params.delta, params.s))
     return make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)
 
 

@@ -247,9 +247,12 @@ def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
                    variant: MrDemandVariant = MrDemandVariant.ADOPTED):
     """Raw segment-mass kernel; broadcasts over array-valued decisions.
 
-    Returns (q1, q2, q3, q4) with q4 = None outside the joint model.
+    Returns (q1, q2, q3, q4), q4 None outside the joint model, the one reading ``variant``.
     """
     model = ModelId(model)
+    if model is not ModelId.MR and variant != MrDemandVariant.ADOPTED:
+        raise OutOfDomain.single("variant", MrDemandVariant(variant).value,
+                                 f"model {model.value} has no segment-3 demand variant")
     ap = alpha * (1 - alpha)
     if ap < ALPHA_PRODUCT_GUARD:
         raise Singularity("alpha*(1-alpha) in segment masses", alpha, ap, ALPHA_PRODUCT_GUARD)
@@ -436,10 +439,11 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
     return eq
 
 
-def require_finite(values: dict[str, float]) -> None:
-    """Raise OutOfDomain naming every value that is not finite, so no payload
-    carries an infinity or a NaN."""
+def require_finite(values: dict[str, float]) -> dict[str, float]:
+    """``values``, or OutOfDomain naming every value that is not finite, so no
+    payload carries an infinity or a NaN; a Fraction, however large, is finite."""
     bad = [Violation(name, v, "must be finite; float arithmetic overflows here")
-           for name, v in values.items() if not math.isfinite(v)]
+           for name, v in values.items() if not -math.inf < v < math.inf]
     if bad:
         raise OutOfDomain(bad)
+    return values

@@ -70,8 +70,8 @@ def rows_to_csv(rows: Iterable[Mapping], columns: Sequence[str] = CSV_COLUMNS) -
 
 
 def to_json(payload) -> str:
-    """Canonical JSON: two-space indent, keys in construction order."""
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    """Canonical JSON: two-space indent, keys in construction order, no Infinity or NaN."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # -- minimal self-contained SVG line charts ---------------------------------

@@ -1,8 +1,10 @@
 """Proposition, theorem, and endpoint audits."""
 
+import warnings
+
 import pytest
 
-from dcclsc import ModelId, Params, Singularity, closed_form, oracle
+from dcclsc import ModelId, OutOfDomain, Params, Singularity, closed_form, oracle
 from dcclsc.audit import (
     AuditVerdict,
     Thresholds,
@@ -311,7 +313,16 @@ class TestGridEvaluation:
                     audit(prop, p, alpha_grid=grid)
                 assert (exc.value.alpha, exc.value.distance, exc.value.guard) == \
                     (2.0 / 9.0, 0.0, 0.0)
-                assert "model R audit grid" in str(exc.value)
+                assert "model R closed form" in str(exc.value)
+
+    @pytest.mark.parametrize("prop", sorted(_CLAIM_MODEL))
+    def test_grid_beyond_float_range_is_a_domain_error(self, prop):
+        # once numpy's overflow RuntimeWarning, then Singularity at the grid
+        # point nearest a pole (alpha 0.99 or 0.3), three units away from it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="float arithmetic overflows"):
+                _grid_verdicts(prop, Params(0.5, 1e308, 1.0, 0.0))
 
 
 class TestUniqueness:
@@ -382,6 +393,12 @@ class TestEndpoints:
         limit = closed_form.limits(ModelId.R, p)["t"][1]
         printed = (20.0 * p.delta - 10.0 * p.c_m + 20.0 * p.s + 9.0) / 4.0
         assert t1.evidence == ((1.0, float(limit)), (1.0, printed))
+
+    @pytest.mark.parametrize("model", [ModelId.M, ModelId.R])
+    def test_limits_beyond_float_range_are_a_domain_error(self, model):
+        # once inf and nan limits, judged "equal" or "less_than"
+        with pytest.raises(OutOfDomain, match="float arithmetic overflows"):
+            audit_endpoints(model, Params(0.5, 1e308, 1.0, 0.0))
 
     def test_joint_model_has_no_published_endpoints(self, params_mr):
         assert audit_endpoints(ModelId.MR, params_mr) == []

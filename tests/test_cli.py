@@ -5,14 +5,16 @@ import io
 import json
 import math
 import re
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dcclsc import cli, market, oracle, report, suites
+from dcclsc import cli, decision_fields, market, oracle, report, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
@@ -118,6 +120,27 @@ class TestSolve:
                              "--variant", "as-printed", "--verify")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "as-printed variant" in err
+
+    @pytest.mark.parametrize("model", ["m", "r"])
+    def test_as_printed_variant_outside_model_mr_is_a_domain_error(self, capsys, model):
+        # once exit 0, echoing a variant nothing read
+        code, out, err = run(capsys, "solve", "--model", model, "--alpha", "0.6",
+                             "--cm", "1", "--cr", "0.5", "--variant", "as-printed")
+        assert (code, out) == (1, "")
+        assert err == (f"error: variant='as_printed' violates: model {model.upper()} "
+                       f"has no segment-3 demand variant\n")
+        code, out, _ = run(capsys, "sweep", "--model", model, "--alpha-from", "0.3",
+                           "--alpha-to", "0.4", "--alpha-step", "0.05", "--cm", "1",
+                           "--cr", "0.5", "--s", "0.1", "--variant", "as-printed")
+        assert (code, out) == (1, "")
+
+    def test_decisions_beyond_float_range_are_named(self, capsys):
+        # the closed form refuses its own overflow, before DecisionSet sees it
+        code, out, err = run(capsys, "solve", "--model", "m", "--alpha", "0.5",
+                             "--cm", "1e308", "--cr", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: p_m=inf violates: must be finite; float arithmetic "
+                              "overflows here; p_r=nan violates")
 
     def test_unwritable_output_path_exit_code(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--model", "m", "--alpha", "0.9",
@@ -619,7 +642,26 @@ class TestVerify:
         code, text, err = run(capsys, "verify", "oracle", f"--tol={tol}", "--samples", "1")
         assert code == 1
         assert text == ""
-        assert err.splitlines() == [f"error: tol={shown} violates: must be >= 0"]
+        assert err.splitlines() == [f"error: tol={shown} violates: must be finite and >= 0"]
+
+    def test_infinite_tolerance_is_a_domain_error(self, capsys, tmp_path):
+        # once exit 0, writing "tol": Infinity into the report
+        out = tmp_path / "o.json"
+        code, text, err = run(capsys, "verify", "oracle", "--samples", "1", "--tol", "inf",
+                              "--out", str(out))
+        assert (code, text) == (1, "")
+        assert err.splitlines() == ["error: tol=inf violates: must be finite and >= 0"]
+        assert not out.exists()
+
+    def test_one_draw_simulations_report_a_finite_worst_sigma(self, capsys, tmp_path):
+        # with n = 1 every empirical standard error is 0; "worst_sigma" was once Infinity
+        out = tmp_path / "mc.json"
+        code, _, _ = run(capsys, "verify", "mc", "--samples", "1", "--n", "1",
+                         "--out", str(out))
+        assert code in (0, 2)
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert math.isfinite(json.loads(text)[0]["counts"]["worst_sigma"])
 
     def test_zero_tolerance_is_valid(self, capsys):
         assert run(capsys, "verify", "oracle", "--tol", "0", "--samples", "1")[0] in (0, 2)
@@ -661,6 +703,18 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == "error: b_m=nan violates: model M requires a finite b_m\n"
+
+    @pytest.mark.parametrize("model, flag, field", [("m", "--t", "t"), ("m", "--br", "b_r"),
+                                                    ("r", "--bm", "b_m")])
+    def test_decision_flag_the_model_does_not_use(self, capsys, model, flag, field):
+        # once exit 0, the flag echoed in the payload's command and otherwise ignored
+        own = {"m": ("--bm", "0.2"), "r": ("--br", "0.2", "--t", "0.3")}[model]
+        code, out, err = run(capsys, "simulate", "--model", model, "--alpha", "0.5",
+                             "--pm", "0.3", "--pr", "0.6", "--w", "0.4", *own, flag, "3",
+                             "--n", "100")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {field}=3.0 violates: model {model.upper()} "
+                       f"does not use {field}\n")
 
 
 class TestConfigFile:
@@ -774,6 +828,12 @@ class TestDeterminism:
         assert run(capsys, *args, str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_non_standard_tokens(self, value):
+        # Infinity and NaN are not JSON; a payload carrying one is a bug upstream
+        with pytest.raises(ValueError):
+            report.to_json({"x": value})
+
     def test_charts_bytes_stable(self, tmp_path, capsys):
         dirs = [tmp_path / "c1", tmp_path / "c2"]
         for d in dirs:
@@ -865,9 +925,14 @@ class TestFuzzedFlags:
             assert "Infinity" not in out and "NaN" not in out
 
     @given(model=_MODELS, params=_param_flags(), decisions=_decision_flags(),
-           n=st.integers(-1, 10_000), seed=st.integers(-2**64, 2**65))
+           all_six=st.booleans(), n=st.integers(-1, 10_000), seed=st.integers(-2**64, 2**65))
     @settings(max_examples=60, deadline=None)
-    def test_simulate(self, model, params, decisions, n, seed):
+    def test_simulate(self, model, params, decisions, all_six, n, seed):
+        # all six decision flags are refused outside model MR, so half the
+        # runs pass only the model's own
+        if not all_six:
+            own = [name.replace("_", "") for name in decision_fields(model.upper())]
+            decisions = {name: value for name, value in decisions.items() if name in own}
         argv = ["simulate", "--model", model, *_flags(params), *_flags(decisions), f"--n={n}",
                 f"--seed={seed}"]
         code, out = _run_quietly(argv)
@@ -892,3 +957,17 @@ class TestFuzzedFlags:
         if code == 0:  # two report lines, then the CSV
             cells = {cell for line in out.splitlines()[2:] for cell in line.split(",")}
             assert not cells & {"inf", "-inf", "nan"}
+
+    @given(suite=st.sampled_from(["oracle", "props", "mc", "endpoints", "all"]),
+           samples=st.integers(-1, 2), seed=st.integers(-2, 2**64), tol=_EDGES,
+           n=st.integers(-1, 50))
+    @settings(max_examples=30, deadline=None)
+    def test_verify(self, suite, samples, seed, tol, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "report.json"
+            code, _ = _run_quietly(["verify", suite, f"--samples={samples}", f"--seed={seed}",
+                                    f"--tol={tol!r}", f"--n={n}", f"--out={out}"])
+            assert code in (0, 1, 2, 3)
+            if out.exists():
+                text = out.read_text()
+                assert "Infinity" not in text and "NaN" not in text

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,19 @@ from hypothesis import given, settings, strategies as st
 import dcclsc
 from dcclsc import (
     ModelId,
+    OutOfDomain,
     Params,
     Singularity,
     certify_mr_variant,
+    decision_fields,
     equilibrium,
     limits,
     singularity_distance,
 )
+from dcclsc import closed_form
 from dcclsc.closed_form import (
     POLES,
+    decision_values,
     decision_values_m,
     decision_values_mr,
     decision_values_r,
@@ -252,3 +257,61 @@ class TestSingularityDistance:
     def test_equilibrium_records_distance(self, params_r):
         eq = equilibrium_r(params_r)
         assert eq.singularity_distance == pytest.approx(0.65 - 2.0 / 9.0)
+
+
+#: Costs so large that every model's closed form overflows, at every alpha.
+HUGE = Params(0.5, 1e308, 1.0, 0.0)
+
+
+class TestRefusal:
+    """decision_values alone refuses an evaluation, for one alpha or a grid."""
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_limits_beyond_float_range_are_a_domain_error(self, model):
+        # once inf and nan limits
+        with pytest.raises(OutOfDomain, match="float arithmetic overflows"):
+            limits(model, HUGE)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_equilibrium_beyond_float_range_names_each_decision(self, model):
+        with pytest.raises(OutOfDomain) as exc:
+            equilibrium(model, HUGE)
+        assert {v.field for v in exc.value.violations} <= set(decision_fields(model))
+        assert all("float arithmetic overflows" in v.constraint for v in exc.value.violations)
+
+    @pytest.mark.parametrize("alpha", [2.0 / 9.0, np.array([0.1, 2.0 / 9.0, 0.5]),
+                                       np.array([0.5, 0.3, 2.0 / 9.0])],
+                             ids=["float", "grid", "grid_ending_on_the_pole"])
+    @pytest.mark.parametrize("c_m", [1.0, 1e308])
+    def test_zero_denominator_whatever_its_numerator(self, alpha, c_m):
+        # at 1e308 every numerator overflows too; the pole still wins, for a
+        # float and for a grid, and is reported with guard 0
+        with pytest.raises(Singularity) as exc:
+            decision_values(ModelId.R, alpha, c_m, c_m / 2.0, 0.0)
+        assert (exc.value.alpha, exc.value.distance, exc.value.guard) == (2.0 / 9.0, 0.0, 0.0)
+        assert "model R closed form" in str(exc.value)
+
+    def test_guard_zero_reaches_the_zero_denominator(self):
+        with pytest.raises(Singularity) as exc:
+            equilibrium(ModelId.R, Params(2.0 / 9.0, 1.0, 0.5, 0.0), guard=0.0)
+        assert exc.value.guard == 0.0 and "model R closed form" in str(exc.value)
+
+    def test_grid_point_finite_only_as_a_float_is_still_refused(self, monkeypatch):
+        # numpy's power may round differently from the float path's; a grid
+        # point that fails only in the array is refused by its array values
+        def overflowing_grid(alpha, c_m, delta, s):
+            values = decision_values_m(alpha, c_m, delta, s)
+            if isinstance(alpha, np.ndarray):
+                values["w"] = np.where(alpha > 0.4, np.inf, values["w"])
+            return values
+
+        monkeypatch.setitem(closed_form._VALUE_FUNCTIONS, ModelId.M, overflowing_grid)
+        with pytest.raises(OutOfDomain) as exc:
+            decision_values(ModelId.M, np.array([0.3, 0.5, 0.7]), 1.0, 0.5, 0.2)
+        assert [(v.field, v.value) for v in exc.value.violations] == [("w", np.inf)]
+
+    def test_fractions_stay_exact_beyond_float_range(self):
+        values = decision_values(ModelId.M, Fraction(1, 2), Fraction(10) ** 400, Fraction(1),
+                                 Fraction(0))
+        assert all(isinstance(v, Fraction) for v in values.values())
+        assert values["p_m"] == Fraction(3 * 10 ** 400 + 3, 7)

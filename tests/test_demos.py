@@ -23,7 +23,9 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env,
+    # -W error: pyproject's filterwarnings does not reach a subprocess, and a
+    # numpy RuntimeWarning in a demo should fail it
+    proc = subprocess.run([sys.executable, "-W", "error", str(copy)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

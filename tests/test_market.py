@@ -150,6 +150,18 @@ class TestDemand:
         q = demand(ModelId.MR, _dmr(b_m=0.3, b_r=0.3), p, MrDemandVariant.AS_PRINTED)
         assert q.q3 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("model, decisions", [(ModelId.M, _dm), (ModelId.R, _dr)])
+    def test_variant_outside_model_mr_is_refused(self, model, decisions):
+        # only model MR reads the variant; the others once ignored it
+        p = Params(alpha=0.6, c_m=0.2, c_r=0.1, s=0.0)
+        with pytest.raises(OutOfDomain, match=f"^variant='as_printed' violates: model "
+                                              f"{model.value} has no segment-3 demand"):
+            demand(model, decisions(), p, MrDemandVariant.AS_PRINTED)
+        with pytest.raises(OutOfDomain, match="has no segment-3 demand variant"):
+            equilibrium(model, Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2),
+                        variant=MrDemandVariant.AS_PRINTED)
+        assert demand(model, decisions(), p, "adopted") == demand(model, decisions(), p)
+
     def test_values_returned_unclamped(self):
         p = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
         q = demand(ModelId.M, _dm(p_m=0.96, p_r=1.19, b_m=1.5), p)
