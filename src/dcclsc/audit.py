@@ -3,10 +3,12 @@ uniqueness, and endpoint claims.
 
 Each audit encodes one published claim: its applicability condition, the
 claimed conclusion, and the published threshold expression, evaluated
-verbatim. Each claim is stated whole in its row of ``_ORDERING`` or
-``_MONOTONICITY``: its threshold, which raises Singularity only where its own
-denominator vanishes, and optionally a label for that threshold (an ordering
-row) or an alternate published threshold (a monotonicity row).
+verbatim. Each claim is stated whole in its row of ``_ORDERING``,
+``_MONOTONICITY`` or ``_ENDPOINTS``: its threshold, which raises Singularity
+only where its own denominator vanishes, and optionally a label for that
+threshold (an ordering row) or an alternate published threshold (a
+monotonicity row); or its published limits as alpha -> 0 and 1, optionally
+flagged as indeterminate as printed (an endpoint row).
 :func:`thresholds` collects the primary thresholds from those rows.
 Conclusions are tested against the closed-form expressions on an alpha grid in
 one array call, refused at a pole or an overflow as the closed form refuses it
@@ -311,37 +313,24 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
         agree=observed == "unique", evidence=evidence, notes=tuple(notes))
 
 
-#: The one published endpoint that is indeterminate as printed: its expression
-#: retains alpha symbols, so the claims table holds it evaluated at alpha = 1.
-_INDETERMINATE_AS_PRINTED = {(ModelId.R, "t", 1.0)}
-
-
-def _endpoint_claims(model: ModelId, params: Params):
-    """Published endpoint expressions per variable at alpha -> 0 and 1.
-
-    Returns {variable: {0.0: value, 1.0: value}}; an entry of
-    ``_INDETERMINATE_AS_PRINTED`` holds its expression evaluated at the endpoint.
-    """
-    c_m, d, s = params.c_m, params.delta, params.s
-    model = ModelId(model)
-    if model is ModelId.M:
-        return {
-            "p_m": {0.0: c_m / 2.0, 1.0: (2.0 + c_m + d + s) / 3.0},
-            "w": {0.0: (c_m + 1.0) / 2.0, 1.0: (c_m + d + s + 2.0) / 3.0},
-            "b_m": {0.0: (2.0 * d - c_m + 2.0 * s) / 4.0,
-                    1.0: (2.0 * d - c_m + 2.0 * s - 1.0) / 3.0},
-            "p_r": {0.0: (2.0 * c_m + 3.0) / 4.0, 1.0: (c_m + d + s + 2.0) / 3.0},
-        }
-    if model is ModelId.R:
-        return {
-            "w": {0.0: (c_m - 1.0) / 2.0, 1.0: (5.0 + c_m + d + s) / 4.0},
-            "b_r": {0.0: 0.0, 1.0: (2.0 * d + 2.0 * s + 1.0 - c_m) / 7.0},
-            "p_m": {0.0: c_m / 2.0, 1.0: (2.0 * d + 2.0 * s + 8.0 + c_m) / 14.0},
-            "p_r": {0.0: (2.0 * c_m + 3.0) / 4.0, 1.0: (c_m + d + s + 2.0) / 3.0},
-            "t": {0.0: (4.0 * d + 4.0 * s - 2.0 * c_m + 9.0) / 4.0,
-                  1.0: (20.0 * d - 10.0 * c_m + 20.0 * s + 9.0) / 4.0},
-        }
-    return {}
+#: Endpoint claims: model -> ((variable, published limit as alpha -> 0 and as
+#: alpha -> 1, each a function of (c_m, delta, s), and optionally True: the
+#: alpha -> 1 expression is indeterminate as printed, evaluated at alpha = 1), ...).
+_ENDPOINTS = {
+    ModelId.M: (
+        ("p_m", lambda c, d, s: c / 2.0, lambda c, d, s: (2.0 + c + d + s) / 3.0),
+        ("w", lambda c, d, s: (c + 1.0) / 2.0, lambda c, d, s: (c + d + s + 2.0) / 3.0),
+        ("b_m", lambda c, d, s: (2.0 * d - c + 2.0 * s) / 4.0,
+         lambda c, d, s: (2.0 * d - c + 2.0 * s - 1.0) / 3.0),
+        ("p_r", lambda c, d, s: (2.0 * c + 3.0) / 4.0, lambda c, d, s: (c + d + s + 2.0) / 3.0)),
+    ModelId.R: (
+        ("w", lambda c, d, s: (c - 1.0) / 2.0, lambda c, d, s: (5.0 + c + d + s) / 4.0),
+        ("b_r", lambda c, d, s: 0.0, lambda c, d, s: (2.0 * d + 2.0 * s + 1.0 - c) / 7.0),
+        ("p_m", lambda c, d, s: c / 2.0, lambda c, d, s: (2.0 * d + 2.0 * s + 8.0 + c) / 14.0),
+        ("p_r", lambda c, d, s: (2.0 * c + 3.0) / 4.0, lambda c, d, s: (c + d + s + 2.0) / 3.0),
+        ("t", lambda c, d, s: (4.0 * d + 4.0 * s - 2.0 * c + 9.0) / 4.0,
+         lambda c, d, s: (20.0 * d - 10.0 * c + 20.0 * s + 9.0) / 4.0, True)),
+}
 
 
 def audit_endpoints(model: ModelId, params: Params) -> list[AuditVerdict]:
@@ -351,15 +340,14 @@ def audit_endpoints(model: ModelId, params: Params) -> list[AuditVerdict]:
     joint model has no published endpoint block, so its list is empty.
     """
     model = ModelId(model)
-    claims = _endpoint_claims(model, params)
-    if not claims:
+    if model not in _ENDPOINTS:
         return []
-    lim = closed_form.limits(model, params)
+    lim, costs = closed_form.limits(model, params), (params.c_m, params.delta, params.s)
     out = []
-    for var, sides in claims.items():
-        for at, published in sides.items():
-            computed = lim[var][0 if at == 0.0 else 1]
-            if (model, var, at) in _INDETERMINATE_AS_PRINTED:
+    for var, at0, at1, *indeterminate in _ENDPOINTS[model]:
+        for at, published in ((0.0, at0(*costs)), (1.0, at1(*costs))):
+            computed = lim[var][int(at)]
+            if indeterminate and at == 1.0:
                 observed = "indeterminate_as_printed"
                 notes = ("published endpoint expression retains alpha symbols; "
                          "value shown evaluates it at alpha=1",)

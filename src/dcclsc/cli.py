@@ -190,6 +190,8 @@ def _params_from(args) -> Params:
 
 
 def cmd_solve(args) -> int:
+    if args.verify and args.format == "csv":
+        _parser().error("--verify needs --format json: the CSV row has no oracle columns")
     model = ModelId.parse(args.model)
     params = _params_from(args)
     variant = _VARIANTS[args.variant]
@@ -315,18 +317,18 @@ def cmd_table4(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only the flags the user set; "all" gives each suite the ones it takes
+    given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    fn = suites.SUITES.get(args.suite)
+    unused = sorted(overrides.keys() - suites.suite_options(fn, overrides).keys()) if fn else []
+    if unused:
+        _parser().error(f"verify {args.suite} does not take " + ", ".join(f"--{k}" for k in unused))
     if args.samples is not None and args.samples < 1:
         _parser().error("--samples must be >= 1")
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # also refuses nan
         raise OutOfDomain.single("tol", args.tol, "must be finite and >= 0")
-    # only the flags the user set
-    given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
-    overrides = {k: v for k, v in given.items() if v is not None}
-    if args.suite == "all":
-        reports = suites.suite_all(**overrides)
-    else:
-        fn = suites.SUITES[args.suite]
-        reports = [fn(**suites.suite_options(fn, overrides))]
+    reports = [fn(**overrides)] if fn else suites.suite_all(**overrides)
     for rep in reports:
         print(rep.render_text())
     if args.out:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomain, Singularity
-from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite
+from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite, require_variant
 from .params import DecisionSet, ModelId, Params
 
 #: Default half-width of the guard band around denominator roots of alpha.
@@ -161,11 +161,11 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
                 variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
-    Raises Singularity within ``guard`` of a denominator root of alpha, then
-    refuses as :func:`decision_values` does. For model MR only, the outcome is
-    computed under ``variant``.
+    Refuses a ``variant`` outside model MR, where the outcome is computed under
+    it, then raises Singularity within ``guard`` of a denominator root of
+    alpha, then refuses as :func:`decision_values` does.
     """
-    model = ModelId(model)
+    model = require_variant(model, variant)
     if not guard >= 0.0:
         raise OutOfDomain.single("guard", guard, "must be >= 0")
     dist = singularity_distance(model, params.alpha)

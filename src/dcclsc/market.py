@@ -243,16 +243,22 @@ def choice_segment(decisions: DecisionSet, v: float, u: float,
     return (1 if s1 else 2 if s2 else 0), (3 if s3 else 4 if s4 else 0)
 
 
+def require_variant(model: ModelId, variant: MrDemandVariant) -> ModelId:
+    """``model``, or OutOfDomain for a variant other than the adopted one outside MR."""
+    model = ModelId(model)
+    if model is not ModelId.MR and variant != MrDemandVariant.ADOPTED:
+        raise OutOfDomain.single("variant", MrDemandVariant(variant).value,
+                                 f"model {model.value} has no segment-3 demand variant")
+    return model
+
+
 def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
                    variant: MrDemandVariant = MrDemandVariant.ADOPTED):
     """Raw segment-mass kernel; broadcasts over array-valued decisions.
 
     Returns (q1, q2, q3, q4), q4 None outside the joint model, the one reading ``variant``.
     """
-    model = ModelId(model)
-    if model is not ModelId.MR and variant != MrDemandVariant.ADOPTED:
-        raise OutOfDomain.single("variant", MrDemandVariant(variant).value,
-                                 f"model {model.value} has no segment-3 demand variant")
+    model = require_variant(model, variant)
     ap = alpha * (1 - alpha)
     if ap < ALPHA_PRODUCT_GUARD:
         raise Singularity("alpha*(1-alpha) in segment masses", alpha, ap, ALPHA_PRODUCT_GUARD)

@@ -32,7 +32,7 @@ class ModelId(str, Enum):
         try:
             return cls(text.strip().upper())
         except ValueError:
-            raise OutOfDomain.single("model", float("nan"), f"unknown model {text!r}; expected one of M, R, MR") from None
+            raise OutOfDomain.single("model", text, "expected one of M, R, MR") from None
 
 
 #: Union of all decision-variable names, in canonical report order.

@@ -20,6 +20,7 @@ from statistics import NormalDist
 
 from . import __version__ as _version
 from . import audit, closed_form, market, oracle
+from .errors import OutOfDomain
 from .market import MrDemandVariant
 from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params
 
@@ -101,9 +102,15 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _timed(fn):
+def _suite(fn):
+    """``fn`` timed, refusing fewer than one draw before it starts."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        if not bound.arguments["samples"] >= 1:
+            raise OutOfDomain.single("samples", bound.arguments["samples"], "must be >= 1")
         start = time.perf_counter()
         report = fn(*args, **kwargs)
         report.elapsed_seconds = time.perf_counter() - start
@@ -111,7 +118,7 @@ def _timed(fn):
     return wrapper
 
 
-@_timed
+@_suite
 def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunReport:
     """Closed form vs numeric backward induction for models M and R.
 
@@ -142,7 +149,7 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunRe
     )
 
 
-@_timed
+@_suite
 def suite_props(samples: int = 50, seed: int = 7) -> RunReport:
     """Proposition audits over random draws plus the figure-parameter cases.
 
@@ -152,10 +159,7 @@ def suite_props(samples: int = 50, seed: int = 7) -> RunReport:
     """
     draws = oracle.sample_params(samples, seed, c_m_range=(0.05, 2.0))
     findings = []
-    p1_agree = 0
-    for p in draws:
-        if audit.audit_ordering("P1", p).agree:
-            p1_agree += 1
+    p1_agree = sum(audit.audit_ordering("P1", p).agree for p in draws)
     p1_ok = p1_agree == len(draws)
     findings.append(f"P1 agreement {p1_agree}/{len(draws)}")
 
@@ -238,7 +242,7 @@ def _simulation_seed(seed: int, model: ModelId, idx: int) -> int:
 MC_FAMILY_ALPHA = 1e-6
 
 
-@_timed
+@_suite
 def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> RunReport:
     """Monte Carlo choice simulation vs analytic masses.
 
@@ -249,9 +253,8 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> RunReport:
     simulation must land on 0, not 1.
     """
     # ten segment checks per sample: three each for M and R, four for MR
-    z_limit = NormalDist().inv_cdf(1.0 - MC_FAMILY_ALPHA / (2.0 * max(10 * samples, 1)))
+    z_limit = NormalDist().inv_cdf(1.0 - MC_FAMILY_ALPHA / (2.0 * (10 * samples)))
     findings = []
-    failures = 0
     checks = 0
     worst_z = 0.0
     for model in (ModelId.M, ModelId.R, ModelId.MR):
@@ -269,10 +272,10 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> RunReport:
                 z = abs(got - want) / se
                 worst_z = max(worst_z, z)
                 if z > z_limit:
-                    failures += 1
                     findings.append(
                         f"{model.value} case {idx} segment {name}: share {got!r} vs "
                         f"analytic {want!r} is {z:.2f} sigma (limit {z_limit:.2f})")
+    failures = len(findings)
 
     equal_params = Params(alpha=0.6, c_m=0.5, c_r=0.25, s=0.1)
     equal_dec = DecisionSet(model=ModelId.MR, p_m=0.3, p_r=0.6, w=0.4,
@@ -298,7 +301,7 @@ def suite_mc(samples: int = 20, seed: int = 1, n: int = 1_000_000) -> RunReport:
     )
 
 
-@_timed
+@_suite
 def suite_endpoints(samples: int = 25, seed: int = 5) -> RunReport:
     """Endpoint limits vs published endpoint forms over random draws.
 

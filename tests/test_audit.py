@@ -16,7 +16,8 @@ from dcclsc.audit import (
     default_alpha_grid,
     thresholds,
 )
-from dcclsc.audit import _MONOTONICITY, _ORDERING
+from dcclsc.audit import _ENDPOINTS, _MONOTONICITY, _ORDERING
+from dcclsc.suites import EXPECTED_ENDPOINT_AGREEMENT
 
 FIG3 = Params(alpha=0.5, c_m=6.0, c_r=4.0, s=1.5)
 FIG4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
@@ -399,6 +400,12 @@ class TestEndpoints:
         # once inf and nan limits, judged "equal" or "less_than"
         with pytest.raises(OutOfDomain, match="float arithmetic overflows"):
             audit_endpoints(model, Params(0.5, 1e308, 1.0, 0.0))
+
+    def test_expected_pattern_covers_exactly_the_rows(self):
+        # the suite's expected pattern and the rows state the same claims
+        claims = {(model.value, var, at) for model, rows in _ENDPOINTS.items()
+                  for var, *_ in rows for at in (0, 1)}
+        assert set(EXPECTED_ENDPOINT_AGREEMENT) == claims
 
     def test_joint_model_has_no_published_endpoints(self, params_mr):
         assert audit_endpoints(ModelId.MR, params_mr) == []

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dcclsc import cli, decision_fields, market, oracle, report, suites
+from dcclsc import OutOfDomain, cli, decision_fields, market, oracle, report, suites
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
@@ -67,6 +67,17 @@ class TestSolve:
                          "--cr", "0.5", "--s", "0.2", "--format", fmt)
         assert code == 0
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("alpha", ["0.21", "0.6"])
+    def test_verify_with_csv_is_a_usage_error(self, capsys, monkeypatch, alpha):
+        # once a numeric solve whose result the CSV threw away: exit 0 at 0.6,
+        # and exit 2 at 0.21, where the plain CSV exits 0
+        monkeypatch.setattr(cli.closed_form, "equilibrium", None)
+        code, out, err = run(capsys, "solve", "--model", "r", "--alpha", alpha, "--cm", "1",
+                             "--cr", "0.5", "--s", "0.2", "--verify", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == ("error: --verify needs --format json: "
+                                        "the CSV row has no oracle columns")
 
     def test_verify_adds_oracle_block(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.6",
@@ -133,6 +144,19 @@ class TestSolve:
                            "--alpha-to", "0.4", "--alpha-step", "0.05", "--cm", "1",
                            "--cr", "0.5", "--s", "0.1", "--variant", "as-printed")
         assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "r", "--alpha", "0.2222222", "--cm", "1", "--cr", "0.5"],
+        ["sweep", "--model", "r", "--alpha-from", "0.2222222", "--alpha-to", "0.2222223",
+         "--alpha-step", "0.0000001", "--cm", "1", "--cr", "0.5", "--s", "0.1"],
+    ], ids=["solve", "sweep"])
+    def test_as_printed_variant_is_refused_inside_the_guard_band(self, capsys, argv):
+        # once exit 3 (solve) and two singular rows with exit 0 (sweep): the guard
+        # band near R's pole at 2/9 was checked before the variant
+        code, out, err = run(capsys, *argv, "--variant", "as-printed")
+        assert (code, out) == (1, "")
+        assert err == ("error: variant='as_printed' violates: model R "
+                       "has no segment-3 demand variant\n")
 
     def test_decisions_beyond_float_range_are_named(self, capsys):
         # the closed form refuses its own overflow, before DecisionSet sees it
@@ -636,6 +660,19 @@ class TestVerify:
         assert text == ""
         assert "--samples must be >= 1" in err
 
+    def test_flag_the_suite_does_not_take_is_a_usage_error(self, capsys):
+        # once exit 0, using neither flag
+        code, text, err = run(capsys, "verify", "endpoints", "--samples", "1", "--tol", "0.5",
+                              "--n", "3")
+        assert (code, text) == (1, "")
+        assert err.splitlines()[-1] == "error: verify endpoints does not take --n, --tol"
+
+    @pytest.mark.parametrize("suite", list(suites.SUITES))
+    def test_zero_draws_are_a_domain_error_in_the_library(self, suite):
+        # once a pass on zero draws: "max relative deviation 0.000e+00 at None"
+        with pytest.raises(OutOfDomain, match=r"^samples=0 violates: must be >= 1$"):
+            suites.SUITES[suite](samples=0)
+
     @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_negative_or_nan_tolerance_is_a_domain_error(self, capsys, tol, shown):
         # once a verification FAIL with exit 2
@@ -668,8 +705,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["oracle", "props", "mc", "endpoints", "all"])
     def test_negative_seed_is_a_domain_error(self, capsys, suite):
-        code, text, err = run(capsys, "verify", suite, "--seed", "-1", "--samples", "1",
-                              "--n", "10")
+        n = ["--n", "10"] if suite in ("mc", "all") else []  # only those take --n
+        code, text, err = run(capsys, "verify", suite, "--seed", "-1", "--samples", "1", *n)
         assert code == 1
         assert text == ""
         assert err.splitlines() == ["error: seed=-1 violates: must be >= 0"]
@@ -960,13 +997,17 @@ class TestFuzzedFlags:
 
     @given(suite=st.sampled_from(["oracle", "props", "mc", "endpoints", "all"]),
            samples=st.integers(-1, 2), seed=st.integers(-2, 2**64), tol=_EDGES,
-           n=st.integers(-1, 50))
+           n=st.integers(-1, 50), all_four=st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_verify(self, suite, samples, seed, tol, n):
+    def test_verify(self, suite, samples, seed, tol, n, all_four):
+        # a flag the suite does not take is refused, so half the runs pass
+        # only the suite's own ("all" takes all four)
+        flags = {"samples": samples, "seed": seed, "tol": tol, "n": n}
+        if not all_four and suite != "all":
+            flags = suites.suite_options(suites.SUITES[suite], flags)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "report.json"
-            code, _ = _run_quietly(["verify", suite, f"--samples={samples}", f"--seed={seed}",
-                                    f"--tol={tol!r}", f"--n={n}", f"--out={out}"])
+            code, _ = _run_quietly(["verify", suite, *_flags(flags), f"--out={out}"])
             assert code in (0, 1, 2, 3)
             if out.exists():
                 text = out.read_text()

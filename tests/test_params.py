@@ -109,3 +109,9 @@ def test_model_id_parse():
     assert ModelId.parse("mr") is ModelId.MR
     with pytest.raises(OutOfDomain):
         ModelId.parse("x")
+
+
+def test_unknown_model_is_named_by_its_text():
+    # once "model=nan violates: unknown model ' x'"
+    with pytest.raises(OutOfDomain, match=r"^model=' x' violates: expected one of M, R, MR$"):
+        ModelId.parse(" x")
