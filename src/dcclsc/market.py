@@ -312,10 +312,16 @@ def model_of(model: ModelId, decisions: DecisionSet) -> ModelId:
 
 def demand(model: ModelId, decisions: DecisionSet, params: Params,
            variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> DemandProfile:
-    """Closed-form segment masses for one decision set (unclamped)."""
+    """Closed-form segment masses for one decision set (unclamped).
+
+    Raises OutOfDomain for another model than the decisions', or naming each
+    mass that is not finite, as ``make_equilibrium`` does.
+    """
     d = decisions
     q = segment_masses(model_of(model, d), d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
-    return _demand_profile(q)
+    profile = _demand_profile(q)
+    require_finite(profile.as_dict())
+    return profile
 
 
 # bound by name in perfbench/tracer.py LAYERS
@@ -340,7 +346,8 @@ def validity(decisions: DecisionSet, params: Params) -> ValidityReport:
     valuation thresholds, trade-in thresholds in [0, 1], t >= b_r where the
     model has a transfer price, and (informationally) the per-unit margins of
     the model's ``PROFIT_TERMS``. A threshold whose value is a segment mass
-    reads the mass.
+    reads the mass. Raises OutOfDomain where ``demand`` does: a segment mass
+    that is not finite.
     """
     return _validity(decisions, params, demand(decisions.model, decisions, params))
 

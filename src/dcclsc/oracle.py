@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from . import market
-from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
+from .errors import BoxBoundary, NonConcave, OutOfDomain
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
 from .params import ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params
 
@@ -263,9 +263,8 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     model = ModelId(model)
     leader, follower = PLAYER_FIELDS[model]
     if set(leader_vars) != set(leader):
-        raise OutOfDomain([Violation("leader_vars", float("nan"),
-                                     f"model {model.value} leader sets {sorted(leader)}, "
-                                     f"got {sorted(leader_vars)}")])
+        raise OutOfDomain.single("leader_vars", sorted(leader_vars),
+                                 f"model {model.value} leader sets {sorted(leader)}")
     x = np.array([float(leader_vars[n]) for n in leader])
     y = _identify(model, params).response(x)
     return dict(zip(follower, map(float, y)))

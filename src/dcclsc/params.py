@@ -12,7 +12,7 @@ into leader and follower variables are both read from it.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -31,7 +31,7 @@ class ModelId(str, Enum):
     def parse(cls, text: str) -> "ModelId":
         try:
             return cls(text.strip().upper())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise OutOfDomain.single("model", text, "expected one of M, R, MR") from None
 
 
@@ -103,10 +103,15 @@ class Params:
         }
 
 
+def is_finite_real(value) -> bool:
+    """An int or a float (numpy's float64 is one) no larger in magnitude than any float."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def _check(alpha, c_m, c_r, s) -> list[Violation]:
     out = []
     for name, value in (("alpha", alpha), ("c_m", c_m), ("c_r", c_r), ("s", s)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not is_finite_real(value):
             out.append(Violation(name, value, "must be a finite real"))
     if out:
         return out
@@ -123,21 +128,15 @@ def _check(alpha, c_m, c_r, s) -> list[Violation]:
     return out
 
 
-_REQUIRED_KEYS = ("alpha", "c_m", "c_r", "s")
-
-
 # bound by name in perfbench/tracer.py LAYERS
 def validate_params(raw: Mapping[str, float]) -> Params:
-    """Build a ``Params`` from a name->value mapping, collecting all violations.
+    """``Params`` of the four primitives in ``raw``, a missing one read as None.
 
-    Missing keys and constraint violations are reported together in a single
-    ``OutOfDomain``. ``delta``, if present in ``raw``, is ignored and
-    recomputed (callers may not set it independently).
+    One ``OutOfDomain`` names every value that is not a finite real (a string,
+    a missing key); the ranges are checked only when all four are. ``delta``,
+    if present in ``raw``, is ignored and recomputed.
     """
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
-    if missing:
-        raise OutOfDomain([Violation(k, float("nan"), "required key missing") for k in missing])
-    return Params(**{k: float(raw[k]) for k in _REQUIRED_KEYS})
+    return Params(**{k: raw.get(k) for k in ("alpha", "c_m", "c_r", "s")})
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,13 @@ class DecisionSet:
         object.__setattr__(self, "model", ModelId(self.model))
         required = set(decision_fields(self.model))
         violations = []
+        model = self.model.value
         for name in ALL_DECISION_FIELDS:
             value = getattr(self, name)
-            if name in required:
-                if value is None or not math.isfinite(value):
-                    violations.append(Violation(name, value if value is not None else float("nan"),
-                                                f"model {self.model.value} requires a finite {name}"))
-            elif value is not None:
-                violations.append(Violation(name, value, f"model {self.model.value} does not use {name}"))
+            if name in required and not is_finite_real(value):
+                violations.append(Violation(name, value, f"model {model} requires a finite {name}"))
+            elif name not in required and value is not None:
+                violations.append(Violation(name, value, f"model {model} does not use {name}"))
         if violations:
             raise OutOfDomain(violations)
 

@@ -22,7 +22,7 @@ from . import __version__ as _version
 from . import audit, closed_form, market, oracle
 from .errors import OutOfDomain
 from .market import MrDemandVariant
-from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params
+from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, is_finite_real
 
 #: Fixed search box of the agreement protocol, recorded in its report; the
 #: default cost-scaled box [-1, 3] * (1 + c_m + s) contains it.
@@ -123,8 +123,11 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunRe
     """Closed form vs numeric backward induction for models M and R.
 
     Relative deviation per decision variable must stay within ``tol`` on
-    every draw.
+    every draw. Raises OutOfDomain, before any draw, for a ``tol`` that is
+    not finite and >= 0 (no deviation could pass a NaN).
     """
+    if not (is_finite_real(tol) and tol >= 0.0):
+        raise OutOfDomain.single("tol", tol, "must be finite and >= 0")
     cfg = oracle.OracleConfig(leader_box=WIDE_BOX, seed=seed)
     draws = oracle.sample_params(samples, seed)
     worst = 0.0

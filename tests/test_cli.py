@@ -655,10 +655,11 @@ class TestVerify:
         assert json.loads(out.read_text())[0]["seed"] == 0
 
     def test_zero_samples_is_a_usage_error(self, capsys):
+        # the library's refusal, as for every other domain error
         code, text, err = run(capsys, "verify", "endpoints", "--samples", "0")
         assert code == 1
         assert text == ""
-        assert "--samples must be >= 1" in err
+        assert err == "error: samples=0 violates: must be >= 1\n"
 
     def test_flag_the_suite_does_not_take_is_a_usage_error(self, capsys):
         # once exit 0, using neither flag
@@ -672,6 +673,14 @@ class TestVerify:
         # once a pass on zero draws: "max relative deviation 0.000e+00 at None"
         with pytest.raises(OutOfDomain, match=r"^samples=0 violates: must be >= 1$"):
             suites.SUITES[suite](samples=0)
+
+    def test_bad_tolerance_is_a_domain_error_in_the_library(self):
+        # once a run with ok=False and a NaN or infinite tol that report.to_json refuses
+        for tol in (math.nan, math.inf, -1.0):
+            with pytest.raises(OutOfDomain) as exc:
+                suite_oracle(samples=1, tol=tol)
+            assert str(exc.value) == f"tol={tol!r} violates: must be finite and >= 0"
+        assert suite_oracle(samples=1, tol=0.0).config["tol"] == 0.0
 
     @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_negative_or_nan_tolerance_is_a_domain_error(self, capsys, tol, shown):
@@ -739,7 +748,8 @@ class TestSimulate:
                              "--pm", "0.3", "--pr", "0.6", "--w", "0.4")
         assert code == 1
         assert out == ""
-        assert err == "error: b_m=nan violates: model M requires a finite b_m\n"
+        # once shown as b_m=nan
+        assert err == "error: b_m=None violates: model M requires a finite b_m\n"
 
     @pytest.mark.parametrize("model, flag, field", [("m", "--t", "t"), ("m", "--br", "b_r"),
                                                     ("r", "--bm", "b_m")])

@@ -162,6 +162,19 @@ class TestDemand:
                         variant=MrDemandVariant.AS_PRINTED)
         assert demand(model, decisions(), p, "adopted") == demand(model, decisions(), p)
 
+    @pytest.mark.parametrize("variant", list(MrDemandVariant))
+    def test_masses_beyond_float_range_are_a_domain_error(self, variant):
+        # once q1=-inf and q2=inf, refused only by the simulate command
+        d = _dmr(p_m=1e308, p_r=-1e308, w=0.5, b_m=0.3, b_r=0.2, t=0.4)
+        p = Params(0.6, 1, 0.5, 0.2)
+        named = (r"^q1=-inf violates: must be finite; float arithmetic overflows here; "
+                 r"q2=inf violates: must be finite; float arithmetic overflows here$")
+        with pytest.raises(OutOfDomain, match=named):
+            demand(ModelId.MR, d, p, variant)
+        if variant is MrDemandVariant.ADOPTED:
+            with pytest.raises(OutOfDomain, match=named):
+                validity(d, p)
+
     def test_values_returned_unclamped(self):
         p = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
         q = demand(ModelId.M, _dm(p_m=0.96, p_r=1.19, b_m=1.5), p)

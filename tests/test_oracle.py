@@ -91,6 +91,13 @@ class TestBestResponse:
         with pytest.raises(OutOfDomain):
             best_response_retailer(ModelId.R, {"w": 0.5, "p_m": 0.4, "b_m": 0.1}, params_m)
 
+    def test_wrong_leader_variables_are_named_by_their_keys(self, params_m):
+        # once "leader_vars=nan violates: ..."
+        with pytest.raises(OutOfDomain) as exc:
+            best_response_retailer(ModelId.M, {"w": 0.5, "p_m": 0.4}, params_m)
+        assert str(exc.value) == ("leader_vars=['p_m', 'w'] violates: "
+                                  "model M leader sets ['b_m', 'p_m', 'w']")
+
     @pytest.mark.parametrize("model, alpha, concave", [
         (ModelId.R, 0.19, False), (ModelId.R, 0.2, False), (ModelId.R, 0.201, True),
         (ModelId.MR, 0.24, False), (ModelId.MR, 0.25, False), (ModelId.MR, 0.251, True)])

@@ -115,3 +115,41 @@ def test_unknown_model_is_named_by_its_text():
     # once "model=nan violates: unknown model ' x'"
     with pytest.raises(OutOfDomain, match=r"^model=' x' violates: expected one of M, R, MR$"):
         ModelId.parse(" x")
+
+
+#: Values that are not finite reals: an int beyond float range, a string, a missing value.
+NOT_FINITE_REALS = (10**400, "0.5", None)
+
+
+def test_params_refuse_what_is_not_a_finite_real():
+    # once OverflowError for the int beyond float range
+    for bad in NOT_FINITE_REALS:
+        with pytest.raises(OutOfDomain) as exc:
+            Params(alpha=0.5, c_m=bad, c_r=0.5, s=0.0)
+        assert str(exc.value) == f"c_m={bad!r} violates: must be a finite real"
+
+
+def test_decision_set_refuses_what_is_not_a_finite_real():
+    # once OverflowError, TypeError, and a missing b_m shown as nan
+    for bad in NOT_FINITE_REALS:
+        with pytest.raises(OutOfDomain) as exc:
+            DecisionSet(model=ModelId.M, p_m=0.5, p_r=0.6, w=0.55, b_m=bad)
+        assert str(exc.value) == f"b_m={bad!r} violates: model M requires a finite b_m"
+
+
+def test_validate_params_refuses_what_is_not_a_finite_real():
+    # once OverflowError, "0.5" converted and accepted, ValueError for "x",
+    # and a missing key shown as nan
+    for bad in (*NOT_FINITE_REALS, "x"):
+        with pytest.raises(OutOfDomain) as exc:
+            validate_params({"alpha": 0.5, "c_m": bad, "c_r": 0.5, "s": 0.0})
+        assert str(exc.value) == f"c_m={bad!r} violates: must be a finite real"
+    with pytest.raises(OutOfDomain) as exc:
+        validate_params({"alpha": 0.5, "c_r": 0.5, "s": 0.0})
+    assert str(exc.value) == "c_m=None violates: must be a finite real"
+
+
+def test_model_that_is_not_text_is_named():
+    # once AttributeError: 'NoneType' object has no attribute 'strip'
+    with pytest.raises(OutOfDomain, match=r"^model=None violates: expected one of M, R, MR$"):
+        ModelId.parse(None)
