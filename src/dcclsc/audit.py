@@ -16,7 +16,8 @@ one array call, refused at a pole or an overflow as the closed form refuses it
 only the uniqueness theorems). Disagreements are reported, never corrected:
 several published claims demonstrably fail; surfacing them is this module's point.
 
-Verdicts are bit-reproducible functions of (claim id, params, grid).
+Verdicts are bit-reproducible functions of (claim id, params, grid); an
+unknown claim id is OutOfDomain.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import closed_form, oracle
 from .errors import BoxBoundary, NonConcave, Singularity
-from .params import ModelId, Params
+from .params import ModelId, Params, read_id
 
 #: Default audit grids: the manufacturer-led model is evaluated across the
 #: whole preference range; the other two start above their denominator poles.
@@ -113,8 +114,7 @@ def audit_ordering(prop: str, params: Params,
     asserts equality exactly there). The verdict disagrees if any point
     beyond that band contradicts the claimed side.
     """
-    prop = prop.upper()
-    model, (var_a, var_b), threshold, above_claim, *label = _ORDERING[prop]
+    prop, (model, (var_a, var_b), threshold, above_claim, *label) = read_id(_ORDERING, "prop", prop)
     theta = -math.inf if threshold is None else threshold(params)
     grid, values = _grid_values(model, alpha_grid, params)
     diffs = values[var_a] - values[var_b]
@@ -245,8 +245,7 @@ def audit_monotonicity(prop: str, params: Params,
     The observed direction comes from finite differences of the closed form
     over the grid; the claimed direction from the published c_m threshold.
     """
-    prop = prop.upper()
-    model, items = _MONOTONICITY[prop]
+    prop, (model, items) = read_id(_MONOTONICITY, "prop", prop)
     grid, values = _grid_values(model, alpha_grid, params)
     out = []
     for sub_id, var, direction, threshold, *alternate in items:
@@ -263,7 +262,7 @@ def audit_monotonicity(prop: str, params: Params,
                 f"primary threshold {thr!r} claims {claimed}")
         out.append(AuditVerdict(
             prop_id=prop, sub_id=sub_id, variable=var, params=params,
-            condition_value=float(condition), claimed=claimed, observed=observed,
+            condition_value=condition, claimed=claimed, observed=observed,
             agree=bool(claimed == observed),
             evidence=tuple(zip(grid.tolist(), values[var].tolist())),
             notes=tuple(notes),
@@ -285,8 +284,7 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
     A solve leaving the search box has passed that rule at both stages: the
     verdict is ``unique`` with no evidence and the box message as its note.
     """
-    theorem = theorem.upper()
-    model = _THEOREM_MODEL[theorem]
+    theorem, model = read_id(_THEOREM_MODEL, "theorem", theorem)
     try:
         eq = oracle.solve_stackelberg_numeric(model, params)
     except NonConcave as exc:
@@ -297,7 +295,7 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
         soc = oracle.check_soc(model, eq, params)
         observed = ("unique" if soc.follower_negative_definite and soc.leader_negative_definite
                     else "not_unique")
-        evidence = ((params.alpha, float(eq.profit.pi_m)),)
+        evidence = ((params.alpha, eq.profit.pi_m),)
         notes = [f"follower eigenvalues {tuple(round(e, 6) for e in soc.follower_hessian_eigs)}",
                  f"leader eigenvalues "
                  f"{tuple(round(e, 6) for e in soc.leader_reduced_hessian_eigs)}"]
@@ -361,6 +359,6 @@ def audit_endpoints(model: ModelId, params: Params) -> list[AuditVerdict]:
                 prop_id=f"LIM-{model.value}", sub_id=f"alpha->{int(at)}", variable=var,
                 params=params, condition_value=None, claimed="equal",
                 observed=observed, agree=observed == "equal",
-                evidence=((at, float(computed)), (at, float(published))), notes=notes,
+                evidence=((at, computed), (at, published)), notes=notes,
             ))
     return out

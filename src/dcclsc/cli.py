@@ -192,7 +192,7 @@ def _params_from(args) -> Params:
 def cmd_solve(args) -> int:
     if args.verify and args.format == "csv":
         _parser().error("--verify needs --format json: the CSV row has no oracle columns")
-    model = ModelId.parse(args.model)
+    model = ModelId(args.model)
     params = _params_from(args)
     variant = _VARIANTS[args.variant]
     eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         top_error("missing " + ", ".join(sorted(missing)) + " (flag or preset)")
-    model = ModelId.parse(args.model)
+    model = ModelId(args.model)
     if not (0.0 < args.alpha_from <= args.alpha_to < 1.0 and 0.0 < args.alpha_step < math.inf):
         top_error("need 0 < --alpha-from <= --alpha-to < 1 and a finite --alpha-step > 0")
     groups = set(g.strip() for g in args.outputs.split(",") if g.strip())
@@ -300,7 +300,7 @@ def cmd_table4(args) -> int:
             computed = getattr(eq.decisions, variable)
             gap = abs(computed - pub)
             cells.append({"model": model.value, **params.as_dict(), "variable": variable,
-                          "published": float(pub), "computed": computed, "abs_gap": gap,
+                          "published": pub, "computed": computed, "abs_gap": gap,
                           "interior_valid": interior, "q1": q1})
             lines.append(f"{'':<16}{variable:<6}{pub:>12.4f}{computed:>14.6f}{gap:>12.6f}")
     if args.format == "json":
@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = ModelId.parse(args.model)
+    model = ModelId(args.model)
     params = _params_from(args)
     # DecisionSet refuses a missing decision flag, and one the model does not use
     decisions = DecisionSet(model=model, **{n: getattr(args, n.replace("_", ""))

@@ -296,12 +296,6 @@ def _profit_sums(model: ModelId, d, params: Params, q):
     return tuple(pi)
 
 
-def _demand_profile(q) -> DemandProfile:
-    q1, q2, q3, q4 = q
-    return DemandProfile(q1=float(q1), q2=float(q2), q3=float(q3),
-                         q4=float(q4) if q4 is not None else None)
-
-
 def model_of(model: ModelId, decisions: DecisionSet) -> ModelId:
     """``decisions.model``; OutOfDomain, naming both, if ``model`` is another."""
     if ModelId(model) is decisions.model:
@@ -318,18 +312,20 @@ def demand(model: ModelId, decisions: DecisionSet, params: Params,
     mass that is not finite, as ``make_equilibrium`` does.
     """
     d = decisions
-    q = segment_masses(model_of(model, d), d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
-    profile = _demand_profile(q)
+    profile = DemandProfile(*segment_masses(model_of(model, d), d.p_m, d.p_r, d.b_m, d.b_r,
+                                            params.alpha, variant))
     require_finite(profile.as_dict())
     return profile
 
 
 # bound by name in perfbench/tracer.py LAYERS
 def profits(decisions: DecisionSet, params: Params) -> ProfitProfile:
-    """Manufacturer and retailer profits at one decision set."""
+    """Manufacturer and retailer profits at one decision set; OutOfDomain,
+    as ``make_equilibrium`` raises it, naming each one that is not finite."""
     d = decisions
-    pi_m, pi_r = profit_values(d.model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t, params)
-    return ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r))
+    profile = ProfitProfile(*profit_values(d.model, d.p_m, d.p_r, d.w, d.b_m, d.b_r, d.t, params))
+    require_finite(profile.as_dict())
+    return profile
 
 
 def _range_check(name: str, value: float) -> ValidityCheck:
@@ -432,21 +428,19 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
     infinity or a NaN (parameters so large that float arithmetic overflows).
     """
     model = model_of(model, decisions)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = decisions
-        q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
-        demands = _demand_profile(q)
-        pi_m, pi_r = _profit_sums(model, d, params, q)
-        eq = Equilibrium(
-            params=params,
-            decisions=decisions,
-            demands=demands,
-            profit=ProfitProfile(pi_m=float(pi_m), pi_r=float(pi_r)),
-            validity=_validity(d, params, demands),
-            provenance=provenance,
-            singularity_distance=singularity_distance,
-            demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
-        )
+    d = decisions
+    q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
+    demands = DemandProfile(*q)
+    eq = Equilibrium(
+        params=params,
+        decisions=decisions,
+        demands=demands,
+        profit=ProfitProfile(*_profit_sums(model, d, params, q)),
+        validity=_validity(d, params, demands),
+        provenance=provenance,
+        singularity_distance=singularity_distance,
+        demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
+    )
     require_finite({**eq.demands.as_dict(), **eq.profit.as_dict(),
                     **{c.name: c.slack for c in eq.validity.checks}})
     return eq

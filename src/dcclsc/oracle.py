@@ -472,7 +472,7 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     out = []
     rejected = 0
     while len(out) < n:
-        alpha = float(rng.uniform(*alpha_range))
+        alpha = rng.uniform(*alpha_range)
         if any(_pole_distance(m, alpha) < guard_band for m in (ModelId.R, ModelId.MR)):
             rejected += 1
             if rejected == _MAX_REJECTIONS:
@@ -481,8 +481,8 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
                                          f"bands of half-width {guard_band}")
             continue
         rejected = 0
-        c_m = float(rng.uniform(*c_m_range))
-        c_r = float(c_m * rng.uniform(0.05, 0.95))
-        s = float(rng.uniform(0.0, s_max))
+        c_m = rng.uniform(*c_m_range)
+        c_r = c_m * rng.uniform(0.05, 0.95)
+        s = rng.uniform(0.0, s_max)
         out.append(Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s))
     return out

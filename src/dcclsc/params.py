@@ -3,7 +3,9 @@
 Everything downstream consumes the two value types defined here: ``Params``
 (cost and preference primitives) and ``DecisionSet`` (one model's bundle of
 prices, subsidies and transfer price). Both are immutable and validated at
-construction, so they are safe to share between concurrent tasks.
+construction, so they are safe to share between concurrent tasks. This module
+alone reads a value: both types store each number as a Python float, and
+``ModelId(value)`` is the one model reader.
 
 ``PLAYER_FIELDS`` is the one statement of which player sets which decision in
 each model; the report order of ``decision_fields`` and the oracle's split
@@ -20,19 +22,31 @@ from typing import Mapping
 from .errors import OutOfDomain, Violation
 
 
+def read_id(table, field: str, value):
+    """(``value`` stripped and in upper case, its entry), or OutOfDomain naming ``table``'s ids."""
+    key = value.strip().upper() if isinstance(value, str) else None
+    if key not in table:
+        raise OutOfDomain.single(field, value, "expected one of " + ", ".join(table))
+    return key, table[key]
+
+
 class ModelId(str, Enum):
-    """The three recycling frameworks: manufacturer-led, retailer-led, joint."""
+    """The three recycling frameworks: manufacturer-led, retailer-led, joint.
+
+    ``ModelId(value)`` also reads a name in any case with outer blanks, else OutOfDomain."""
 
     M = "M"
     R = "R"
     MR = "MR"
 
     @classmethod
+    def _missing_(cls, value):
+        return read_id(cls.__members__, "model", value)[1]
+
+    # bound by name in perfbench/workloads.py
+    @classmethod
     def parse(cls, text: str) -> "ModelId":
-        try:
-            return cls(text.strip().upper())
-        except (AttributeError, ValueError):
-            raise OutOfDomain.single("model", text, "expected one of M, R, MR") from None
+        return cls(text)
 
 
 #: Union of all decision-variable names, in canonical report order.
@@ -59,7 +73,7 @@ def decision_fields(model: ModelId) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Params:
-    """Market primitives.
+    """Market primitives, each a finite real stored as the float it equals.
 
     Parameters
     ----------
@@ -74,8 +88,8 @@ class Params:
         Government unit subsidy for remanufacturing, >= 0. Zero, the
         boundary of the assumed s > 0 regime, is accepted.
 
-    The remanufacturing saving ``delta`` is always derived as c_m - c_r and
-    cannot be set independently.
+    The ranges are checked on the stored floats, so costs that round to one
+    float are refused. ``delta`` is always derived as c_m - c_r.
     """
 
     alpha: float
@@ -84,9 +98,26 @@ class Params:
     s: float
 
     def __post_init__(self):
-        violations = _check(self.alpha, self.c_m, self.c_r, self.s)
-        if violations:
-            raise OutOfDomain(violations)
+        fields = vars(self)  # frozen refuses setattr, not a write to the instance dict
+        out = [Violation(name, value, "must be a finite real")
+               for name, value in fields.items() if not is_finite_real(value)]
+        if out:
+            raise OutOfDomain(out)
+        fields.update({name: float(value) for name, value in fields.items()})
+        alpha, c_m, c_r, s = self.alpha, self.c_m, self.c_r, self.s
+        if not 0.0 < alpha < 1.0:
+            out.append(Violation("alpha", alpha, "0 < alpha < 1"))
+        if not c_m > 0.0:
+            out.append(Violation("c_m", c_m, "c_m > 0"))
+        if not c_r > 0.0:
+            out.append(Violation("c_r", c_r, "c_r > 0"))
+        if 0.0 < c_m <= c_r:
+            out.append(Violation("c_m", c_m, "c_m > c_r (remanufacturing must save cost; "
+                                             f"c_r={c_r!r})"))
+        if not s >= 0.0:
+            out.append(Violation("s", s, "s >= 0"))
+        if out:
+            raise OutOfDomain(out)
 
     @property
     def delta(self) -> float:
@@ -104,28 +135,9 @@ class Params:
 
 
 def is_finite_real(value) -> bool:
-    """An int or a float (numpy's float64 is one) no larger in magnitude than any float."""
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def _check(alpha, c_m, c_r, s) -> list[Violation]:
-    out = []
-    for name, value in (("alpha", alpha), ("c_m", c_m), ("c_r", c_r), ("s", s)):
-        if not is_finite_real(value):
-            out.append(Violation(name, value, "must be a finite real"))
-    if out:
-        return out
-    if not 0.0 < alpha < 1.0:
-        out.append(Violation("alpha", alpha, "0 < alpha < 1"))
-    if not c_m > 0.0:
-        out.append(Violation("c_m", c_m, "c_m > 0"))
-    if not c_r > 0.0:
-        out.append(Violation("c_r", c_r, "c_r > 0"))
-    if c_r > 0.0 and c_m > 0.0 and not c_m > c_r:
-        out.append(Violation("c_m", c_m, f"c_m > c_r (remanufacturing must save cost; c_r={c_r!r})"))
-    if not s >= 0.0:
-        out.append(Violation("s", s, "s >= 0"))
-    return out
+    """An int or a float (numpy's float64 is one), not a bool, within the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # bound by name in perfbench/tracer.py LAYERS
@@ -143,8 +155,8 @@ def validate_params(raw: Mapping[str, float]) -> Params:
 class DecisionSet:
     """One model's decision bundle.
 
-    Field presence is tagged by ``model`` (``PLAYER_FIELDS``); unused fields
-    must be None.
+    ``model`` is read by ``ModelId`` and tags field presence (``PLAYER_FIELDS``):
+    each field it uses is stored as a float; unused fields must be None.
 
     The structural requirement t >= b_r for R and MR is deliberately NOT a
     construction error; closed forms are evaluated first and judged by the
@@ -160,8 +172,9 @@ class DecisionSet:
     t: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "model", ModelId(self.model))
-        required = set(decision_fields(self.model))
+        fields = vars(self)  # frozen refuses setattr, not a write to the instance dict
+        fields["model"] = ModelId(self.model)
+        required = decision_fields(self.model)
         violations = []
         model = self.model.value
         for name in ALL_DECISION_FIELDS:
@@ -172,6 +185,7 @@ class DecisionSet:
                 violations.append(Violation(name, value, f"model {model} does not use {name}"))
         if violations:
             raise OutOfDomain(violations)
+        fields.update({name: float(fields[name]) for name in required})
 
     def as_dict(self) -> dict[str, float]:
         """Decision values keyed by field name, in the model's canonical order."""

@@ -35,13 +35,9 @@ CSV_COLUMNS = ("model", "alpha", "c_m", "c_r", "delta", "s",
 
 def format_value(value) -> str:
     """Shortest round-trip text for one CSV cell; empty for absent fields."""
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # str is repr on a float
 
 
 def _base_row(model: ModelId, params: Params, singular: bool) -> dict:

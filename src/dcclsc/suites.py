@@ -210,27 +210,25 @@ def sample_interior_case(model: ModelId, rng) -> tuple[Params, DecisionSet]:
     analytic masses equal the choice-model measures exactly.
     """
     model = ModelId(model)
-    alpha = float(rng.uniform(0.2, 0.9))
+    alpha = rng.uniform(0.2, 0.9)
     params = Params(alpha=alpha, c_m=0.5, c_r=0.25, s=0.1)
-    t1 = float(rng.uniform(0.05, 0.45))
-    t2 = t1 + float(rng.uniform(0.05, 0.90 - t1))
+    t1 = rng.uniform(0.05, 0.45)
+    t2 = t1 + rng.uniform(0.05, 0.90 - t1)
     p_m = alpha * t1
     p_r = p_m + (1.0 - alpha) * t2
-    w = float(rng.uniform(0.1, 1.0))
+    w = rng.uniform(0.1, 1.0)
     if model is ModelId.M:
-        d = DecisionSet(model=model, p_m=p_m, p_r=p_r, w=w,
-                        b_m=float(rng.uniform(0.05, 0.95)))
+        d = DecisionSet(model=model, p_m=p_m, p_r=p_r, w=w, b_m=rng.uniform(0.05, 0.95))
     elif model is ModelId.R:
         d = DecisionSet(model=model, p_m=p_m, p_r=p_r, w=w,
-                        b_r=alpha * float(rng.uniform(0.05, 0.95)),
-                        t=float(rng.uniform(0.0, 1.0)))
+                        b_r=alpha * rng.uniform(0.05, 0.95), t=rng.uniform(0.0, 1.0))
     else:
-        gap = float(rng.uniform(0.05, 0.55))
-        upper = float(rng.uniform(gap + 0.05, 0.95))
+        gap = rng.uniform(0.05, 0.55)
+        upper = rng.uniform(gap + 0.05, 0.95)
         b_r = alpha * upper
         b_m = b_r + (1.0 - alpha) * gap
         d = DecisionSet(model=model, p_m=p_m, p_r=p_r, w=w, b_m=b_m, b_r=b_r,
-                        t=float(rng.uniform(0.0, 1.0)))
+                        t=rng.uniform(0.0, 1.0))
     return params, d
 
 

@@ -114,6 +114,20 @@ def _written_out_thresholds(params: Params) -> Thresholds:
     )
 
 
+@pytest.mark.parametrize("audit, claim, known", [
+    (audit_ordering, "P9", "P1, P3, P5, P6"),
+    (audit_ordering, None, "P1, P3, P5, P6"),
+    (audit_monotonicity, "P8", "P2, P4, P7"),
+    (audit_uniqueness, "T9", "T1, T2, T3"),
+], ids=["ordering", "ordering_none", "monotonicity", "uniqueness"])
+def test_unknown_claim_id_is_a_domain_error(audit, claim, known):
+    # once KeyError, and AttributeError for None
+    field = "theorem" if audit is audit_uniqueness else "prop"
+    with pytest.raises(OutOfDomain) as exc:
+        audit(claim, THRESHOLD_CASE)
+    assert str(exc.value) == f"{field}={claim!r} violates: expected one of {known}"
+
+
 class TestOrdering:
     def test_direct_price_below_retail_everywhere(self):
         for p in (Params(alpha=0.5, c_m=0.3, c_r=0.1, s=0.05),

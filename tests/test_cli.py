@@ -12,9 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
-from dcclsc import OutOfDomain, cli, decision_fields, market, oracle, report, suites
+from dcclsc import (ModelId, OutOfDomain, Params, cli, decision_fields, equilibrium, market,
+                    oracle, report, suites)
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
 from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
@@ -676,7 +678,8 @@ class TestVerify:
 
     def test_bad_tolerance_is_a_domain_error_in_the_library(self):
         # once a run with ok=False and a NaN or infinite tol that report.to_json refuses
-        for tol in (math.nan, math.inf, -1.0):
+        # True once ran, and was echoed as "tol": true
+        for tol in (math.nan, math.inf, -1.0, True):
             with pytest.raises(OutOfDomain) as exc:
                 suite_oracle(samples=1, tol=tol)
             assert str(exc.value) == f"tol={tol!r} violates: must be finite and >= 0"
@@ -874,6 +877,13 @@ class TestDeterminism:
         assert run(capsys, *args, str(a))[0] == 0
         assert run(capsys, *args, str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_numpy_params_write_the_plain_float_csv(self):
+        # once cells such as np.float64(0.6): format_value wrote a float's repr
+        def csv(alpha, c_m):
+            eq = equilibrium(ModelId.M, Params(alpha, c_m, 0.5, 0.2))
+            return report.rows_to_csv([report.equilibrium_row(eq)])
+        assert csv(np.float64(0.6), np.float64(1.0)) == csv(0.6, 1.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_json_refuses_non_standard_tokens(self, value):

@@ -164,16 +164,18 @@ class TestDemand:
 
     @pytest.mark.parametrize("variant", list(MrDemandVariant))
     def test_masses_beyond_float_range_are_a_domain_error(self, variant):
-        # once q1=-inf and q2=inf, refused only by the simulate command
-        d = _dmr(p_m=1e308, p_r=-1e308, w=0.5, b_m=0.3, b_r=0.2, t=0.4)
+        # once q1=-inf and q2=inf, refused only by the simulate command; with
+        # numpy's float64 prices, once an overflow warning before the refusal
         p = Params(0.6, 1, 0.5, 0.2)
         named = (r"^q1=-inf violates: must be finite; float arithmetic overflows here; "
                  r"q2=inf violates: must be finite; float arithmetic overflows here$")
-        with pytest.raises(OutOfDomain, match=named):
-            demand(ModelId.MR, d, p, variant)
-        if variant is MrDemandVariant.ADOPTED:
+        for number in (float, np.float64):
+            d = _dmr(p_m=number(1e308), p_r=number(-1e308), w=0.5, b_m=0.3, b_r=0.2, t=0.4)
             with pytest.raises(OutOfDomain, match=named):
-                validity(d, p)
+                demand(ModelId.MR, d, p, variant)
+            if variant is MrDemandVariant.ADOPTED:
+                with pytest.raises(OutOfDomain, match=named):
+                    validity(d, p)
 
     def test_values_returned_unclamped(self):
         p = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
@@ -227,6 +229,15 @@ class TestDemand:
 
 
 class TestProfits:
+    def test_profits_beyond_float_range_are_a_domain_error(self):
+        # once ProfitProfile(pi_m=-inf, pi_r=-inf), where make_equilibrium refuses
+        d = _dm(p_m=1e308, p_r=-1e308, w=0.5, b_m=0.3)
+        with pytest.raises(OutOfDomain) as exc:
+            profits(d, Params(0.6, 1, 0.5, 0.2))
+        assert [(v.field, v.value) for v in exc.value.violations] == [
+            ("pi_m", -np.inf), ("pi_r", -np.inf), ("pi_s", -np.inf)]
+        assert all("float arithmetic overflows" in v.constraint for v in exc.value.violations)
+
     def test_equilibrium_profits(self, params_m):
         pr = equilibrium_m(params_m).profit
         assert pr.pi_m == pytest.approx(0.22701612903225807, abs=1e-12)

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcclsc import DecisionSet, ModelId, OutOfDomain, Params, decision_fields
+from dcclsc import DecisionSet, ModelId, OutOfDomain, Params, decision_fields, demand, equilibrium
 from dcclsc.params import validate_params
 
 
@@ -117,8 +118,9 @@ def test_unknown_model_is_named_by_its_text():
         ModelId.parse(" x")
 
 
-#: Values that are not finite reals: an int beyond float range, a string, a missing value.
-NOT_FINITE_REALS = (10**400, "0.5", None)
+#: Values that are not finite reals: an int beyond float range, a string, a
+#: missing value, and a bool (once accepted, and written as true into JSON).
+NOT_FINITE_REALS = (10**400, "0.5", None, True)
 
 
 def test_params_refuse_what_is_not_a_finite_real():
@@ -153,3 +155,47 @@ def test_model_that_is_not_text_is_named():
     # once AttributeError: 'NoneType' object has no attribute 'strip'
     with pytest.raises(OutOfDomain, match=r"^model=None violates: expected one of M, R, MR$"):
         ModelId.parse(None)
+
+
+@pytest.mark.parametrize("text, model", [(" mr ", ModelId.MR), ("m", ModelId.M),
+                                         ("R\n", ModelId.R)])
+def test_model_id_reads_any_case_and_outer_blanks(text, model):
+    # once only ModelId.parse read these; ModelId(...) raised ValueError
+    assert ModelId(text) is model
+    assert DecisionSet(model=text, **dict.fromkeys(decision_fields(model), 0.5)).model is model
+
+
+_GAME = Params(0.6, 1.0, 0.5, 0.2)
+_M_DECISIONS = DecisionSet(model=ModelId.M, p_m=0.3, p_r=0.6, w=0.4, b_m=0.2)
+
+
+@pytest.mark.parametrize("read", [
+    ModelId,
+    lambda model: DecisionSet(model=model, p_m=0.3, p_r=0.6, w=0.4, b_m=0.2),
+    lambda model: equilibrium(model, _GAME),
+    lambda model: demand(model, _M_DECISIONS, _GAME),
+], ids=["ModelId", "DecisionSet", "equilibrium", "demand"])
+@pytest.mark.parametrize("model", ["x", None, "m r"])
+def test_unknown_model_is_a_domain_error_wherever_it_is_read(read, model):
+    # once ValueError: 'x' is not a valid ModelId, everywhere but ModelId.parse
+    with pytest.raises(OutOfDomain) as exc:
+        read(model)
+    assert str(exc.value) == f"model={model!r} violates: expected one of M, R, MR"
+
+
+def test_numbers_are_stored_as_the_floats_they_equal():
+    # once numpy's float64 and ints were stored as given, and reached CSV
+    # cells as np.float64(0.6)
+    p = Params(np.float64(0.6), 1, np.float64(0.5), 0)
+    d = DecisionSet(model="MR", p_m=np.float64(1.0), p_r=1, w=1.2, b_m=0.35, b_r=0.25,
+                    t=np.float64(0.5))
+    for value in (*vars(p).values(), *d.as_dict().values()):
+        assert type(value) is float
+    assert p == Params(0.6, 1.0, 0.5, 0.0)
+    assert d == DecisionSet(model=ModelId.MR, p_m=1.0, p_r=1.0, w=1.2, b_m=0.35, b_r=0.25, t=0.5)
+
+
+def test_costs_that_round_to_one_float_are_refused():
+    # once accepted as ints, with delta 0.0 once read as floats
+    with pytest.raises(OutOfDomain, match=r"^c_m=1\.152921504606847e\+18 violates: c_m > c_r "):
+        Params(0.5, 2**60 + 1, 2**60, 0)
