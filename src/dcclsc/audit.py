@@ -17,7 +17,8 @@ only the uniqueness theorems). Disagreements are reported, never corrected:
 several published claims demonstrably fail; surfacing them is this module's point.
 
 Verdicts are bit-reproducible functions of (claim id, params, grid); an
-unknown claim id is OutOfDomain.
+unknown claim id is OutOfDomain, and so is a given grid that is empty, does
+not ascend, or holds a point that is not a finite alpha in (0, 1).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, oracle
-from .errors import BoxBoundary, NonConcave, Singularity
-from .params import ModelId, Params, read_id
+from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity, Violation
+from .params import ModelId, Params, is_finite_real, read_id
 
 #: Default audit grids: the manufacturer-led model is evaluated across the
 #: whole preference range; the other two start above their denominator poles.
@@ -68,7 +69,18 @@ class AuditVerdict:
 
 
 def _grid_values(model: ModelId, alpha_grid, params: Params):
-    """The audit grid (the model's default unless given) and every decision on it."""
+    """The audit grid (the model's default unless given) and every decision on it.
+
+    A given grid is read first: OutOfDomain naming every point that is not a
+    finite alpha in (0, 1), else the grid if it is empty or not ascending."""
+    if alpha_grid is not None:
+        alpha_grid = tuple(alpha_grid)
+        bad = [Violation("alpha", a, "an audit grid point must be a finite real in (0, 1)")
+               for a in alpha_grid if not (is_finite_real(a) and 0.0 < a < 1.0)]
+        if not bad and not (alpha_grid and all(a < b for a, b in zip(alpha_grid, alpha_grid[1:]))):
+            bad = [Violation("alpha_grid", alpha_grid, "must hold one or more points, ascending")]
+        if bad:
+            raise OutOfDomain(bad)
     grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid, float)
     return grid, closed_form.decision_values(model, grid, params.c_m, params.delta, params.s)
 
@@ -112,7 +124,9 @@ def audit_ordering(prop: str, params: Params,
     unconditional claim's lies below the whole grid); points within one grid
     step of the threshold are excluded from the agreement test (the claim
     asserts equality exactly there). The verdict disagrees if any point
-    beyond that band contradicts the claimed side.
+    beyond that band contradicts the claimed side. A given ``alpha_grid``
+    must hold one or more points, ascending, each a finite alpha in (0, 1),
+    else OutOfDomain; a point on a pole of the closed form raises Singularity.
     """
     prop, (model, (var_a, var_b), threshold, above_claim, *label) = read_id(_ORDERING, "prop", prop)
     theta = -math.inf if threshold is None else threshold(params)
@@ -127,7 +141,7 @@ def audit_ordering(prop: str, params: Params,
     agree = bool(np.all(signs[~in_band] == expected[~in_band]))
     notes = []
     if np.all(grid > theta):
-        claimed, condition = above_claim, float(np.min(grid, initial=math.inf) - theta)
+        claimed, condition = above_claim, float(np.min(grid) - theta)
     elif np.all(grid < theta):
         claimed, condition = _OPPOSITE[above_claim], float(np.max(grid) - theta)
     else:
@@ -244,6 +258,7 @@ def audit_monotonicity(prop: str, params: Params,
 
     The observed direction comes from finite differences of the closed form
     over the grid; the claimed direction from the published c_m threshold.
+    ``alpha_grid`` is read and refused as :func:`audit_ordering` reads it.
     """
     prop, (model, items) = read_id(_MONOTONICITY, "prop", prop)
     grid, values = _grid_values(model, alpha_grid, params)

@@ -40,9 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_VARIANTS = {"adopted": MrDemandVariant.ADOPTED, "as-printed": MrDemandVariant.AS_PRINTED}
-
-
 def build_parser() -> _Parser:
     top = _Parser(prog="dcclsc", description=__doc__)
     top.add_argument("--version", action="version", version=f"dcclsc {__version__}")
@@ -66,8 +63,8 @@ def build_parser() -> _Parser:
     solve.add_argument("--cr", type=float, required=True, help="unit remanufacturing cost")
     solve.add_argument("--s", type=float, default=0.0, help="government unit subsidy (default 0)")
     solve.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD,
-                       help="half-width (>= 0) of the singularity guard band on alpha")
-    solve.add_argument("--variant", choices=sorted(_VARIANTS), default="adopted",
+                       help="finite half-width (>= 0) of the singularity guard band on alpha")
+    solve.add_argument("--variant", choices=("adopted", "as-printed"), default="adopted",
                        help="joint-model segment-3 demand variant")
     solve.add_argument("--verify", action="store_true",
                        help="also solve numerically and report deltas")
@@ -84,7 +81,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--cr", type=float)
     sweep.add_argument("--s", type=float)
     sweep.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD)
-    sweep.add_argument("--variant", choices=sorted(_VARIANTS), default="adopted")
+    sweep.add_argument("--variant", choices=("adopted", "as-printed"), default="adopted")
     sweep.add_argument("--outputs", default="decisions,demands,profits,validity",
                        help="comma list of column groups to fill")
     sweep.add_argument("--out", help="CSV path (default: stdout)")
@@ -194,8 +191,7 @@ def cmd_solve(args) -> int:
         _parser().error("--verify needs --format json: the CSV row has no oracle columns")
     model = ModelId(args.model)
     params = _params_from(args)
-    variant = _VARIANTS[args.variant]
-    eq = closed_form.equilibrium(model, params, guard=args.guard, variant=variant)
+    eq = closed_form.equilibrium(model, params, guard=args.guard, variant=args.variant)
     if args.format == "csv":  # the CSV row has no verdict column
         _write_or_print(report.rows_to_csv([report.equilibrium_row(eq)]), args.out, "equilibrium")
         return EXIT_OK
@@ -206,7 +202,7 @@ def cmd_solve(args) -> int:
     payload["command"] = "solve " + _echo(args)
     payload["version"] = __version__
     if args.verify:
-        if variant is MrDemandVariant.AS_PRINTED:  # closed_form refused it outside MR
+        if eq.demand_variant is MrDemandVariant.AS_PRINTED:  # refused outside MR
             raise NonConcave("as-printed variant: the leader's reduced profit is convex along b_m")
         cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params))
         numeric = oracle.solve_stackelberg_numeric(model, params, cfg)
@@ -255,12 +251,11 @@ def cmd_sweep(args) -> int:
     alphas = [args.alpha_from + k * args.alpha_step for k in range(int(steps) + 1)]
     if alphas[-1] >= 1.0:  # the slack's one row beyond --alpha-to, at alpha 1
         alphas.pop()
-    variant = _VARIANTS[args.variant]
     rows = []
     for alpha in alphas:
         params = Params(alpha=alpha, c_m=args.cm, c_r=args.cr, s=args.s)
         try:
-            eq = closed_form.equilibrium(model, params, args.guard, variant)
+            eq = closed_form.equilibrium(model, params, args.guard, args.variant)
             rows.append(report.equilibrium_row(eq) | hidden)
         except Singularity:
             rows.append(report.singular_row(model, params))

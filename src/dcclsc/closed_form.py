@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfDomain, Singularity
+from .errors import Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite, require_variant
-from .params import DecisionSet, ModelId, Params
+from .params import DecisionSet, ModelId, Params, read_nonneg
 
 #: Default half-width of the guard band around denominator roots of alpha.
 DEFAULT_GUARD = 1e-6
@@ -161,13 +161,12 @@ def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
                 variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
-    Refuses a ``variant`` outside model MR, where the outcome is computed under
-    it, then raises Singularity within ``guard`` of a denominator root of
-    alpha, then refuses as :func:`decision_values` does.
+    Reads ``variant``, refused outside MR, where the outcome is computed under
+    it, and ``guard``; raises Singularity within ``guard`` of a denominator
+    root of alpha, then refuses as :func:`decision_values` does.
     """
-    model = require_variant(model, variant)
-    if not guard >= 0.0:
-        raise OutOfDomain.single("guard", guard, "must be >= 0")
+    model, variant = require_variant(model, variant)
+    guard = read_nonneg("guard", guard)
     dist = singularity_distance(model, params.alpha)
     if dist < guard:
         raise Singularity(f"model {model.value} closed form", params.alpha, dist, guard)

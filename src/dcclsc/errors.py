@@ -14,7 +14,8 @@ class Violation:
     constraint: str
 
     def __str__(self) -> str:
-        return f"{self.field}={self.value!r} violates: {self.constraint}"
+        value = float(self.value) if isinstance(self.value, float) else self.value  # np.float64
+        return f"{self.field}={value!r} violates: {self.constraint}"
 
 
 class DcclscError(Exception):

@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
-from .params import DecisionSet, ModelId, Params, decision_fields
+from .params import DecisionSet, ModelId, Params, decision_fields, read_id
 
 #: Guard on alpha * (1 - alpha) below which segment masses are not evaluated.
 ALPHA_PRODUCT_GUARD = 1e-12
@@ -82,10 +82,15 @@ class MrDemandVariant(str, Enum):
                 utility thresholds (and the only one nonnegative at b_m = b_r).
     AS_PRINTED: q3 = 1 - (b_m - b_r) / (1 - alpha), the conflicting published
                 variant, retained for adjudication only.
+    ``MrDemandVariant(value)`` also reads ``read_id``'s spellings, else OutOfDomain.
     """
 
     ADOPTED = "adopted"
     AS_PRINTED = "as_printed"
+
+    @classmethod
+    def _missing_(cls, value):
+        return read_id({m.value: m for m in cls}, "variant", value)[1]
 
 
 @dataclass(frozen=True)
@@ -243,13 +248,13 @@ def choice_segment(decisions: DecisionSet, v: float, u: float,
     return (1 if s1 else 2 if s2 else 0), (3 if s3 else 4 if s4 else 0)
 
 
-def require_variant(model: ModelId, variant: MrDemandVariant) -> ModelId:
-    """``model``, or OutOfDomain for a variant other than the adopted one outside MR."""
-    model = ModelId(model)
-    if model is not ModelId.MR and variant != MrDemandVariant.ADOPTED:
-        raise OutOfDomain.single("variant", MrDemandVariant(variant).value,
+def require_variant(model: ModelId, variant) -> tuple[ModelId, MrDemandVariant]:
+    """(``model``, ``variant``) as read; OutOfDomain for a variant not adopted outside MR."""
+    model, variant = ModelId(model), MrDemandVariant(variant)
+    if model is not ModelId.MR and variant is not MrDemandVariant.ADOPTED:
+        raise OutOfDomain.single("variant", variant.value,
                                  f"model {model.value} has no segment-3 demand variant")
-    return model
+    return model, variant
 
 
 def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
@@ -258,7 +263,7 @@ def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
 
     Returns (q1, q2, q3, q4), q4 None outside the joint model, the one reading ``variant``.
     """
-    model = require_variant(model, variant)
+    model, variant = require_variant(model, variant)
     ap = alpha * (1 - alpha)
     if ap < ALPHA_PRODUCT_GUARD:
         raise Singularity("alpha*(1-alpha) in segment masses", alpha, ap, ALPHA_PRODUCT_GUARD)
@@ -269,7 +274,7 @@ def segment_masses(model: ModelId, p_m, p_r, b_m, b_r, alpha: float,
     if model is ModelId.R:
         return q1, q2, b_r / alpha, None
     gap = (b_m - b_r) / (1 - alpha)
-    q3 = gap if MrDemandVariant(variant) is MrDemandVariant.ADOPTED else 1 - gap
+    q3 = gap if variant is MrDemandVariant.ADOPTED else 1 - gap
     q4 = (b_r - alpha * b_m) / ap
     return q1, q2, q3, q4
 
@@ -427,7 +432,7 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
     a mass, a profit or a slack is not finite, so no payload carries an
     infinity or a NaN (parameters so large that float arithmetic overflows).
     """
-    model = model_of(model, decisions)
+    model, variant = require_variant(model_of(model, decisions), variant)
     d = decisions
     q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
     demands = DemandProfile(*q)
@@ -439,7 +444,7 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
         validity=_validity(d, params, demands),
         provenance=provenance,
         singularity_distance=singularity_distance,
-        demand_variant=MrDemandVariant(variant) if model is ModelId.MR else None,
+        demand_variant=variant if model is ModelId.MR else None,
     )
     require_finite({**eq.demands.as_dict(), **eq.profit.as_dict(),
                     **{c.name: c.slack for c in eq.validity.checks}})

@@ -40,9 +40,10 @@ from typing import Mapping
 import numpy as np
 
 from . import market
-from .errors import BoxBoundary, NonConcave, OutOfDomain
+from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
-from .params import ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params
+from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params,
+                     is_finite_real, read_int)
 
 #: The game's own poles in alpha: the roots of the common denominators of its
 #: equilibria, alpha - 4 (M), 9 alpha - 2 (R) and 2 alpha^2 - 15 alpha + 4 (MR).
@@ -84,16 +85,25 @@ class OracleConfig:
         each interval's width. None (the default) derives the box from the
         parameters via :func:`default_leader_box`; a variable the mapping
         leaves out, such as a follower's, takes its default interval.
+        Each name must be a decision variable and each interval a finite
+        (lo, hi) with lo < hi, stored as floats; else OutOfDomain.
     seed : int
-        Recorded in :meth:`as_dict` only: the solver draws nothing random.
+        Read by ``read_int`` (>= 0); recorded in :meth:`as_dict` only: the
+        solver draws nothing random.
     """
 
     leader_box: Mapping[str, tuple[float, float]] | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        fields = vars(self)  # frozen refuses setattr, not a write to the instance dict
+        fields["seed"] = read_int("seed", self.seed, 0)
+        if self.leader_box is not None:
+            fields["leader_box"] = _read_box(self.leader_box)
+
     def box(self, name: str, params: Params) -> tuple[float, float]:
         box = self.leader_box or {}
-        return tuple(box[name]) if name in box else default_leader_box(params)[name]
+        return box[name] if name in box else default_leader_box(params)[name]
 
     def as_dict(self) -> dict:
         box = self.leader_box
@@ -101,6 +111,23 @@ class OracleConfig:
             "leader_box": None if box is None else {k: list(v) for k, v in box.items()},
             "seed": self.seed,
         }
+
+
+def _read_box(box: Mapping) -> dict[str, tuple[float, float]]:
+    """``box`` with float intervals; OutOfDomain naming each unknown name and bad interval."""
+    bad, out = [], {}
+    for name, interval in box.items():
+        pair = tuple(interval) if isinstance(interval, (tuple, list, np.ndarray)) else ()
+        if name not in ALL_DECISION_FIELDS:
+            bad.append(Violation("leader_box", name,
+                                 "expected one of " + ", ".join(ALL_DECISION_FIELDS)))
+        elif len(pair) == 2 and all(map(is_finite_real, pair)) and pair[0] < pair[1]:
+            out[name] = (float(pair[0]), float(pair[1]))
+        else:
+            bad.append(Violation(name, interval, "must be an interval (lo, hi), finite, lo < hi"))
+    if bad:
+        raise OutOfDomain(bad)
+    return out
 
 
 @dataclass(frozen=True)
@@ -353,9 +380,8 @@ _MC_BLOCK = _MC_CHUNK >> 4
 
 
 def seeded_generator(seed: int, *spawn_key: int) -> np.random.Generator:
-    """PCG64 on ``SeedSequence(seed, spawn_key=spawn_key)``; OutOfDomain if seed < 0."""
-    if seed < 0:
-        raise OutOfDomain.single("seed", seed, "must be >= 0")
+    """PCG64 on ``SeedSequence(seed, spawn_key=spawn_key)``, ``seed`` read by ``read_int``."""
+    seed = read_int("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
@@ -369,11 +395,10 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
     (seed, n) fixes every draw; the substream is drawn in blocks of
     ``_MC_BLOCK`` pairs, which moves no draw, and every block is drawn and
     classified in one workspace allocated per call (sliced for a partial
-    last block). Raises OutOfDomain for n < 1, a negative seed, or a
-    ``model`` that is not the decisions' own.
+    last block). Raises OutOfDomain for an ``n`` (>= 1) or ``seed`` (>= 0)
+    that ``read_int`` refuses, or a ``model`` that is not the decisions' own.
     """
-    if n < 1:
-        raise OutOfDomain.single("n", n, "must be >= 1")
+    n, seed = read_int("n", n, 1), read_int("seed", seed, 0)
     model_of(model, decisions)
     size = min(_MC_BLOCK, n)
     draws, (utils, flags) = np.empty((size, 2)), market.choice_workspace(size)
@@ -464,11 +489,11 @@ def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.
     in (0, 1), 2/9 and ~0.27689, are where R and MR start to have an
     equilibrium). c_m is uniform on ``c_m_range``, c_r uniform on (0, c_m),
     s uniform on [0, s_max]. Deterministic given (n, seed). Raises
-    OutOfDomain for a negative seed, or when ``alpha_range`` has no
-    admissible mass, detected as 100,000 consecutive draws inside the guard
-    bands.
+    OutOfDomain for an ``n`` (>= 1) or ``seed`` (>= 0) that ``read_int``
+    refuses, or when ``alpha_range`` has no admissible mass, detected as
+    100,000 consecutive draws inside the guard bands.
     """
-    rng = seeded_generator(seed)
+    n, rng = read_int("n", n, 1), seeded_generator(seed)
     out = []
     rejected = 0
     while len(out) < n:

@@ -4,8 +4,8 @@ Everything downstream consumes the two value types defined here: ``Params``
 (cost and preference primitives) and ``DecisionSet`` (one model's bundle of
 prices, subsidies and transfer price). Both are immutable and validated at
 construction, so they are safe to share between concurrent tasks. This module
-alone reads a value: both types store each number as a Python float, and
-``ModelId(value)`` is the one model reader.
+alone reads a value, one reader per input kind, each returning what it read:
+``read_id``, ``read_int``, ``read_nonneg``, and both types for finite reals.
 
 ``PLAYER_FIELDS`` is the one statement of which player sets which decision in
 each model; the report order of ``decision_fields`` and the oracle's split
@@ -14,6 +14,7 @@ into leader and follower variables are both read from it.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -23,11 +24,27 @@ from .errors import OutOfDomain, Violation
 
 
 def read_id(table, field: str, value):
-    """(``value`` stripped and in upper case, its entry), or OutOfDomain naming ``table``'s ids."""
-    key = value.strip().upper() if isinstance(value, str) else None
-    if key not in table:
+    """(the id ``value`` names in any case, blanks around, - as _; its entry), else OutOfDomain."""
+    text = value.strip().replace("-", "_").upper() if isinstance(value, str) else None
+    if (key := next((key for key in table if key.upper() == text), None)) is None:
         raise OutOfDomain.single(field, value, "expected one of " + ", ".join(table))
     return key, table[key]
+
+
+def read_int(field: str, value, least: int) -> int:
+    """``value`` as an int (numpy's too, not a bool) >= ``least``, else OutOfDomain."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (is_int and value >= least):
+        raise OutOfDomain.single(field, int(value) if is_int else value,
+                                 f"must be {'' if is_int else 'an int '}>= {least}")
+    return int(value)
+
+
+def read_nonneg(field: str, value) -> float:
+    """``value`` as a float if it is a finite real >= 0, else OutOfDomain."""
+    if not (is_finite_real(value) and value >= 0.0):
+        raise OutOfDomain.single(field, value, "must be finite and >= 0")
+    return float(value)
 
 
 class ModelId(str, Enum):

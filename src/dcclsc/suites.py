@@ -1,12 +1,12 @@
 """Seeded verification suites: oracle agreement, proposition audits,
 Monte Carlo demand consistency, and endpoint identities.
 
-Each suite runs a deterministic protocol over seeded random parameter draws
-and returns a ``RunReport`` whose ``ok`` is its verdict. Expected findings are
-part of the golden pattern: several published claims are known to fail
-numerically (the retailer-subsidy monotonicity claim at the retailer-led
-figure parameters being the canonical example), and a suite FAILS if such a
-finding is absent, just as it fails on any unexpected one.
+Each suite reads its options (``_suite``), runs a deterministic protocol over
+seeded random parameter draws and returns a ``RunReport`` whose ``ok`` is its
+verdict. Expected findings are part of the golden pattern: several published
+claims are known to fail numerically (the retailer-subsidy monotonicity claim
+at the retailer-led figure parameters being the canonical example), and a
+suite FAILS if such a finding is absent, just as it fails on any unexpected one.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from statistics import NormalDist
 
 from . import __version__ as _version
 from . import audit, closed_form, market, oracle
-from .errors import OutOfDomain
 from .market import MrDemandVariant
-from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, is_finite_real
+from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, read_int, read_nonneg
 
 #: Fixed search box of the agreement protocol, recorded in its report; the
 #: default cost-scaled box [-1, 3] * (1 + c_m + s) contains it.
@@ -103,16 +102,16 @@ class RunReport:
 
 
 def _suite(fn):
-    """``fn`` timed, refusing fewer than one draw before it starts."""
+    """``fn`` timed, its options read first: ``tol`` by ``read_nonneg``, others by ``read_int``."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         bound = inspect.signature(fn).bind(*args, **kwargs)
         bound.apply_defaults()
-        if not bound.arguments["samples"] >= 1:
-            raise OutOfDomain.single("samples", bound.arguments["samples"], "must be >= 1")
+        options = {k: read_int(k, v, 0 if k == "seed" else 1) if k != "tol"
+                   else read_nonneg(k, v) for k, v in bound.arguments.items()}
         start = time.perf_counter()
-        report = fn(*args, **kwargs)
+        report = fn(**options)
         report.elapsed_seconds = time.perf_counter() - start
         return report
     return wrapper
@@ -123,11 +122,9 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunRe
     """Closed form vs numeric backward induction for models M and R.
 
     Relative deviation per decision variable must stay within ``tol`` on
-    every draw. Raises OutOfDomain, before any draw, for a ``tol`` that is
-    not finite and >= 0 (no deviation could pass a NaN).
+    every draw; a ``tol`` that is not finite and >= 0 is refused before any
+    draw (no deviation could pass a NaN).
     """
-    if not (is_finite_real(tol) and tol >= 0.0):
-        raise OutOfDomain.single("tol", tol, "must be finite and >= 0")
     cfg = oracle.OracleConfig(leader_box=WIDE_BOX, seed=seed)
     draws = oracle.sample_params(samples, seed)
     worst = 0.0

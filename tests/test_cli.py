@@ -190,6 +190,13 @@ class TestSolve:
         code, _, _ = run(capsys, "sweep", "--preset", "fig4", "--guard", "-0.1")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["solve --model m --alpha 0.9 --cm 0.15 --cr 0.12",
+                                         "sweep --preset fig4"])
+    def test_infinite_guard_rejected(self, capsys, command):
+        # once the sweep wrote every row singular and exited 0, and solve exited 3
+        code, out, err = run(capsys, *command.split(), "--guard", "inf")
+        assert (code, out, err) == (1, "", "error: guard=inf violates: must be finite and >= 0\n")
+
     def test_singularity_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", "--model", "r", "--alpha", "0.2222222",
                            "--cm", "0.5", "--cr", "0.25", "--s", "0.1")

@@ -1,14 +1,17 @@
 """Validation and decision-bundle plumbing."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcclsc import DecisionSet, ModelId, OutOfDomain, Params, decision_fields, demand, equilibrium
+from dcclsc import (DecisionSet, ModelId, OracleConfig, OutOfDomain, Params, audit,
+                    decision_fields, demand, equilibrium, monte_carlo_demand, oracle, suites)
 from dcclsc.params import validate_params
+from dcclsc.report import to_json
 
 
 def test_validate_params_computes_delta():
@@ -199,3 +202,78 @@ def test_costs_that_round_to_one_float_are_refused():
     # once accepted as ints, with delta 0.0 once read as floats
     with pytest.raises(OutOfDomain, match=r"^c_m=1\.152921504606847e\+18 violates: c_m > c_r "):
         Params(0.5, 2**60 + 1, 2**60, 0)
+
+
+#: Each input kind's readers, by call: (the field a refusal names, the call of
+#: one value). Every call reads its value by the one reader of its kind.
+_READS = {
+    "suite_oracle samples": ("samples", lambda v: suites.suite_oracle(samples=v)),
+    "suite_endpoints samples": ("samples", lambda v: suites.suite_endpoints(samples=v)),
+    "suite_mc n": ("n", lambda v: suites.suite_mc(samples=1, n=v)),
+    "monte_carlo_demand n": ("n", lambda v: monte_carlo_demand("M", _M_DECISIONS, _GAME,
+                                                               n=v, seed=1)),
+    "sample_params n": ("n", lambda v: oracle.sample_params(v, 1)),
+    "seeded_generator seed": ("seed", lambda v: oracle.seeded_generator(v)),
+    "sample_params seed": ("seed", lambda v: oracle.sample_params(2, v)),
+    "monte_carlo_demand seed": ("seed", lambda v: monte_carlo_demand("M", _M_DECISIONS, _GAME,
+                                                                     n=5, seed=v)),
+    "suite_endpoints seed": ("seed", lambda v: suites.suite_endpoints(samples=1, seed=v)),
+    "OracleConfig seed": ("seed", lambda v: OracleConfig(seed=v)),
+    "equilibrium MR variant": ("variant", lambda v: equilibrium("MR", _GAME, variant=v)),
+    "equilibrium M variant": ("variant", lambda v: equilibrium("M", _GAME, variant=v)),
+    "equilibrium guard": ("guard", lambda v: equilibrium("MR", _GAME, guard=v)),
+    "Params alpha": ("alpha", lambda v: Params(v, 1.0, 0.5, 0.2)),
+    "DecisionSet p_m": ("p_m", lambda v: DecisionSet(model="M", p_m=v, p_r=0.6, w=0.4, b_m=0.2)),
+    "OracleConfig interval": ("p_m", lambda v: OracleConfig(leader_box={"p_m": v})),
+    "OracleConfig name": ("leader_box", lambda v: OracleConfig(leader_box={v: (-1.0, 3.0)})),
+    "audit_ordering point": ("alpha", lambda v: audit.audit_ordering("P1", _GAME, (0.5, v))),
+    "audit_ordering grid": ("alpha_grid", lambda v: audit.audit_ordering("P1", _GAME, v)),
+    "audit_monotonicity grid": ("alpha_grid",
+                                lambda v: audit.audit_monotonicity("P2", _GAME, v)),
+}
+_NOT_INTS = (True, 1.5, "5", None)
+_REFUSED = [
+    *[(read, v) for read in ("suite_oracle samples", "suite_endpoints samples", "suite_mc n",
+                             "monte_carlo_demand n", "sample_params n", "seeded_generator seed",
+                             "sample_params seed", "monte_carlo_demand seed",
+                             "suite_endpoints seed", "OracleConfig seed") for v in _NOT_INTS],
+    ("sample_params n", -1), ("OracleConfig seed", -1),
+    ("seeded_generator seed", np.int64(-1)), ("monte_carlo_demand seed", np.int64(-1)),
+    *[(read, v) for read in ("equilibrium MR variant", "equilibrium M variant")
+      for v in ("x", None)],
+    *[("equilibrium guard", v) for v in (math.inf, "x", True)],
+    ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
+    *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0)],
+    ("OracleConfig name", "x_z"),
+    *[("audit_ordering point", v) for v in ("a", 1.5, 0.0)],
+    ("audit_ordering grid", ()), ("audit_monotonicity grid", ()),
+    ("audit_ordering grid", (0.5, 0.5)), ("audit_monotonicity grid", (0.9, 0.5, 0.3)),
+]
+
+
+@pytest.mark.parametrize("read, value", _REFUSED,
+                         ids=[f"{read}={value!r}" for read, value in _REFUSED])
+def test_each_input_kind_is_refused_by_its_reader(read, value):
+    # once these ran (samples=True ran one draw, sample_params(1.5, 1) drew
+    # two, guard=inf made every point singular, a zero-width box divided by
+    # zero, a grid point at 1.5 was evaluated, a descending grid reversed the
+    # observed direction), ended in TypeError or
+    # ValueError, or named a numpy value by its repr (alpha=np.float64(nan))
+    field, call = _READS[read]
+    with pytest.raises(OutOfDomain) as exc:
+        call(value)
+    shown = value.item() if isinstance(value, np.generic) else value
+    assert str(exc.value).startswith(f"{field}={shown!r} violates: ")
+
+
+def test_readers_return_plain_values():
+    # once a numpy seed and count reached the report, which to_json refused
+    rep = suites.suite_endpoints(samples=np.int64(1), seed=np.int64(5))
+    assert json.loads(to_json(rep.as_dict()))["config"] == {"samples": 1}
+    assert type(rep.seed) is int
+    mc = monte_carlo_demand("M", _M_DECISIONS, _GAME, n=np.int64(5), seed=np.uint8(3))
+    assert (type(mc.n), type(mc.seed)) == (int, int)
+    assert equilibrium("MR", _GAME, variant=" As-Printed ").demand_variant.value == "as_printed"
+    assert OracleConfig(leader_box={"p_m": (np.float64(-1), 3)}).as_dict() == {
+        "leader_box": {"p_m": [-1.0, 3.0]}, "seed": 0}
+    assert len(audit.audit_ordering("P1", _GAME, (0.5,)).evidence) == 1
