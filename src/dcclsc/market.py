@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
-from .params import DecisionSet, ModelId, Params, decision_fields, read_id
+from .params import DecisionSet, ModelId, Params, decision_fields, is_finite_real, read_id
 
 #: Guard on alpha * (1 - alpha) below which segment masses are not evaluated.
 ALPHA_PRODUCT_GUARD = 1e-12
@@ -193,7 +193,8 @@ def _choose(x, y, out=(None, None), tmp=None):
 
 def _check_valuations(v: float, u: float):
     violations = [Violation(name, x, "valuations live on [0, 1]")
-                  for name, x in (("v", v), ("u", u)) if not 0.0 <= x <= 1.0]
+                  for name, x in (("v", v), ("u", u))
+                  if not (is_finite_real(x) and 0.0 <= x <= 1.0)]
     if violations:
         raise OutOfDomain(violations)
 

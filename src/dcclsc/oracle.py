@@ -1,8 +1,8 @@
 """Numeric ground truth: backward-induction Stackelberg solver and choice simulation.
 
 Nothing in this module evaluates the closed-form equilibrium expressions or
-reads their poles: its sampling guard and the singularity distance of a
-numeric equilibrium use the game's own poles (``_POLES``).
+reads their poles: the singularity distance of a numeric equilibrium uses
+the game's own poles (``_POLES``).
 Segment masses enter the profits unclamped, so both players' profits are
 exactly quadratic in the decisions, and one call of the profit kernel on one
 central-difference stencil over all of the model's decisions identifies the
@@ -14,8 +14,8 @@ cost level. The rest is linear algebra on that model:
 1. zeroing the retailer's gradient in its own variables gives its best
    response, an affine map y*(x) = y0 + K (x - x0) of the leader's variables;
 2. with Q = [I; K], the manufacturer's reduced profit has gradient
-   Q^T grad pi_m and Hessian Q^T H_m Q; a Hessian of either stage that is not
-   negative definite raises NonConcave;
+   Q^T grad pi_m and Hessian Q^T H_m Q; one record (``_Game``) holds both
+   stages, and a stage that ``_negative_definite`` refuses raises NonConcave;
 3. the solve steps from the box centre to where both first-order conditions
    hold, identifies the game again there and takes one clean-up step; a step
    that lands outside the box or on its edge raises BoxBoundary.
@@ -33,9 +33,9 @@ check on the closed-form segment masses.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,22 +43,13 @@ from . import market
 from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
 from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params,
-                     is_finite_real, read_int)
+                     is_finite_real, read_int, read_interval)
 
 #: The game's own poles in alpha: the roots of the common denominators of its
 #: equilibria, alpha - 4 (M), 9 alpha - 2 (R) and 2 alpha^2 - 15 alpha + 4 (MR).
 #: The published MR expressions put theirs elsewhere; the oracle never reads those.
 _POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
           ModelId.MR: ((15.0 - math.sqrt(193.0)) / 4.0, (15.0 + math.sqrt(193.0)) / 4.0)}
-
-
-def _pole_distance(model: ModelId, alpha: float) -> float:
-    """Distance from alpha to the nearest pole of the model's game."""
-    return min(abs(alpha - pole) for pole in _POLES[model])
-
-
-#: Base search interval; the default box scales it with the cost level.
-_BASE_BOX = (-1.0, 3.0)
 
 
 def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
@@ -69,7 +60,7 @@ def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
     parameters (the figure presets reach p_r above 16).
     """
     scale = 1.0 + params.c_m + params.s
-    return dict.fromkeys(ALL_DECISION_FIELDS, (_BASE_BOX[0] * scale, _BASE_BOX[1] * scale))
+    return dict.fromkeys(ALL_DECISION_FIELDS, (-1.0 * scale, 3.0 * scale))
 
 
 @dataclass(frozen=True)
@@ -85,8 +76,9 @@ class OracleConfig:
         each interval's width. None (the default) derives the box from the
         parameters via :func:`default_leader_box`; a variable the mapping
         leaves out, such as a follower's, takes its default interval.
-        Each name must be a decision variable and each interval a finite
-        (lo, hi) with lo < hi, stored as floats; else OutOfDomain.
+        It must be a mapping, each name a decision variable and each
+        interval one that ``read_interval`` reads; else one OutOfDomain
+        names every bad name and interval.
     seed : int
         Read by ``read_int`` (>= 0); recorded in :meth:`as_dict` only: the
         solver draws nothing random.
@@ -101,9 +93,10 @@ class OracleConfig:
         if self.leader_box is not None:
             fields["leader_box"] = _read_box(self.leader_box)
 
-    def box(self, name: str, params: Params) -> tuple[float, float]:
-        box = self.leader_box or {}
-        return box[name] if name in box else default_leader_box(params)[name]
+    def bounds(self, names: tuple[str, ...], params: Params) -> np.ndarray:
+        """(lo, hi) arrays of the named variables' search intervals."""
+        box = {**default_leader_box(params), **(self.leader_box or {})}
+        return np.array([box[name] for name in names], dtype=float).T
 
     def as_dict(self) -> dict:
         box = self.leader_box
@@ -113,18 +106,20 @@ class OracleConfig:
         }
 
 
-def _read_box(box: Mapping) -> dict[str, tuple[float, float]]:
+def _read_box(box) -> dict[str, tuple[float, float]]:
     """``box`` with float intervals; OutOfDomain naming each unknown name and bad interval."""
+    if not isinstance(box, Mapping):
+        raise OutOfDomain.single("leader_box", box, "must be a mapping of name to (lo, hi)")
     bad, out = [], {}
     for name, interval in box.items():
-        pair = tuple(interval) if isinstance(interval, (tuple, list, np.ndarray)) else ()
         if name not in ALL_DECISION_FIELDS:
             bad.append(Violation("leader_box", name,
                                  "expected one of " + ", ".join(ALL_DECISION_FIELDS)))
-        elif len(pair) == 2 and all(map(is_finite_real, pair)) and pair[0] < pair[1]:
-            out[name] = (float(pair[0]), float(pair[1]))
-        else:
-            bad.append(Violation(name, interval, "must be an interval (lo, hi), finite, lo < hi"))
+            continue
+        try:
+            out[name] = read_interval(name, interval)
+        except OutOfDomain as exc:
+            bad.extend(exc.violations)
     if bad:
         raise OutOfDomain(bad)
     return out
@@ -136,9 +131,8 @@ class SocReport:
 
     Carries central-difference Hessian eigenvalues of the follower profit in
     the follower variables and of the leader's reduced profit (follower
-    substituted) in the leader variables; a stage counts as negative
-    definite iff all of its eigenvalues are below -1e-9 times the largest
-    eigenvalue magnitude, the rule the solver applies too.
+    substituted) in the leader variables, each stage judged by the solver's
+    concavity rule, ``_negative_definite``.
     """
 
     follower_hessian_eigs: tuple[float, ...]
@@ -147,12 +141,7 @@ class SocReport:
     leader_negative_definite: bool
 
     def as_dict(self) -> dict:
-        return {
-            "follower_hessian_eigs": list(self.follower_hessian_eigs),
-            "leader_reduced_hessian_eigs": list(self.leader_reduced_hessian_eigs),
-            "follower_negative_definite": self.follower_negative_definite,
-            "leader_negative_definite": self.leader_negative_definite,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def _negative_definite(eigs: np.ndarray) -> bool:
@@ -194,10 +183,13 @@ class _Game:
     ``values``, ``grad`` and ``hess`` hold (pi_m, pi_r) and their gradients
     and Hessians at z0. The retailer's best response is
     y*(x) = z0_f + shift + K (x - z0_l), with Q = [I; K] and the eigenvalues
-    ``follower_eigs`` of its Hessian in its own variables.
+    ``follower_eigs`` of its Hessian in its own variables. The leader's
+    reduced profit has gradient ``leader_grad`` (Q^T grad pi_m, taken at the
+    best response) and Hessian ``leader_hess`` (Q^T H_m Q).
     """
 
-    k: int
+    leader: tuple[str, ...]
+    follower: tuple[str, ...]
     z0: np.ndarray
     values: np.ndarray
     grad: np.ndarray
@@ -205,28 +197,30 @@ class _Game:
     shift: np.ndarray
     Q: np.ndarray
     follower_eigs: np.ndarray
+    leader_grad: np.ndarray
+    leader_hess: np.ndarray
+
+    @cached_property
+    def leader_eigs(self) -> np.ndarray:
+        """Eigenvalues of ``leader_hess``, computed when a verdict first reads them."""
+        return np.linalg.eigvalsh(self.leader_hess)
 
     def response(self, x: np.ndarray) -> np.ndarray:
         """The retailer's best response to the leader point x."""
-        return self.z0[self.k:] + self.shift + (x - self.z0[:self.k]) @ self.Q[self.k:].T
-
-    def leader(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the manufacturer's reduced profit at z0's
-        leader point: Q^T grad pi_m, taken at the best response, and Q^T H_m Q."""
-        grad = self.grad[0] + self.hess[0][:, self.k:] @ self.shift
-        return self.Q.T @ grad, self.Q.T @ self.hess[0] @ self.Q
+        k = len(self.leader)
+        return self.z0[k:] + self.shift + (x - self.z0[:k]) @ self.Q[k:].T
 
     def stationary_point(self) -> np.ndarray:
         """The point where both first-order conditions hold: the retailer's
         gradient in its own variables and the leader's Q^T grad pi_m vanish."""
-        k, Q = self.k, self.Q
+        k, Q = len(self.leader), self.Q
         jacobian = np.vstack([Q.T @ self.hess[0], self.hess[1, k:]])
         residual = np.concatenate([Q.T @ self.grad[0], self.grad[1, k:]])
         return self.z0 - np.linalg.solve(jacobian, residual)
 
 
 def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
-              cfg: OracleConfig | None = None, variant=MrDemandVariant.ADOPTED) -> _Game:
+              cfg: OracleConfig = OracleConfig(), variant=MrDemandVariant.ADOPTED) -> _Game:
     """Identify the game from one evaluation of both profits on one stencil.
 
     The stencil is centred at the decisions ``centre``, else at the centre
@@ -242,8 +236,7 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     """
     leader, follower = PLAYER_FIELDS[model]
     k, n = len(leader), len(leader) + len(follower)
-    cfg = cfg or OracleConfig()
-    lo, hi = np.array([cfg.box(name, params) for name in leader + follower], dtype=float).T
+    lo, hi = cfg.bounds(leader + follower, params)
     z0 = ((lo + hi) / 2.0 if centre is None
           else np.array([getattr(centre, name) for name in leader + follower], dtype=float))
     step = _STENCIL_SHARE * (hi - lo)
@@ -273,8 +266,11 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
             f"retailer profit not concave in {', '.join(follower)}: "
             f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
     response = -np.linalg.solve(H_ff, np.column_stack([grad[1, k:], hess[1, k:, :k]]))
-    return _Game(k=k, z0=z0, values=vals[:, 0], grad=grad, hess=hess, shift=response[:, 0],
-                 Q=np.vstack([np.eye(k), response[:, 1:]]), follower_eigs=eigs)
+    shift, Q = response[:, 0], np.vstack([np.eye(k), response[:, 1:]])
+    return _Game(leader=leader, follower=follower, z0=z0, values=vals[:, 0], grad=grad,
+                 hess=hess, shift=shift, Q=Q, follower_eigs=eigs,
+                 leader_grad=Q.T @ (grad[0] + hess[0][:, k:] @ shift),
+                 leader_hess=Q.T @ hess[0] @ Q)
 
 
 # bound by name in perfbench/tracer.py LAYERS
@@ -283,7 +279,8 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     """Maximize the retailer profit over the follower's variables.
 
     ``leader_vars`` must contain exactly the leader's variables for the
-    model, those of ``params.PLAYER_FIELDS``; the retailer's profit is the
+    model, those of ``params.PLAYER_FIELDS``, each a finite real; one
+    OutOfDomain names every value that is not. The retailer's profit is the
     same under both segment-3 variants. Raises NonConcave when the retailer
     objective has no interior maximum.
     """
@@ -292,7 +289,11 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
     if set(leader_vars) != set(leader):
         raise OutOfDomain.single("leader_vars", sorted(leader_vars),
                                  f"model {model.value} leader sets {sorted(leader)}")
-    x = np.array([float(leader_vars[n]) for n in leader])
+    bad = [Violation(n, leader_vars[n], "must be a finite real") for n in leader
+           if not is_finite_real(leader_vars[n])]
+    if bad:
+        raise OutOfDomain(bad)
+    x = np.array([leader_vars[n] for n in leader], dtype=float)
     y = _identify(model, params).response(x)
     return dict(zip(follower, map(float, y)))
 
@@ -320,23 +321,23 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     model = ModelId(model)
     cfg = cfg or OracleConfig()
     leader, follower = PLAYER_FIELDS[model]
+    lo, hi = cfg.bounds(leader, params)
+    edge = 1e-6 * np.maximum(1.0, hi - lo)
     decisions = None
     for _ in range(2):  # the Newton step, then the clean-up step
         game = _identify(model, params, decisions, cfg)
-        eigs = np.linalg.eigvalsh(game.leader()[1])
-        if not _negative_definite(eigs):
+        if not _negative_definite(game.leader_eigs):
             raise NonConcave(
                 "leader reduced profit not concave: finite-difference Hessian "
-                f"eigenvalues {np.array2string(eigs, precision=4)}")
-        point = dict(zip(leader + follower, map(float, game.stationary_point())))
-        for name in leader:
-            lo, hi = cfg.box(name, params)
-            edge = 1e-6 * max(1.0, hi - lo)
-            if point[name] - lo <= edge or hi - point[name] <= edge:
-                raise BoxBoundary(name, point[name], (lo, hi))
-        decisions = DecisionSet(model=model, **point)
+                f"eigenvalues {np.array2string(game.leader_eigs, precision=4)}")
+        point = game.stationary_point()
+        x = point[:len(leader)]
+        if (outside := np.minimum(x - lo, hi - x) <= edge).any():
+            i = int(np.argmax(outside))
+            raise BoxBoundary(leader[i], float(x[i]), (float(lo[i]), float(hi[i])))
+        decisions = DecisionSet(model=model, **dict(zip(leader + follower, point)))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
-                            _pole_distance(model, params.alpha))
+                            min(abs(params.alpha - pole) for pole in _POLES[model]))
 
 
 def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
@@ -352,13 +353,9 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
         raise OutOfDomain.single("params", params.as_dict(),
                                  f"the equilibrium is at {eq.params.as_dict()}")
     game = _identify(model, params, eq.decisions)
-    eig_f, eig_l = game.follower_eigs, np.linalg.eigvalsh(game.leader()[1])
-    return SocReport(
-        follower_hessian_eigs=tuple(float(e) for e in eig_f),
-        leader_reduced_hessian_eigs=tuple(float(e) for e in eig_l),
-        follower_negative_definite=_negative_definite(eig_f),
-        leader_negative_definite=_negative_definite(eig_l),
-    )
+    eig_f, eig_l = game.follower_eigs, game.leader_eigs
+    return SocReport(tuple(map(float, eig_f)), tuple(map(float, eig_l)),
+                     _negative_definite(eig_f), _negative_definite(eig_l))
 
 
 @dataclass(frozen=True)
@@ -430,16 +427,15 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet,
     decisions', and NonConcave when the retailer has no best response.
     """
     model = model_of(model, decisions)
-    return _residuals(model, _identify(model, params, decisions))
+    return _residuals(_identify(model, params, decisions))
 
 
-def _residuals(model: ModelId, game: _Game) -> dict[str, float]:
-    leader, follower = PLAYER_FIELDS[model]
+def _residuals(game: _Game) -> dict[str, float]:
     scale_m, scale_r = (max(1.0, abs(float(v))) for v in game.values)
     out = {f"follower:{n}": abs(float(g)) / scale_r
-           for n, g in zip(follower, game.grad[1, game.k:])}
+           for n, g in zip(game.follower, game.grad[1, len(game.leader):])}
     out.update({f"leader:{n}": abs(float(g)) / scale_m
-                for n, g in zip(leader, game.leader()[0])})
+                for n, g in zip(game.leader, game.leader_grad)})
     return out
 
 
@@ -465,49 +461,29 @@ def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
             game = _identify(ModelId.MR, params, decisions, variant=variant)
         except NonConcave:
             return "follower_non_concave"
-        if variant is MrDemandVariant.ADOPTED and not _negative_definite(
-                np.linalg.eigvalsh(game.leader()[1])):
+        if variant is MrDemandVariant.ADOPTED and not _negative_definite(game.leader_eigs):
             return "leader_non_concave"
-        if max(_residuals(ModelId.MR, game).values()) <= STATIONARITY_TOL:
+        if max(_residuals(game).values()) <= STATIONARITY_TOL:
             passing.append(variant.value)
     if not passing:
         return "none"
     return "both" if len(passing) == 2 else passing[0]
 
 
-#: Consecutive guard-band rejections after which ``sample_params`` gives up.
-_MAX_REJECTIONS = 100_000
-
-
-def sample_params(n: int, seed: int, alpha_range: tuple[float, float] = (0.3, 0.95),
-                  c_m_range: tuple[float, float] = (0.05, 0.95),
-                  s_max: float = 0.3, guard_band: float = 0.01) -> list[Params]:
+def sample_params(n: int, seed: int,
+                  c_m_range: tuple[float, float] = (0.05, 0.95)) -> list[Params]:
     """Seeded random admissible parameter draws for verification protocols.
 
-    alpha is uniform on ``alpha_range`` excluding ``guard_band``-wide bands
-    around the game's poles, 2/9 for R and (15 +- sqrt(193))/4 for MR (those
-    in (0, 1), 2/9 and ~0.27689, are where R and MR start to have an
-    equilibrium). c_m is uniform on ``c_m_range``, c_r uniform on (0, c_m),
-    s uniform on [0, s_max]. Deterministic given (n, seed). Raises
-    OutOfDomain for an ``n`` (>= 1) or ``seed`` (>= 0) that ``read_int``
-    refuses, or when ``alpha_range`` has no admissible mass, detected as
-    100,000 consecutive draws inside the guard bands.
+    alpha is uniform on (0.3, 0.95), above the game's poles in (0, 1), 2/9
+    (R) and (15 - sqrt(193))/4 ~ 0.27689 (MR), where R and MR start to have
+    an equilibrium. c_m is uniform on ``c_m_range``, c_r uniform on
+    (0.05 c_m, 0.95 c_m), s uniform on [0, 0.3]. Deterministic given
+    (n, seed). Raises OutOfDomain for an ``n`` (>= 1) or ``seed`` (>= 0)
+    that ``read_int`` refuses, or a ``c_m_range`` that ``read_interval``
+    refuses as an interval of positive costs.
     """
     n, rng = read_int("n", n, 1), seeded_generator(seed)
-    out = []
-    rejected = 0
-    while len(out) < n:
-        alpha = rng.uniform(*alpha_range)
-        if any(_pole_distance(m, alpha) < guard_band for m in (ModelId.R, ModelId.MR)):
-            rejected += 1
-            if rejected == _MAX_REJECTIONS:
-                raise OutOfDomain.single("alpha_range", alpha_range,
-                                         f"no admissible alpha outside the pole guard "
-                                         f"bands of half-width {guard_band}")
-            continue
-        rejected = 0
-        c_m = rng.uniform(*c_m_range)
-        c_r = c_m * rng.uniform(0.05, 0.95)
-        s = rng.uniform(0.0, s_max)
-        out.append(Params(alpha=alpha, c_m=c_m, c_r=c_r, s=s))
-    return out
+    c_m_range = read_interval("c_m_range", c_m_range, positive=True)
+    draws = [(rng.uniform(0.3, 0.95), rng.uniform(*c_m_range), rng.uniform(0.05, 0.95),
+              rng.uniform(0.0, 0.3)) for _ in range(n)]
+    return [Params(alpha=alpha, c_m=c_m, c_r=c_m * share, s=s) for alpha, c_m, share, s in draws]

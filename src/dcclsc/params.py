@@ -5,7 +5,8 @@ Everything downstream consumes the two value types defined here: ``Params``
 prices, subsidies and transfer price). Both are immutable and validated at
 construction, so they are safe to share between concurrent tasks. This module
 alone reads a value, one reader per input kind, each returning what it read:
-``read_id``, ``read_int``, ``read_nonneg``, and both types for finite reals.
+``read_id``, ``read_int``, ``read_nonneg``, ``read_interval``, and both types
+for finite reals.
 
 ``PLAYER_FIELDS`` is the one statement of which player sets which decision in
 each model; the report order of ``decision_fields`` and the oracle's split
@@ -19,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
+
+import numpy as np
 
 from .errors import OutOfDomain, Violation
 
@@ -45,6 +48,16 @@ def read_nonneg(field: str, value) -> float:
     if not (is_finite_real(value) and value >= 0.0):
         raise OutOfDomain.single(field, value, "must be finite and >= 0")
     return float(value)
+
+
+def read_interval(field: str, value, positive: bool = False) -> tuple[float, float]:
+    """(lo, hi) floats of ``value``: finite, lo < hi, 0 < lo if ``positive``; else OutOfDomain."""
+    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    if not (len(pair) == 2 and all(map(is_finite_real, pair)) and pair[0] < pair[1]
+            and (pair[0] > 0.0 or not positive)):
+        raise OutOfDomain.single(field, value, "must be an interval (lo, hi), finite, "
+                                 + ("0 < lo < hi" if positive else "lo < hi"))
+    return float(pair[0]), float(pair[1])
 
 
 class ModelId(str, Enum):

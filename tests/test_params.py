@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dcclsc import (DecisionSet, ModelId, OracleConfig, OutOfDomain, Params, audit,
-                    decision_fields, demand, equilibrium, monte_carlo_demand, oracle, suites)
+                    decision_fields, demand, equilibrium, market, monte_carlo_demand, oracle,
+                    suites)
 from dcclsc.params import validate_params
 from dcclsc.report import to_json
 
@@ -226,6 +227,13 @@ _READS = {
     "DecisionSet p_m": ("p_m", lambda v: DecisionSet(model="M", p_m=v, p_r=0.6, w=0.4, b_m=0.2)),
     "OracleConfig interval": ("p_m", lambda v: OracleConfig(leader_box={"p_m": v})),
     "OracleConfig name": ("leader_box", lambda v: OracleConfig(leader_box={v: (-1.0, 3.0)})),
+    "OracleConfig box": ("leader_box", lambda v: OracleConfig(leader_box=v)),
+    "sample_params c_m_range": ("c_m_range",
+                                lambda v: oracle.sample_params(2, 1, c_m_range=v)),
+    "best_response_retailer p_m": ("p_m", lambda v: oracle.best_response_retailer(
+        "M", {"p_m": v, "w": 0.4, "b_m": 0.2}, _GAME)),
+    "utilities v": ("v", lambda v: market.utilities(_M_DECISIONS, v, 0.5, _GAME)),
+    "choice_segment v": ("v", lambda v: market.choice_segment(_M_DECISIONS, v, 0.5, _GAME)),
     "audit_ordering point": ("alpha", lambda v: audit.audit_ordering("P1", _GAME, (0.5, v))),
     "audit_ordering grid": ("alpha_grid", lambda v: audit.audit_ordering("P1", _GAME, v)),
     "audit_monotonicity grid": ("alpha_grid",
@@ -245,6 +253,10 @@ _REFUSED = [
     ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
     *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0)],
     ("OracleConfig name", "x_z"),
+    *[("OracleConfig box", v) for v in ("x", [("p_m", (-1.0, 3.0))])],
+    *[("sample_params c_m_range", v) for v in ((0.9, 0.3), (-1, 0.3), (0, 1), "x")],
+    *[("best_response_retailer p_m", v) for v in (math.nan, "x", True)],
+    ("utilities v", "x"), ("choice_segment v", None),
     *[("audit_ordering point", v) for v in ("a", 1.5, 0.0)],
     ("audit_ordering grid", ()), ("audit_monotonicity grid", ()),
     ("audit_ordering grid", (0.5, 0.5)), ("audit_monotonicity grid", (0.9, 0.5, 0.3)),
@@ -257,13 +269,25 @@ def test_each_input_kind_is_refused_by_its_reader(read, value):
     # once these ran (samples=True ran one draw, sample_params(1.5, 1) drew
     # two, guard=inf made every point singular, a zero-width box divided by
     # zero, a grid point at 1.5 was evaluated, a descending grid reversed the
-    # observed direction), ended in TypeError or
-    # ValueError, or named a numpy value by its repr (alpha=np.float64(nan))
+    # observed direction, a NaN leader price returned a NaN response, a
+    # c_m_range of (0, 1) was drawn from), ended in TypeError, ValueError or
+    # AttributeError (a leader_box "x"), or named a numpy value by its repr
+    # (alpha=np.float64(nan))
     field, call = _READS[read]
     with pytest.raises(OutOfDomain) as exc:
         call(value)
     shown = value.item() if isinstance(value, np.generic) else value
     assert str(exc.value).startswith(f"{field}={shown!r} violates: ")
+
+
+def test_every_bad_leader_value_and_box_entry_is_named_at_once():
+    with pytest.raises(OutOfDomain) as exc:
+        oracle.best_response_retailer("M", {"p_m": math.nan, "w": "x", "b_m": 0.2}, _GAME)
+    assert [v.field for v in exc.value.violations] == ["p_m", "w"]
+    with pytest.raises(OutOfDomain) as exc:
+        OracleConfig(leader_box={"x_z": (0, 1), "p_m": (1, 1), "w": (0, 1)})
+    assert [(v.field, v.value) for v in exc.value.violations] == [("leader_box", "x_z"),
+                                                                   ("p_m", (1, 1))]
 
 
 def test_readers_return_plain_values():
