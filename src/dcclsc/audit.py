@@ -5,20 +5,19 @@ Each audit encodes one published claim: its applicability condition, the
 claimed conclusion, and the published threshold expression, evaluated
 verbatim. Each claim is stated whole in its row of ``_ORDERING``,
 ``_MONOTONICITY`` or ``_ENDPOINTS``: its threshold, which raises Singularity
-only where its own denominator vanishes, and optionally a label for that
-threshold (an ordering row) or an alternate published threshold (a
-monotonicity row); or its published limits as alpha -> 0 and 1, optionally
-flagged as indeterminate as printed (an endpoint row).
-:func:`thresholds` collects the primary thresholds from those rows.
-Conclusions are tested against the closed-form expressions on an alpha grid in
-one array call, refused at a pole or an overflow as the closed form refuses it
-(the claims are statements about those expressions; the numeric solver serves
-only the uniqueness theorems). Disagreements are reported, never corrected:
-several published claims demonstrably fail; surfacing them is this module's point.
+only where its own denominator vanishes, and optionally an alternate
+published threshold (a monotonicity row); or its published limits as
+alpha -> 0 and 1, optionally flagged as indeterminate as printed (an
+endpoint row). :func:`thresholds` collects the primary thresholds from those
+rows. Conclusions are tested against the closed-form expressions on the
+model's :func:`default_alpha_grid`, which holds no pole, in one array call,
+refused only where the closed form overflows (the claims are statements about
+those expressions; the numeric solver serves only the uniqueness theorems).
+Disagreements are reported, never corrected: several published claims
+demonstrably fail; surfacing them is this module's point.
 
-Verdicts are bit-reproducible functions of (claim id, params, grid); an
-unknown claim id is OutOfDomain, and so is a given grid that is empty, does
-not ascend, or holds a point that is not a finite alpha in (0, 1).
+Verdicts are bit-reproducible functions of (claim id, params); an unknown
+claim id is OutOfDomain.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, oracle
-from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity, Violation
-from .params import ModelId, Params, is_finite_real, read_id
+from .errors import BoxBoundary, NonConcave, Singularity
+from .params import ModelId, Params, read_id
 
 #: Default audit grids: the manufacturer-led model is evaluated across the
 #: whole preference range; the other two start above their denominator poles.
@@ -68,20 +67,9 @@ class AuditVerdict:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _grid_values(model: ModelId, alpha_grid, params: Params):
-    """The audit grid (the model's default unless given) and every decision on it.
-
-    A given grid is read first: OutOfDomain naming every point that is not a
-    finite alpha in (0, 1), else the grid if it is empty or not ascending."""
-    if alpha_grid is not None:
-        alpha_grid = tuple(alpha_grid)
-        bad = [Violation("alpha", a, "an audit grid point must be a finite real in (0, 1)")
-               for a in alpha_grid if not (is_finite_real(a) and 0.0 < a < 1.0)]
-        if not bad and not (alpha_grid and all(a < b for a, b in zip(alpha_grid, alpha_grid[1:]))):
-            bad = [Violation("alpha_grid", alpha_grid, "must hold one or more points, ascending")]
-        if bad:
-            raise OutOfDomain(bad)
-    grid = np.asarray(default_alpha_grid(model) if alpha_grid is None else alpha_grid, float)
+def _grid_values(model: ModelId, params: Params):
+    """The model's audit grid and every decision on it."""
+    grid = np.asarray(default_alpha_grid(model), float)
     return grid, closed_form.decision_values(model, grid, params.c_m, params.delta, params.s)
 
 
@@ -98,13 +86,11 @@ def _ratio(what: str, params: Params, num: float, den: float) -> float:
 
 
 #: Ordering claims: prop -> (model, (a, b), published threshold alpha as a
-#: function of Params or None if unconditional, relation of a to b above it,
-#: and optionally a label for the threshold). A labelled row also notes the
-#: observed relation on each side of its threshold.
+#: function of Params or None if unconditional, relation of a to b above it).
+#: P3's threshold 2/9, the pole of model R, lies below that model's grid.
 _ORDERING = {
     "P1": (ModelId.M, ("p_m", "p_r"), None, "less_than"),
-    "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than",
-           "the pole at 2/9"),
+    "P3": (ModelId.R, ("p_m", "p_r"), lambda p: 2.0 / 9.0, "less_than"),
     "P5": (ModelId.MR, ("p_m", "p_r"), lambda p: _ratio(
         "price-ordering threshold", p, 6.0 * p.c_m - 4.0 * p.delta - 4.0 * p.s + 4.0,
         3.0 * p.c_m - 3.0 * p.delta - 3.0 * p.s + 21.0), "less_than"),
@@ -116,23 +102,20 @@ _ORDERING = {
 _OPPOSITE = {"less_than": "greater_than", "greater_than": "less_than"}
 
 
-def audit_ordering(prop: str, params: Params,
-                   alpha_grid: tuple[float, ...] | None = None) -> AuditVerdict:
-    """Audit one pairwise ordering claim on an alpha grid.
+def audit_ordering(prop: str, params: Params) -> AuditVerdict:
+    """Audit one pairwise ordering claim on the model's alpha grid.
 
     The claimed side is evaluated pointwise from the claim's threshold (an
     unconditional claim's lies below the whole grid); points within one grid
     step of the threshold are excluded from the agreement test (the claim
     asserts equality exactly there). The verdict disagrees if any point
-    beyond that band contradicts the claimed side. A given ``alpha_grid``
-    must hold one or more points, ascending, each a finite alpha in (0, 1),
-    else OutOfDomain; a point on a pole of the closed form raises Singularity.
+    beyond that band contradicts the claimed side.
     """
-    prop, (model, (var_a, var_b), threshold, above_claim, *label) = read_id(_ORDERING, "prop", prop)
+    prop, (model, (var_a, var_b), threshold, above_claim) = read_id(_ORDERING, "prop", prop)
     theta = -math.inf if threshold is None else threshold(params)
-    grid, values = _grid_values(model, alpha_grid, params)
+    grid, values = _grid_values(model, params)
     diffs = values[var_a] - values[var_b]
-    step = float(np.min(np.diff(grid))) if len(grid) > 1 else GRID_STEP
+    step = float(np.min(np.diff(grid)))
 
     signs = np.sign(diffs)
     in_band = np.abs(grid - theta) <= step
@@ -159,9 +142,6 @@ def audit_ordering(prop: str, params: Params,
             f"equality at threshold: |diff|={abs(float(diffs[i])):.6g} at "
             f"alpha={float(grid[i])!r}, tolerance {tol_eq:.6g}, "
             f"{'within' if abs(float(diffs[i])) <= tol_eq else 'OUTSIDE'} tolerance")
-    for name, mask in (("below", grid < theta), ("above", grid > theta)):
-        if label and np.any(mask):
-            notes.append(f"{name} {label[0]}: observed {_relation(diffs[mask])}")
     flips = grid[1:][signs[1:] != signs[:-1]].tolist()
     if flips:
         notes.append("observed sign flips near alpha in " + repr([round(f, 6) for f in flips]))
@@ -252,16 +232,14 @@ def _claimed_direction(direction: str, threshold, params: Params) -> tuple[float
     return thr, condition, "increasing" if condition > 0.0 else "decreasing"
 
 
-def audit_monotonicity(prop: str, params: Params,
-                       alpha_grid: tuple[float, ...] | None = None) -> list[AuditVerdict]:
+def audit_monotonicity(prop: str, params: Params) -> list[AuditVerdict]:
     """Audit one proposition's monotonicity claims, one verdict per variable.
 
     The observed direction comes from finite differences of the closed form
-    over the grid; the claimed direction from the published c_m threshold.
-    ``alpha_grid`` is read and refused as :func:`audit_ordering` reads it.
+    over the model's grid; the claimed direction from the published c_m threshold.
     """
     prop, (model, items) = read_id(_MONOTONICITY, "prop", prop)
-    grid, values = _grid_values(model, alpha_grid, params)
+    grid, values = _grid_values(model, params)
     out = []
     for sub_id, var, direction, threshold, *alternate in items:
         observed, swap_idx = classify_direction(values[var])

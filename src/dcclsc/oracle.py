@@ -237,7 +237,7 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     leader, follower = PLAYER_FIELDS[model]
     k, n = len(leader), len(leader) + len(follower)
     lo, hi = cfg.bounds(leader + follower, params)
-    z0 = ((lo + hi) / 2.0 if centre is None
+    z0 = (lo / 2.0 + hi / 2.0 if centre is None
           else np.array([getattr(centre, name) for name in leader + follower], dtype=float))
     step = _STENCIL_SHARE * (hi - lo)
     offsets, i, j = _stencil(n)
@@ -278,14 +278,16 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
                            params: Params) -> dict[str, float]:
     """Maximize the retailer profit over the follower's variables.
 
-    ``leader_vars`` must contain exactly the leader's variables for the
-    model, those of ``params.PLAYER_FIELDS``, each a finite real; one
+    ``leader_vars`` must be a mapping of exactly the leader's variables for
+    the model, those of ``params.PLAYER_FIELDS``, each a finite real; one
     OutOfDomain names every value that is not. The retailer's profit is the
     same under both segment-3 variants. Raises NonConcave when the retailer
     objective has no interior maximum.
     """
     model = ModelId(model)
     leader, follower = PLAYER_FIELDS[model]
+    if not isinstance(leader_vars, Mapping):
+        raise OutOfDomain.single("leader_vars", leader_vars, "must be a mapping of name to value")
     if set(leader_vars) != set(leader):
         raise OutOfDomain.single("leader_vars", sorted(leader_vars),
                                  f"model {model.value} leader sets {sorted(leader)}")
@@ -350,8 +352,8 @@ def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
     """
     model = model_of(model, eq.decisions)
     if params != eq.params:
-        raise OutOfDomain.single("params", params.as_dict(),
-                                 f"the equilibrium is at {eq.params.as_dict()}")
+        shown = params.as_dict() if isinstance(params, Params) else params
+        raise OutOfDomain.single("params", shown, f"the equilibrium is at {eq.params.as_dict()}")
     game = _identify(model, params, eq.decisions)
     eig_f, eig_l = game.follower_eigs, game.leader_eigs
     return SocReport(tuple(map(float, eig_f)), tuple(map(float, eig_l)),

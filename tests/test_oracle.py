@@ -242,6 +242,13 @@ class TestStackelbergSolve:
         with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
             solve_stackelberg_numeric(model, Params(alpha=0.5, c_m=c_m, c_r=1.0, s=s))
 
+    @pytest.mark.parametrize("box", [(1e308, 1.7e308), (-1.7e308, -1e308)])
+    def test_box_centre_beyond_float_range_is_refused(self, params_m, box):
+        # once numpy's overflow RuntimeWarning on the centre (lo + hi) / 2;
+        # the profit there overflows, so the stencil refuses it
+        with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
+            solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box={"p_m": box}))
+
     def test_curvature_lost_to_roundoff_is_refused(self):
         # a fixed box at a cost of 1e10: the stencil's profits dwarf its second differences
         p = Params(alpha=0.5, c_m=1e10, c_r=5e9, s=0.0)
@@ -465,6 +472,15 @@ class TestOwnModel:
         with pytest.raises(OutOfDomain) as exc:
             check_soc(ModelId.M, eq, other)
         assert str(exc.value) == (f"params={other.as_dict()!r} violates: "
+                                  f"the equilibrium is at {eq.params.as_dict()!r}")
+
+    @pytest.mark.parametrize("params", [None, {"alpha": 0.6}], ids=["none", "dict"])
+    def test_soc_names_params_that_are_not_params(self, params):
+        # once AttributeError from the refusal's own message
+        eq = _OWN[ModelId.M]
+        with pytest.raises(OutOfDomain) as exc:
+            check_soc(ModelId.M, eq, params)
+        assert str(exc.value) == (f"params={params!r} violates: "
                                   f"the equilibrium is at {eq.params.as_dict()!r}")
 
 

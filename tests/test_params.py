@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcclsc import (DecisionSet, ModelId, OracleConfig, OutOfDomain, Params, audit,
+from dcclsc import (DecisionSet, ModelId, OracleConfig, OutOfDomain, Params,
                     decision_fields, demand, equilibrium, market, monte_carlo_demand, oracle,
                     suites)
 from dcclsc.params import validate_params
@@ -232,12 +232,10 @@ _READS = {
                                 lambda v: oracle.sample_params(2, 1, c_m_range=v)),
     "best_response_retailer p_m": ("p_m", lambda v: oracle.best_response_retailer(
         "M", {"p_m": v, "w": 0.4, "b_m": 0.2}, _GAME)),
+    "best_response_retailer leader_vars": ("leader_vars",
+                                           lambda v: oracle.best_response_retailer("M", v, _GAME)),
     "utilities v": ("v", lambda v: market.utilities(_M_DECISIONS, v, 0.5, _GAME)),
     "choice_segment v": ("v", lambda v: market.choice_segment(_M_DECISIONS, v, 0.5, _GAME)),
-    "audit_ordering point": ("alpha", lambda v: audit.audit_ordering("P1", _GAME, (0.5, v))),
-    "audit_ordering grid": ("alpha_grid", lambda v: audit.audit_ordering("P1", _GAME, v)),
-    "audit_monotonicity grid": ("alpha_grid",
-                                lambda v: audit.audit_monotonicity("P2", _GAME, v)),
 }
 _NOT_INTS = (True, 1.5, "5", None)
 _REFUSED = [
@@ -251,15 +249,14 @@ _REFUSED = [
       for v in ("x", None)],
     *[("equilibrium guard", v) for v in (math.inf, "x", True)],
     ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
-    *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0)],
+    *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0,
+                                             (-1e308, 1e308))],
     ("OracleConfig name", "x_z"),
     *[("OracleConfig box", v) for v in ("x", [("p_m", (-1.0, 3.0))])],
     *[("sample_params c_m_range", v) for v in ((0.9, 0.3), (-1, 0.3), (0, 1), "x")],
     *[("best_response_retailer p_m", v) for v in (math.nan, "x", True)],
+    *[("best_response_retailer leader_vars", v) for v in (None, ["p_m", "w", "b_m"])],
     ("utilities v", "x"), ("choice_segment v", None),
-    *[("audit_ordering point", v) for v in ("a", 1.5, 0.0)],
-    ("audit_ordering grid", ()), ("audit_monotonicity grid", ()),
-    ("audit_ordering grid", (0.5, 0.5)), ("audit_monotonicity grid", (0.9, 0.5, 0.3)),
 ]
 
 
@@ -268,11 +265,10 @@ _REFUSED = [
 def test_each_input_kind_is_refused_by_its_reader(read, value):
     # once these ran (samples=True ran one draw, sample_params(1.5, 1) drew
     # two, guard=inf made every point singular, a zero-width box divided by
-    # zero, a grid point at 1.5 was evaluated, a descending grid reversed the
-    # observed direction, a NaN leader price returned a NaN response, a
-    # c_m_range of (0, 1) was drawn from), ended in TypeError, ValueError or
-    # AttributeError (a leader_box "x"), or named a numpy value by its repr
-    # (alpha=np.float64(nan))
+    # zero, a NaN leader price returned a NaN response, a c_m_range of (0, 1)
+    # was drawn from), ended in TypeError (leader_vars None), ValueError or
+    # AttributeError (a leader_box "x"), overflowed a box's width hi - lo,
+    # or named a numpy value by its repr (alpha=np.float64(nan))
     field, call = _READS[read]
     with pytest.raises(OutOfDomain) as exc:
         call(value)
@@ -300,4 +296,3 @@ def test_readers_return_plain_values():
     assert equilibrium("MR", _GAME, variant=" As-Printed ").demand_variant.value == "as_printed"
     assert OracleConfig(leader_box={"p_m": (np.float64(-1), 3)}).as_dict() == {
         "leader_box": {"p_m": [-1.0, 3.0]}, "seed": 0}
-    assert len(audit.audit_ordering("P1", _GAME, (0.5,)).evidence) == 1
