@@ -21,7 +21,10 @@ cost level. The rest is linear algebra on that model:
    that lands outside the box or on its edge raises BoxBoundary.
 
 The stationarity residuals and the second-order checks identify the game
-once at the point, the MR certification once per demand variant. A
+once at the point, the MR certification once per demand variant. Each
+model's stencil layout (``_layout``) is built once and reused by every
+identification, and a solve or an MR certification reads its search box
+once for all of its identifications. A
 quadratic has at most one stationary point, so negative-definite Hessians at
 both stages also decide uniqueness; no restarts are needed.
 
@@ -51,6 +54,10 @@ from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, P
 _POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
           ModelId.MR: ((15.0 - math.sqrt(193.0)) / 4.0, (15.0 + math.sqrt(193.0)) / 4.0)}
 
+#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]): any
+#: step is exact on a quadratic, one scaled to the box keeps roundoff small.
+_STENCIL_SHARE = 0.125
+
 
 def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
     """Default search intervals: [-1, 3] scaled by (1 + c_m + s), for every variable.
@@ -77,7 +84,8 @@ class OracleConfig:
         parameters via :func:`default_leader_box`; a variable the mapping
         leaves out, such as a follower's, takes its default interval.
         It must be a mapping, each name a decision variable and each
-        interval one that ``read_interval`` reads; else one OutOfDomain
+        interval one that ``read_interval`` reads and wide enough that its
+        stencil step survives rounding at its centre; else one OutOfDomain
         names every bad name and interval.
     seed : int
         Read by ``read_int`` (>= 0); recorded in :meth:`as_dict` only: the
@@ -117,9 +125,14 @@ def _read_box(box) -> dict[str, tuple[float, float]]:
                                  "expected one of " + ", ".join(ALL_DECISION_FIELDS)))
             continue
         try:
-            out[name] = read_interval(name, interval)
+            lo, hi = out[name] = read_interval(name, interval)
         except OutOfDomain as exc:
             bad.extend(exc.violations)
+            continue
+        centre, step = lo / 2.0 + hi / 2.0, _STENCIL_SHARE * (hi - lo)
+        if centre + step == centre or centre - step == centre:
+            bad.append(Violation(name, interval, "too narrow: a stencil step of "
+                                 f"{_STENCIL_SHARE} of its width is lost to rounding at its centre"))
     if bad:
         raise OutOfDomain(bad)
     return out
@@ -146,34 +159,53 @@ class SocReport:
 
 def _negative_definite(eigs: np.ndarray) -> bool:
     """The oracle's one concavity rule: every eigenvalue below -1e-9 * max|eig|."""
-    return bool(np.all(eigs < -1e-9 * np.max(np.abs(eigs))))
+    return bool((eigs < -1e-9 * np.abs(eigs).max()).all())
 
 
-#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]): any
-#: step is exact on a quadratic, one scaled to the box keeps roundoff small.
-_STENCIL_SHARE = 0.125
 #: Largest ratio max|profit| / max|second difference| on a stencil at which
 #: it still resolves the curvature: the roundoff of a difference,
 #: eps * max|profit|, stays below 1e-6 of the largest one.
 _RESOLVABLE = 1e-6 / float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=None)
-def _stencil(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit central-difference stencil in k dimensions and its pair indices (i, j).
+@dataclass(frozen=True)
+class _Layout:
+    """One model's stencil layout, built once per model by ``_layout``; arrays read-only.
 
-    Rows: the origin, then +e_i, -e_i for each i, then e_i + e_j, e_i - e_j,
-    -e_i + e_j, -e_i - e_j for each pair i < j; 1 + 2k + 2k(k-1) rows in all.
-    Cached and read-only: every solve and check reuses the same few stencils.
+    ``offsets``: the unit central-difference stencil over ``names`` (leader's
+    first): the origin, +e_i and -e_i for each i, then e_i + e_j, e_i - e_j,
+    -e_i + e_j and -e_i - e_j for each pair (``i``, ``j``), i < j. ``diag``
+    indexes the Hessian's diagonal, ``eye`` is Q's leader block, and
+    ``slots`` maps each ``profit_values`` decision to its column, or None.
     """
-    eye = np.eye(k)
-    i, j = np.triu_indices(k, 1)
-    axes = np.stack([eye, -eye], axis=1).reshape(-1, k)
-    corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]],
-                       axis=1).reshape(-1, k)
-    offsets = np.vstack([np.zeros((1, k)), axes, corners])
-    offsets.flags.writeable = False
-    return offsets, i, j
+
+    leader: tuple[str, ...]
+    follower: tuple[str, ...]
+    names: tuple[str, ...]
+    offsets: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    diag: np.ndarray
+    eye: np.ndarray
+    slots: tuple[int | None, ...]
+
+
+@lru_cache(maxsize=None)
+def _layout(model: ModelId) -> _Layout:
+    leader, follower = PLAYER_FIELDS[model]
+    names = leader + follower
+    n = len(names)
+    unit = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    axes = np.stack([unit, -unit], axis=1).reshape(-1, n)
+    corners = np.stack([unit[i] + unit[j], unit[i] - unit[j], -unit[i] + unit[j],
+                        -unit[i] - unit[j]], axis=1).reshape(-1, n)
+    layout = _Layout(leader, follower, names, np.concatenate([np.zeros((1, n)), axes, corners]),
+                     i, j, np.arange(n), np.eye(len(leader)),
+                     tuple(names.index(f) if f in names else None for f in ALL_DECISION_FIELDS))
+    for array in (layout.offsets, i, j, layout.diag, layout.eye):
+        array.flags.writeable = False
+    return layout
 
 
 @dataclass(frozen=True)
@@ -214,61 +246,65 @@ class _Game:
         """The point where both first-order conditions hold: the retailer's
         gradient in its own variables and the leader's Q^T grad pi_m vanish."""
         k, Q = len(self.leader), self.Q
-        jacobian = np.vstack([Q.T @ self.hess[0], self.hess[1, k:]])
+        jacobian = np.concatenate([Q.T @ self.hess[0], self.hess[1, k:]])
         residual = np.concatenate([Q.T @ self.grad[0], self.grad[1, k:]])
         return self.z0 - np.linalg.solve(jacobian, residual)
 
 
 def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
-              cfg: OracleConfig = OracleConfig(), variant=MrDemandVariant.ADOPTED) -> _Game:
+              box: np.ndarray | None = None, variant=MrDemandVariant.ADOPTED) -> _Game:
     """Identify the game from one evaluation of both profits on one stencil.
 
-    The stencil is centred at the decisions ``centre``, else at the centre
-    of ``cfg``'s box, and steps 1/8 of each variable's box width. Central
-    differences are exact on a quadratic up to roundoff. The retailer's best
-    response has shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the
-    only place the oracle evaluates a profit; ``variant`` matters for MR only.
+    ``box`` is the (lo, hi) arrays of the model's decisions, leader's first,
+    as ``OracleConfig.bounds`` reads them; None reads the default box. A
+    caller that identifies more than once reads its box once and passes it.
+    The stencil is centred at the decisions ``centre``, else at the box's
+    centre, and steps 1/8 of each variable's box width; its layout comes
+    from ``_layout``, built once per model. Central differences are exact on
+    a quadratic up to roundoff. The retailer's best response has
+    shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the only place the
+    oracle evaluates a profit; ``variant`` matters for MR only.
 
     Raises OutOfDomain when a profit overflows on the stencil or its roundoff
     swamps the curvature, and NonConcave unless the retailer's Hessian in its
     own variables is negative definite (relative to its largest eigenvalue);
     that fails for model R at alpha <= 1/5 and for model MR at alpha <= 1/4.
     """
-    leader, follower = PLAYER_FIELDS[model]
-    k, n = len(leader), len(leader) + len(follower)
-    lo, hi = cfg.bounds(leader + follower, params)
+    layout = _layout(model)
+    k, n, diag, i, j = len(layout.leader), len(layout.names), layout.diag, layout.i, layout.j
+    lo, hi = OracleConfig().bounds(layout.names, params) if box is None else box
     z0 = (lo / 2.0 + hi / 2.0 if centre is None
-          else np.array([getattr(centre, name) for name in leader + follower], dtype=float))
+          else np.array([getattr(centre, name) for name in layout.names], dtype=float))
     step = _STENCIL_SHARE * (hi - lo)
-    offsets, i, j = _stencil(n)
-    dec = dict.fromkeys(ALL_DECISION_FIELDS)
     with np.errstate(over="ignore", invalid="ignore"):
-        dec.update(zip(leader + follower, (z0 + step * offsets).T))
-        vals = np.array(market.profit_values(model, *dec.values(), params, variant))
+        points = (z0 + step * layout.offsets).T
+        vals = np.array(market.profit_values(
+            model, *(None if slot is None else points[slot] for slot in layout.slots),
+            params, variant))
     size = np.abs(vals).max(axis=1)
-    if not np.all(np.isfinite(size)):
+    if not np.isfinite(size).all():
         raise OutOfDomain.single("profit", float(size.max()), "overflows on the difference stencil")
     plus, minus = vals[:, 1:1 + 2 * n:2], vals[:, 2:1 + 2 * n:2]
     hess = np.zeros((2, n, n))  # second differences first, in units of the step
-    hess[:, range(n), range(n)] = plus - 2.0 * vals[:, :1] + minus
+    hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
     pp, pm, mp, mm = vals[:, 1 + 2 * n:].reshape(2, -1, 4).transpose(2, 0, 1)
     hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / 4.0
-    if np.any(size / _RESOLVABLE > np.abs(hess).max(axis=(1, 2))):
+    if (size / _RESOLVABLE > np.abs(hess).max(axis=(1, 2))).any():
         raise OutOfDomain.single("profit", float(size.max()),
                                  "too large to resolve its curvature with a difference "
                                  f"step of {_STENCIL_SHARE} of each box width")
     grad = (plus - minus) / (2.0 * step)
-    hess /= np.outer(step, step)
+    hess /= step[:, None] * step
     H_ff = hess[1, k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
     if not _negative_definite(eigs):
         raise NonConcave(
-            f"retailer profit not concave in {', '.join(follower)}: "
+            f"retailer profit not concave in {', '.join(layout.follower)}: "
             f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
-    response = -np.linalg.solve(H_ff, np.column_stack([grad[1, k:], hess[1, k:, :k]]))
-    shift, Q = response[:, 0], np.vstack([np.eye(k), response[:, 1:]])
-    return _Game(leader=leader, follower=follower, z0=z0, values=vals[:, 0], grad=grad,
-                 hess=hess, shift=shift, Q=Q, follower_eigs=eigs,
+    response = -np.linalg.solve(H_ff, np.concatenate([grad[1, k:, None], hess[1, k:, :k]], axis=1))
+    shift, Q = response[:, 0], np.concatenate([layout.eye, response[:, 1:]])
+    return _Game(leader=layout.leader, follower=layout.follower, z0=z0, values=vals[:, 0],
+                 grad=grad, hess=hess, shift=shift, Q=Q, follower_eigs=eigs,
                  leader_grad=Q.T @ (grad[0] + hess[0][:, k:] @ shift),
                  leader_hess=Q.T @ hess[0] @ Q)
 
@@ -321,13 +357,14 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
         curvature is lost to roundoff.
     """
     model = ModelId(model)
-    cfg = cfg or OracleConfig()
-    leader, follower = PLAYER_FIELDS[model]
-    lo, hi = cfg.bounds(leader, params)
+    layout = _layout(model)
+    leader = layout.leader
+    box = (cfg or OracleConfig()).bounds(layout.names, params)  # read once, for both steps
+    lo, hi = box[:, :len(leader)]
     edge = 1e-6 * np.maximum(1.0, hi - lo)
     decisions = None
     for _ in range(2):  # the Newton step, then the clean-up step
-        game = _identify(model, params, decisions, cfg)
+        game = _identify(model, params, decisions, box)
         if not _negative_definite(game.leader_eigs):
             raise NonConcave(
                 "leader reduced profit not concave: finite-difference Hessian "
@@ -337,7 +374,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
         if (outside := np.minimum(x - lo, hi - x) <= edge).any():
             i = int(np.argmax(outside))
             raise BoxBoundary(leader[i], float(x[i]), (float(lo[i]), float(hi[i])))
-        decisions = DecisionSet(model=model, **dict(zip(leader + follower, point)))
+        decisions = DecisionSet(model=model, **dict(zip(layout.names, point)))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             min(abs(params.alpha - pole) for pole in _POLES[model]))
 
@@ -457,10 +494,11 @@ def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
     another model.
     """
     model_of(ModelId.MR, decisions)
+    box = OracleConfig().bounds(_layout(ModelId.MR).names, params)  # read once, for both variants
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
         try:
-            game = _identify(ModelId.MR, params, decisions, variant=variant)
+            game = _identify(ModelId.MR, params, decisions, box, variant)
         except NonConcave:
             return "follower_non_concave"
         if variant is MrDemandVariant.ADOPTED and not _negative_definite(game.leader_eigs):

@@ -51,15 +51,15 @@ def read_nonneg(field: str, value) -> float:
 
 
 def read_interval(field: str, value, positive: bool = False) -> tuple[float, float]:
-    """(lo, hi) floats of ``value``: finite, lo < hi, hi - lo finite, 0 < lo if ``positive``;
-    else OutOfDomain."""
+    """(lo, hi) floats of ``value``: finite, lo < hi, hi - lo finite, 0 < lo if ``positive``,
+    each checked on the floats, so ends that round to one float are refused; else OutOfDomain."""
     pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
-    if not (len(pair) == 2 and all(map(is_finite_real, pair)) and pair[0] < pair[1]
-            and float(pair[1]) - float(pair[0]) <= sys.float_info.max
-            and (pair[0] > 0.0 or not positive)):
-        raise OutOfDomain.single(field, value, "must be an interval (lo, hi), finite, "
-                                 + ("0 < lo < hi" if positive else "lo < hi, hi - lo finite"))
-    return float(pair[0]), float(pair[1])
+    if len(pair) == 2 and all(map(is_finite_real, pair)):
+        lo, hi = float(pair[0]), float(pair[1])
+        if lo < hi and hi - lo <= sys.float_info.max and (lo > 0.0 or not positive):
+            return lo, hi
+    raise OutOfDomain.single(field, value, "must be an interval (lo, hi), finite, "
+                             + ("0 < lo < hi" if positive else "lo < hi, hi - lo finite"))
 
 
 class ModelId(str, Enum):

@@ -173,6 +173,29 @@ class TestStackelbergSolve:
         assert 0 < len(points) <= calls
         assert max(points) <= 73  # one stencil over the six MR decisions: 1 + 12 + 60
 
+    @pytest.mark.parametrize("case", ["M", "R", "MR", "certify"])
+    def test_box_read_and_lapack_call_budget(self, case, params_mr, monkeypatch):
+        # a hardware-independent cost gate: a solve or a certification reads
+        # its box once for both identifications, and each identification makes
+        # at most two eigendecompositions and two linear solves
+        calls = dict.fromkeys(("bounds", "eigvalsh", "solve"), 0)
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(OracleConfig, "bounds", counting("bounds", OracleConfig.bounds))
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        if case == "certify":
+            certify_mr_variant(equilibrium(ModelId.MR, params_mr).decisions, params_mr)
+        else:
+            solve_stackelberg_numeric(ModelId(case), params_mr)
+        assert calls["bounds"] == 1
+        assert 0 < calls["eigvalsh"] <= 4 and 0 < calls["solve"] <= 4
+
     def test_accuracy_against_the_exact_closed_forms(self, params_mr):
         # the published M and R expressions are the game's solution, and
         # evaluated in Fractions they are exact: the oracle stays at roundoff

@@ -250,10 +250,12 @@ _REFUSED = [
     *[("equilibrium guard", v) for v in (math.inf, "x", True)],
     ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
     *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0,
-                                             (-1e308, 1e308))],
+                                             (-1e308, 1e308), (2**60, 2**60 + 1),
+                                             (0.0, 5e-324), (1.0, 1.0000000000000002))],
     ("OracleConfig name", "x_z"),
     *[("OracleConfig box", v) for v in ("x", [("p_m", (-1.0, 3.0))])],
-    *[("sample_params c_m_range", v) for v in ((0.9, 0.3), (-1, 0.3), (0, 1), "x")],
+    *[("sample_params c_m_range", v) for v in ((0.9, 0.3), (-1, 0.3), (0, 1), "x",
+                                               (2**60, 2**60 + 1))],
     *[("best_response_retailer p_m", v) for v in (math.nan, "x", True)],
     *[("best_response_retailer leader_vars", v) for v in (None, ["p_m", "w", "b_m"])],
     ("utilities v", "x"), ("choice_segment v", None),
@@ -268,7 +270,11 @@ def test_each_input_kind_is_refused_by_its_reader(read, value):
     # zero, a NaN leader price returned a NaN response, a c_m_range of (0, 1)
     # was drawn from), ended in TypeError (leader_vars None), ValueError or
     # AttributeError (a leader_box "x"), overflowed a box's width hi - lo,
-    # or named a numpy value by its repr (alpha=np.float64(nan))
+    # stored ends that round to one float as a zero-width interval
+    # ((2**60, 2**60 + 1)), divided by a stencil step that rounds to 0
+    # ((0.0, 5e-324)), raised NonConcave on junk eigenvalues from a step lost
+    # to rounding at the box centre ((1.0, 1.0000000000000002)), or named a
+    # numpy value by its repr (alpha=np.float64(nan))
     field, call = _READS[read]
     with pytest.raises(OutOfDomain) as exc:
         call(value)
