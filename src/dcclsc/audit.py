@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closed_form, oracle
+from . import closed_form, market, oracle
 from .errors import BoxBoundary, NonConcave, Singularity
 from .params import ModelId, Params, read_id
 
@@ -188,8 +188,8 @@ class Thresholds:
     ``alpha_star`` separates the price ordering of the joint model and
     ``alpha_hat`` its subsidy ordering; the ``prop*`` maps carry the c_m
     thresholds governing each decision variable's claimed monotonicity in
-    alpha. Values may lie outside (0, 1); that is meaningful (no interior
-    crossing), not an error.
+    alpha. Every value is finite; it may lie outside (0, 1), which is
+    meaningful (no interior crossing), not an error.
     """
 
     alpha_star: float
@@ -200,12 +200,21 @@ class Thresholds:
 
 
 def thresholds(params: Params) -> Thresholds:
-    """Evaluate every published threshold expression at ``params``, from the claim rows."""
+    """Evaluate every published threshold expression at ``params``, from the claim rows.
+
+    Raises Singularity where a threshold's denominator vanishes, and one
+    OutOfDomain naming each threshold that is not finite (``prop2.w`` for
+    P2's threshold of w), as ``market.require_finite`` refuses it.
+    """
     def cost(prop: str) -> dict[str, float]:
         return {var: thr(params.delta, params.s)
                 for _, var, _, thr, *_ in _MONOTONICITY[prop][1]}
-    return Thresholds(alpha_star=_ORDERING["P5"][2](params), alpha_hat=_ORDERING["P6"][2](params),
-                      prop2=cost("P2"), prop4=cost("P4"), prop7=cost("P7"))
+    th = Thresholds(alpha_star=_ORDERING["P5"][2](params), alpha_hat=_ORDERING["P6"][2](params),
+                    prop2=cost("P2"), prop4=cost("P4"), prop7=cost("P7"))
+    market.require_finite({"alpha_star": th.alpha_star, "alpha_hat": th.alpha_hat,
+                           **{f"{prop}.{var}": value for prop in ("prop2", "prop4", "prop7")
+                              for var, value in getattr(th, prop).items()}})
+    return th
 
 
 def classify_direction(values) -> tuple[str, list[int]]:

@@ -20,15 +20,19 @@ numeric audits can adjudicate between them.
 ``PROFIT_TERMS`` states each model's payoffs once, as (margin check name,
 per-unit margin, payer, segment) terms; the profits and the informational
 margin checks of ``validity`` are read from it. A decision set names its
-model (``DecisionSet.model``); every function of one reads the model there,
-and the trade-in utilities read the subsidies that model sets
-(``params.PLAYER_FIELDS``). A ``model`` argument that ``demand`` and
-``make_equilibrium`` still take must agree (``model_of``).
+model (``DecisionSet.model``); every function of one reads the model there.
+A ``model`` argument that ``demand`` and ``make_equilibrium`` still take
+must agree (``model_of``).
 
-The ``choice_masks``, ``segment_masses`` and ``profit_values`` kernels accept
-scalars or numpy arrays; the simulation runs the choice kernel over whole
-blocks of draws, writing every block into one ``choice_workspace``, and the
-numeric solver runs the profit kernel over whole difference stencils at once.
+The choice model is four utilities: alpha*v - p_m (direct channel) against
+v - p_r (retailer), and b_m - u (manufacturer's subsidy) against
+b_r - alpha*u (retailer's subsidy), each subsidy's where the model sets it.
+``utilities`` writes them out for one pair, the tests' reference;
+``choice_masks`` computes them in place for one pair or a 1-D array of
+them, writing every block of the simulation's draws into one
+``choice_workspace``. ``segment_masses`` and ``profit_values`` broadcast
+over arrays; the numeric solver runs the profit kernel over whole
+difference stencils at once.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import OutOfDomain, Singularity, Violation
-from .params import DecisionSet, ModelId, Params, decision_fields, is_finite_real, read_id
+from .params import DecisionSet, ModelId, Params, is_finite_real, read_id
 
 #: Guard on alpha * (1 - alpha) below which segment masses are not evaluated.
 ALPHA_PRODUCT_GUARD = 1e-12
@@ -165,30 +169,12 @@ class ValidityReport:
         }
 
 
-def _primary_utilities(d: DecisionSet, v, alpha: float, out=(None, None)):
-    """(U1, U2): direct- and retail-channel utilities of valuations v; broadcasts."""
-    return (np.subtract(np.multiply(alpha, v, out=out[0]), d.p_m, out=out[0]),
-            np.subtract(v, d.p_r, out=out[1]))
-
-
-def _tradein_utilities(d: DecisionSet, u, alpha: float, out=(None, None)):
-    """One utility of return-cost valuations u per trade-in subsidy the
-    decisions' model sets: b_m - u for the manufacturer's, then b_r - alpha*u
-    for the retailer's; (U3,) or, in the joint model, (U3, U4). Broadcasts."""
-    fields, out = decision_fields(d.model), iter(out)
-    manufacturer = (np.subtract(d.b_m, u, out=next(out)),) if "b_m" in fields else ()
-    if "b_r" not in fields:
-        return manufacturer
-    o = next(out)
-    return (*manufacturer, np.subtract(d.b_r, np.multiply(alpha, u, out=o), out=o))
-
-
-def _choose(x, y, out=(None, None), tmp=None):
-    """Masks (x chosen, y chosen): ties go to x, zero utility participates."""
-    chose_x = np.bitwise_and(np.greater_equal(x, y, out=out[0]),
-                             np.greater_equal(x, 0.0, out=tmp), out=out[0])
-    return chose_x, np.bitwise_and(np.invert(chose_x, out=out[1]),
-                                   np.greater_equal(y, 0.0, out=tmp), out=out[1])
+def _choose(x, y, chose_x, chose_y, tmp):
+    """Masks (x chosen, y chosen), written in place: ties go to x, zero utility participates."""
+    np.bitwise_and(np.greater_equal(x, y, out=chose_x), np.greater_equal(x, 0.0, out=tmp),
+                   out=chose_x)
+    np.bitwise_and(np.invert(chose_x, out=chose_y), np.greater_equal(y, 0.0, out=tmp), out=chose_y)
+    return chose_x, chose_y
 
 
 def _check_valuations(v: float, u: float):
@@ -201,14 +187,21 @@ def _check_valuations(v: float, u: float):
 
 # bound by name in perfbench/tracer.py LAYERS
 def utilities(decisions: DecisionSet, v: float, u: float, params: Params) -> dict[str, float]:
-    """Per-segment utilities of a (v, u) customer pair.
+    """Per-segment utilities of one (v, u) customer pair, as Python floats.
 
     v is the primary customer's valuation, u the replacement customer's
-    return-cost valuation; both must lie in [0, 1].
+    return-cost valuation; both are scalars in [0, 1]. U1 = alpha*v - p_m
+    (direct channel) and U2 = v - p_r (retailer); then one trade-in utility
+    per subsidy the decisions' model sets, b_m - u (manufacturer's) before
+    b_r - alpha*u (retailer's): U3, or in the joint model U3 and U4.
     """
     _check_valuations(v, u)
-    values = (*_primary_utilities(decisions, v, params.alpha),
-              *_tradein_utilities(decisions, u, params.alpha))
+    d, a, v, u = decisions, params.alpha, float(v), float(u)
+    values = [a * v - d.p_m, v - d.p_r]  # a subsidy the model does not set is None
+    if d.b_m is not None:
+        values.append(d.b_m - u)
+    if d.b_r is not None:
+        values.append(d.b_r - a * u)
     return {f"U{i}": x for i, x in enumerate(values, 1)}
 
 
@@ -221,19 +214,24 @@ def choice_masks(decisions: DecisionSet, v, u, params: Params, out=None):
     """Vectorized choice kernel: boolean masks (s1, s2, s3, s4) of the segments
     that (v, u) pairs choose, with s4 None outside the joint model.
 
+    v and u are scalars or 1-D arrays of one length (a scalar is one pair).
     Tie-breaking is fixed for determinism: channel indifference resolves to
     the direct channel, subsidy indifference to the manufacturer's subsidy,
     and zero-utility customers participate. ``out``, a :func:`choice_workspace`
-    of the pairs' length, receives every array and the masks; None allocates.
+    of the pairs' length, receives the utilities and the masks; None allocates one.
     """
     # the trade-in utilities overwrite the primary ones, so a block of n
     # pairs needs two float rows and five bool rows (21 bytes a pair)
-    utils, (s1, s2, s3, s4, tmp) = ((None, None), (None,) * 5) if out is None else out
-    s1, s2 = _choose(*_primary_utilities(decisions, v, params.alpha, utils), (s1, s2), tmp)
-    tradein = _tradein_utilities(decisions, u, params.alpha, utils)
-    if len(tradein) == 1:
-        return s1, s2, np.greater_equal(tradein[0], 0.0, out=s3), None
-    return (s1, s2, *_choose(*tradein, (s3, s4), tmp))
+    d, a = decisions, params.alpha
+    (x, y), (s1, s2, s3, s4, tmp) = choice_workspace(np.size(v)) if out is None else out
+    _choose(np.subtract(np.multiply(a, v, out=x), d.p_m, out=x), np.subtract(v, d.p_r, out=y),
+            s1, s2, tmp)
+    if d.b_r is None:  # M: the manufacturer's subsidy alone
+        return s1, s2, np.greater_equal(np.subtract(d.b_m, u, out=x), 0.0, out=s3), None
+    np.subtract(d.b_r, np.multiply(a, u, out=y), out=y)
+    if d.b_m is None:  # R: the retailer's subsidy alone
+        return s1, s2, np.greater_equal(y, 0.0, out=s3), None
+    return (s1, s2, *_choose(np.subtract(d.b_m, u, out=x), y, s3, s4, tmp))
 
 
 # bound by name in perfbench/tracer.py LAYERS

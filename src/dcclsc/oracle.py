@@ -265,9 +265,10 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the only place the
     oracle evaluates a profit; ``variant`` matters for MR only.
 
-    Raises OutOfDomain when a profit overflows on the stencil or its roundoff
-    swamps the curvature, and NonConcave unless the retailer's Hessian in its
-    own variables is negative definite (relative to its largest eigenvalue);
+    Raises OutOfDomain when a profit, or a difference or gradient of the
+    profits, overflows on the stencil or the profits' roundoff swamps the
+    curvature, and NonConcave unless the retailer's Hessian in its own
+    variables is negative definite (relative to its largest eigenvalue);
     that fails for model R at alpha <= 1/5 and for model MR at alpha <= 1/4.
     """
     layout = _layout(model)
@@ -281,19 +282,20 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
         vals = np.array(market.profit_values(
             model, *(None if slot is None else points[slot] for slot in layout.slots),
             params, variant))
-    size = np.abs(vals).max(axis=1)
-    if not np.isfinite(size).all():
+        plus, minus = vals[:, 1:1 + 2 * n:2], vals[:, 2:1 + 2 * n:2]
+        hess = np.zeros((2, n, n))  # second differences first, in units of the step
+        hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
+        pp, pm, mp, mm = vals[:, 1 + 2 * n:].reshape(2, -1, 4).transpose(2, 0, 1)
+        hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / 4.0
+        grad = (plus - minus) / (2.0 * step)
+    size, curvature = np.abs(vals).max(axis=1), np.abs(hess).max(axis=(1, 2))
+    # every stencil value enters a second difference, so this also covers the profits
+    if not (np.isfinite(curvature).all() and np.isfinite(grad).all()):
         raise OutOfDomain.single("profit", float(size.max()), "overflows on the difference stencil")
-    plus, minus = vals[:, 1:1 + 2 * n:2], vals[:, 2:1 + 2 * n:2]
-    hess = np.zeros((2, n, n))  # second differences first, in units of the step
-    hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
-    pp, pm, mp, mm = vals[:, 1 + 2 * n:].reshape(2, -1, 4).transpose(2, 0, 1)
-    hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / 4.0
-    if (size / _RESOLVABLE > np.abs(hess).max(axis=(1, 2))).any():
+    if (size / _RESOLVABLE > curvature).any():
         raise OutOfDomain.single("profit", float(size.max()),
                                  "too large to resolve its curvature with a difference "
                                  f"step of {_STENCIL_SHARE} of each box width")
-    grad = (plus - minus) / (2.0 * step)
     hess /= step[:, None] * step
     H_ff = hess[1, k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
@@ -449,7 +451,7 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
         counts = [c + int(np.count_nonzero(mask)) for c, mask in zip(counts, masks)
                   if mask is not None]
     shares = [c / n for c in counts]
-    stderr = [math.sqrt(max(p * (1.0 - p), 0.0) / n) for p in shares]
+    stderr = [math.sqrt(p * (1.0 - p) / n) for p in shares]
     return MonteCarloDemand(shares=DemandProfile(*shares), stderr=DemandProfile(*stderr),
                             n=n, seed=seed)
 

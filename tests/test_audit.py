@@ -68,6 +68,15 @@ class TestThresholds:
                 thresholds(p)
             assert str(got.value) == str(want.value)
 
+    def test_threshold_beyond_float_range_is_refused(self):
+        # once alpha_star = alpha_hat = nan and the other thresholds but prop4.w inf
+        with pytest.raises(OutOfDomain) as exc:
+            thresholds(Params(alpha=0.5, c_m=1.0, c_r=0.5, s=1e308))
+        named = [v.field for v in exc.value.violations]
+        assert named[:3] == ["alpha_star", "alpha_hat", "prop2.w"]
+        assert len(named) == 2 + 4 + 4 + 6  # prop4.w = (5 + delta + s) / 4 stays finite
+        assert "prop4.w" not in named
+
     def test_each_claim_reads_only_its_own_threshold(self):
         # 10*delta - 5*c_m + 10*s + 2 is 4.4e-16 here: only alpha_hat is refused
         p = Params(alpha=0.5, c_m=1.0, c_r=0.7, s=0.0)

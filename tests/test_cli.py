@@ -237,6 +237,22 @@ class TestSolve:
         assert code == 1
         assert cause in err
 
+    @pytest.mark.parametrize("command", [
+        "--model m --alpha 0.9 --cm 4.345315881496663e+153 --cr 1 --verify",
+        "--model r --alpha 0.9 --cm 4.439933167901492e+153 --cr 1 --verify",
+        "--model mr --alpha 0.75 --cm 2.97640373535405e+153 --cr 1 --s 1e153",
+    ])
+    def test_stencil_differences_beyond_float_range_are_a_domain_error(self, capsys, command):
+        # profits just below the float limit: once RuntimeWarnings and a
+        # LinAlgError traceback (m, r), or exit 0 with a false
+        # "follower_non_concave" verdict at alpha 0.75 (mr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", *command.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: profit=") and err.count("\n") == 1
+        assert "overflows on the difference stencil" in err
+
     @pytest.mark.parametrize("argv", [
         ["--model", "r", "--cm", "1e300", "--cr", "1", "--s", "1e300"],
         ["--model", "m", "--cm", "1e160", "--cr", "1"],

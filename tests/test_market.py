@@ -111,6 +111,25 @@ class TestUtilities:
             assert all(x is None or x.shape == (m,) for x in part)
             assert [chosen(part, k) for k in range(m)] == expected[:m]
 
+    @pytest.mark.parametrize("d", [_dm(), _dr(), _dmr(b_m=0.4, b_r=0.3)], ids=["M", "R", "MR"])
+    def test_utilities_are_the_papers_four(self, d):
+        # written out: alpha*v - p_m, v - p_r, then b_m - u and b_r - alpha*u
+        # for each subsidy the model sets, on the grid of the argmax test
+        p = Params(alpha=0.6, c_m=0.2, c_r=0.1, s=0.0)
+        a = p.alpha
+        for v in np.linspace(0.0, 1.0, 41).tolist():
+            for u in np.linspace(0.0, 1.0, 41).tolist():
+                if d.model is ModelId.M:
+                    tradein = [d.b_m - u]
+                elif d.model is ModelId.R:
+                    tradein = [d.b_r - a * u]
+                else:
+                    tradein = [d.b_m - u, d.b_r - a * u]
+                expected = dict(zip(["U1", "U2", "U3", "U4"],
+                                    [a * v - d.p_m, v - d.p_r, *tradein]))
+                got = utilities(d, v, u, p)
+                assert got == expected and all(type(x) is float for x in got.values())
+
     def test_valuations_must_be_in_unit_interval(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         with pytest.raises(OutOfDomain):

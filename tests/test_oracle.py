@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,17 @@ class TestStackelbergSolve:
         # the solver's own refusal, independent of the closed form's
         with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
             solve_stackelberg_numeric(model, Params(alpha=0.5, c_m=c_m, c_r=1.0, s=s))
+
+    def test_differences_beyond_float_range_are_refused(self):
+        # profits just below the float limit: once their second differences
+        # overflowed to inf and NaN outside the errstate block, warned, and
+        # passed the curvature test into LAPACK
+        p = Params(alpha=0.5, c_m=1e154, c_r=1.0, s=0.0)
+        d = equilibrium(ModelId.M, p).decisions
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
+                stationarity_residuals(ModelId.M, d, p)
 
     @pytest.mark.parametrize("box", [(1e308, 1.7e308), (-1.7e308, -1e308)])
     def test_box_centre_beyond_float_range_is_refused(self, params_m, box):
