@@ -13,9 +13,7 @@ that the published expressions are not the solution of the stated game.
 """
 
 from dcclsc import (
-    BoxBoundary,
     ModelId,
-    OracleConfig,
     Params,
     check_soc,
     equilibrium,
@@ -64,17 +62,22 @@ print(f"  leader reduced eigenvalues:   {[round(e, 4) for e in soc.leader_reduce
 print(f"  negative definite (follower, leader): "
       f"({soc.follower_negative_definite}, {soc.leader_negative_definite})")
 
-# the default search box scales with the costs, so costly parameters (here
-# the retailer-led figure's) solve without hitting its edge; an explicit
-# leader_box narrows or widens it
+# the default search box scales with the costs and sets the first stencil:
+# centred in the box, a step of 1/8 of its width; each later stencil steps
+# 1/8 of max(width, |decision|), so costly parameters (here the retailer-led
+# figure's) solve at roundoff
 fig4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
 print(f"\ndefault box at the retailer-led figure parameters: "
       f"{default_leader_box(fig4)['p_r']}")
 solved = solve_stackelberg_numeric(ModelId.R, fig4).decisions.as_dict()
 closed = equilibrium(ModelId.R, fig4).decisions.as_dict()
 print(f"  max |numeric - closed| = {max(abs(solved[k] - closed[k]) for k in closed):.2e}")
-narrow = {name: (-1.0, 3.0) for name in ("p_m", "p_r", "w", "b_r", "t")}
-try:
-    solve_stackelberg_numeric(ModelId.R, fig4, OracleConfig(leader_box=narrow))
-except BoxBoundary as exc:
-    print(f"  with the fixed box (-1, 3): {exc}")
+
+# the box bounds no answer: just above the retailer-led pole at alpha = 2/9
+# the optimum lies far outside it, and the solve still returns it
+near_pole = Params(alpha=0.2225, c_m=1.0, c_r=0.5, s=0.2)
+solved = solve_stackelberg_numeric(ModelId.R, near_pole).decisions.as_dict()
+closed = equilibrium(ModelId.R, near_pole).decisions.as_dict()
+print(f"model R at alpha = 0.2225: default box for p_m {default_leader_box(near_pole)['p_m']}, "
+      f"numeric p_m = {solved['p_m']:.6f}")
+print(f"  max |numeric - closed| = {max(abs(solved[k] - closed[k]) for k in closed):.2e}")

@@ -16,7 +16,7 @@ from .closed_form import (
     limits,
     singularity_distance,
 )
-from .errors import BoxBoundary, DcclscError, NonConcave, OutOfDomain, Singularity
+from .errors import DcclscError, NonConcave, OutOfDomain, Singularity
 from .market import (
     DemandProfile,
     Equilibrium,
@@ -40,7 +40,6 @@ from .params import DecisionSet, ModelId, Params, decision_fields
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxBoundary",
     "DEFAULT_GUARD",
     "DcclscError",
     "DecisionSet",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form, market, oracle
-from .errors import BoxBoundary, NonConcave, Singularity
+from .errors import NonConcave, Singularity
 from .params import ModelId, Params, read_id
 
 #: Default audit grids: the manufacturer-led model is evaluated across the
@@ -283,16 +283,12 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
     Hessian and the leader's reduced Hessian are negative definite there.
     Where either is not, the solve has no optimum to offer: the verdict is
     ``not_unique`` with no evidence and the solver's eigenvalues as its note.
-    A solve leaving the search box has passed that rule at both stages: the
-    verdict is ``unique`` with no evidence and the box message as its note.
     """
     theorem, model = read_id(_THEOREM_MODEL, "theorem", theorem)
     try:
         eq = oracle.solve_stackelberg_numeric(model, params)
     except NonConcave as exc:
         observed, evidence, notes = "not_unique", (), [str(exc)]
-    except BoxBoundary as exc:
-        observed, evidence, notes = "unique", (), [str(exc)]
     else:
         soc = oracle.check_soc(model, eq, params)
         observed = ("unique" if soc.follower_negative_definite and soc.leader_negative_definite

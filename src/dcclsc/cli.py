@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, closed_form, market, oracle, report, suites
-from .errors import BoxBoundary, NonConcave, OutOfDomain, Singularity
+from .errors import NonConcave, OutOfDomain, Singularity
 from .market import MrDemandVariant
 from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, decision_fields
 
@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except Singularity as exc:
         print(f"singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (NonConcave, BoxBoundary) as exc:
+    except NonConcave as exc:
         print(f"numeric verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except OSError as exc:

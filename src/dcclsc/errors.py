@@ -54,20 +54,3 @@ class Singularity(DcclscError):
 
 class NonConcave(DcclscError):
     """A profit objective is not strictly concave where a maximizer was requested."""
-
-
-class BoxBoundary(DcclscError):
-    """A numeric optimum lies on the edge of the search box or beyond it.
-
-    Signals an ill-posed instance: the caller should widen the box rather
-    than accept a silently truncated solution.
-    """
-
-    def __init__(self, variable: str, value: float, box: tuple):
-        self.variable = variable
-        self.value = value
-        self.box = box
-        super().__init__(
-            f"optimum for {variable} lies on or outside the search box {box} (value {value!r}); "
-            "widen the box"
-        )

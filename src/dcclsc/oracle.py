@@ -8,8 +8,9 @@ exactly quadratic in the decisions, and one call of the profit kernel on one
 central-difference stencil over all of the model's decisions identifies the
 game: both profits' exact gradients and Hessians. The stencil is centred at
 the centre of the search box or at a given point; its step is 1/8 of each
-variable's box width, so its roundoff keeps to the decisions' scale at any
-cost level. The rest is linear algebra on that model:
+variable's box width or of the point's own magnitude, whichever is larger,
+so its roundoff keeps to the decisions' scale at any cost level and near a
+pole. The rest is linear algebra on that model:
 
 1. zeroing the retailer's gradient in its own variables gives its best
    response, an affine map y*(x) = y0 + K (x - x0) of the leader's variables;
@@ -17,8 +18,9 @@ cost level. The rest is linear algebra on that model:
    Q^T grad pi_m and Hessian Q^T H_m Q; one record (``_Game``) holds both
    stages, and a stage that ``_negative_definite`` refuses raises NonConcave;
 3. the solve steps from the box centre to where both first-order conditions
-   hold, identifies the game again there and takes one clean-up step; a step
-   that lands outside the box or on its edge raises BoxBoundary.
+   hold, identifies the game again there and takes one clean-up step. The
+   box bounds no answer: the profits are quadratic, so a step from anywhere
+   lands on the stationary point.
 
 The stationarity residuals and the second-order checks identify the game
 once at the point, the MR certification once per demand variant. Each
@@ -43,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import market
-from .errors import BoxBoundary, NonConcave, OutOfDomain, Violation
+from .errors import NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
 from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params,
                      is_finite_real, read_int, read_interval)
@@ -54,8 +56,9 @@ from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, P
 _POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
           ModelId.MR: ((15.0 - math.sqrt(193.0)) / 4.0, (15.0 + math.sqrt(193.0)) / 4.0)}
 
-#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]): any
-#: step is exact on a quadratic, one scaled to the box keeps roundoff small.
+#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]) or of
+#: the stencil centre's magnitude, whichever is larger: any step is exact on a
+#: quadratic, one scaled to the box and the point keeps roundoff small.
 _STENCIL_SHARE = 0.125
 
 
@@ -63,8 +66,9 @@ def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
     """Default search intervals: [-1, 3] scaled by (1 + c_m + s), for every variable.
 
     Equilibrium prices and subsidies grow with the unit cost and the
-    government subsidy, so a fixed box would cut off the optimum at costly
-    parameters (the figure presets reach p_r above 16).
+    government subsidy (the figure presets reach p_r above 16); the box sets
+    the first difference stencil, whose step keeps to their scale only if
+    the box grows with them.
     """
     scale = 1.0 + params.c_m + params.s
     return dict.fromkeys(ALL_DECISION_FIELDS, (-1.0 * scale, 3.0 * scale))
@@ -77,12 +81,12 @@ class OracleConfig:
     Parameters
     ----------
     leader_box : mapping of variable name to (lo, hi), optional
-        Search intervals; the solver raises ``BoxBoundary`` rather than
-        silently truncating when the optimum lies on or beyond an edge.
-        The difference stencil starts at the box centre and steps 1/8 of
-        each interval's width. None (the default) derives the box from the
-        parameters via :func:`default_leader_box`; a variable the mapping
-        leaves out, such as a follower's, takes its default interval.
+        Search intervals. They set the first difference stencil only,
+        centred in the box with a step of 1/8 of each interval's width, and
+        bound no answer: the optimum may lie outside them. None (the
+        default) derives the box from the parameters via
+        :func:`default_leader_box`; a variable the mapping leaves out, such
+        as a follower's, takes its default interval.
         It must be a mapping, each name a decision variable and each
         interval one that ``read_interval`` reads and wide enough that its
         stencil step survives rounding at its centre; else one OutOfDomain
@@ -259,7 +263,8 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     as ``OracleConfig.bounds`` reads them; None reads the default box. A
     caller that identifies more than once reads its box once and passes it.
     The stencil is centred at the decisions ``centre``, else at the box's
-    centre, and steps 1/8 of each variable's box width; its layout comes
+    centre, z0, and steps 1/8 of max(box width, |z0|) in each variable, so
+    the step grows with a point far out near a pole; its layout comes
     from ``_layout``, built once per model. Central differences are exact on
     a quadratic up to roundoff. The retailer's best response has
     shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the only place the
@@ -276,7 +281,7 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     lo, hi = OracleConfig().bounds(layout.names, params) if box is None else box
     z0 = (lo / 2.0 + hi / 2.0 if centre is None
           else np.array([getattr(centre, name) for name in layout.names], dtype=float))
-    step = _STENCIL_SHARE * (hi - lo)
+    step = _STENCIL_SHARE * np.maximum(hi - lo, np.abs(z0))
     with np.errstate(over="ignore", invalid="ignore"):
         points = (z0 + step * layout.offsets).T
         vals = np.array(market.profit_values(
@@ -295,7 +300,7 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     if (size / _RESOLVABLE > curvature).any():
         raise OutOfDomain.single("profit", float(size.max()),
                                  "too large to resolve its curvature with a difference "
-                                 f"step of {_STENCIL_SHARE} of each box width")
+                                 f"step of {_STENCIL_SHARE} of each box width or |decision|")
     hess /= step[:, None] * step
     H_ff = hess[1, k:, k:]
     eigs = np.linalg.eigvalsh(H_ff)
@@ -346,12 +351,13 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     of the search box and one linear solve of both players' first-order
     conditions land on the equilibrium; a second identification at that
     point and one clean-up solve remove the roundoff of the first.
-    Deterministic for a fixed config.
+    Deterministic for a fixed config. The box bounds no answer: just above
+    a pole (2/9 for R, 0.276889 for MR) the optimum lies far outside it and
+    is returned, and from about 1e-10 above it the leader's concavity rule
+    refuses it (NonConcave).
 
     Raises
     ------
-    BoxBoundary
-        when either step lands outside the search box or on its edge.
     NonConcave
         when either stage's objective has no interior maximum.
     OutOfDomain
@@ -360,10 +366,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     """
     model = ModelId(model)
     layout = _layout(model)
-    leader = layout.leader
     box = (cfg or OracleConfig()).bounds(layout.names, params)  # read once, for both steps
-    lo, hi = box[:, :len(leader)]
-    edge = 1e-6 * np.maximum(1.0, hi - lo)
     decisions = None
     for _ in range(2):  # the Newton step, then the clean-up step
         game = _identify(model, params, decisions, box)
@@ -371,12 +374,7 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
             raise NonConcave(
                 "leader reduced profit not concave: finite-difference Hessian "
                 f"eigenvalues {np.array2string(game.leader_eigs, precision=4)}")
-        point = game.stationary_point()
-        x = point[:len(leader)]
-        if (outside := np.minimum(x - lo, hi - x) <= edge).any():
-            i = int(np.argmax(outside))
-            raise BoxBoundary(leader[i], float(x[i]), (float(lo[i]), float(hi[i])))
-        decisions = DecisionSet(model=model, **dict(zip(layout.names, point)))
+        decisions = DecisionSet(model=model, **dict(zip(layout.names, game.stationary_point())))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             min(abs(params.alpha - pole) for pole in _POLES[model]))
 

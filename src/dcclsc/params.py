@@ -167,7 +167,12 @@ class Params:
 
 
 def is_finite_real(value) -> bool:
-    """An int or a float (numpy's float64 is one), not a bool, within the float range."""
+    """An int or a float, numpy's too, not a bool, within the float range.
+
+    A numpy scalar is compared as a Python float: compared as itself, a float32
+    would cast the bound to its own inf, and pass an inf, with a warning."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = float(value)
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 

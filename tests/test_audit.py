@@ -350,11 +350,15 @@ class TestUniqueness:
     @pytest.mark.parametrize("theorem, alpha", [
         ("T2", 2.0 / 9.0 + 1e-4), ("T2", 0.2225), ("T3", 0.277), ("T3", 0.28)])
     def test_optimum_beyond_the_box_is_unique(self, theorem, alpha):
-        # just above the existence thresholds both stages are concave, but the
-        # optimum lies outside the search box; the audit raised BoxBoundary
-        v = audit_uniqueness(theorem, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2))
-        assert (v.claimed, v.observed, v.agree, v.evidence) == ("unique", "unique", True, ())
-        assert len(v.notes) == 1 and "search box" in v.notes[0]
+        # just above the existence thresholds both stages are concave and the
+        # optimum lies outside the default search box; once the audit had only
+        # BoxBoundary's message as its note, now it has the SOC evidence
+        p = Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2)
+        v = audit_uniqueness(theorem, p)
+        assert (v.claimed, v.observed, v.agree) == ("unique", "unique", True)
+        assert len(v.evidence) == 1 and v.evidence[0][0] == alpha
+        assert v.notes[0].startswith("follower eigenvalues")
+        assert v.notes[1].startswith("leader eigenvalues")
 
 
 class TestEndpoints:

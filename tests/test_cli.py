@@ -94,8 +94,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("preset", ["fig3", "fig4"])
     def test_verify_at_figure_parameters(self, capsys, preset):
-        # the default search box scales with the costs, so the figures'
-        # costly parameters are cross-checked instead of hitting the box
+        # the default search box scales with the costs, so the first stencil
+        # keeps to the scale of the figures' costly decisions
         model, lo, hi, c_m, c_r, s = FIGURE_PRESETS[preset]
         for alpha in (lo, 0.5, hi):
             code, out, _ = run(capsys, "solve", "--model", model.value,
@@ -252,6 +252,15 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("error: profit=") and err.count("\n") == 1
         assert "overflows on the difference stencil" in err
+
+    @pytest.mark.parametrize("model, alpha", [("r", "0.2225"), ("mr", "0.277"), ("mr", "0.28")])
+    def test_verify_just_above_a_pole_answers(self, capsys, model, alpha):
+        # once exit 2: the optimum lay outside the search box (BoxBoundary)
+        code, out, err = run(capsys, "solve", "--model", model, "--alpha", alpha, "--cm", "1",
+                             "--cr", "0.5", "--s", "0.2", "--verify")
+        assert (code, err) == (0, "")
+        oracle_decisions = json.loads(out)["oracle"]["decisions"]
+        assert set(oracle_decisions) == set(decision_fields(model))
 
     @pytest.mark.parametrize("argv", [
         ["--model", "r", "--cm", "1e300", "--cr", "1", "--s", "1e300"],

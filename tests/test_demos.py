@@ -43,7 +43,7 @@ def test_readme_library_example_runs(tmp_path):
 
 #: One entry per concept; the per-model wrappers and scalar duplicates left it.
 PUBLIC = {
-    "BoxBoundary", "DEFAULT_GUARD", "DcclscError", "DecisionSet", "DemandProfile",
+    "DEFAULT_GUARD", "DcclscError", "DecisionSet", "DemandProfile",
     "Equilibrium", "ModelId", "MonteCarloDemand", "MrDemandVariant", "NonConcave",
     "OracleConfig", "OutOfDomain", "Params", "ProfitProfile", "Singularity", "SocReport",
     "ValidityReport", "certify_mr_variant", "check_soc", "decision_fields", "decision_values",
@@ -56,7 +56,7 @@ DROPPED = ("equilibrium_m", "equilibrium_r", "equilibrium_mr", "mr_helpers", "MR
 
 
 def test_public_surface():
-    assert len(dcclsc.__all__) == len(PUBLIC) == 28
+    assert len(dcclsc.__all__) == len(PUBLIC) == 27
     assert set(dcclsc.__all__) == PUBLIC
     for name in dcclsc.__all__:
         assert getattr(dcclsc, name) is not None, name

@@ -1,6 +1,7 @@
 """Utilities, segment masses, profits, and validity flags."""
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,25 @@ def _dmr(p_m=0.3, p_r=0.6, w=0.4, b_m=0.3, b_r=0.3, t=0.35):
 
 
 class TestUtilities:
+    @pytest.mark.parametrize("v, u", [(np.int64(1), np.float32(0.5)), (np.uint8(0), np.int32(1)),
+                                      (np.float16(0.25), np.longdouble(0.75))], ids=repr)
+    def test_numpy_valuations_are_read_as_their_python_twins(self, v, u):
+        # once refused: "v=np.int64(1) violates: valuations live on [0, 1]"
+        p = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
+        for model in ModelId:
+            d = equilibrium(model, p).decisions
+            assert utilities(d, v, u, p) == utilities(d, float(v), float(u), p)
+            assert choice_segment(d, v, u, p) == choice_segment(d, float(v), float(u), p)
+
+    @pytest.mark.parametrize("v", [np.float32("inf"), np.bool_(True), np.longdouble("1e400")],
+                             ids=repr)
+    def test_numpy_valuations_that_are_not_finite_floats_are_refused(self, v):
+        p = Params(alpha=0.6, c_m=1.0, c_r=0.5, s=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="^v=.* violates: valuations live on"):
+                utilities(equilibrium(ModelId.M, p).decisions, v, 0.5, p)
+
     def test_direct_channel_indifference(self):
         p = Params(alpha=0.5, c_m=0.2, c_r=0.1, s=0.0)
         us = utilities(_dm(p_m=0.3), 0.6, 0.5, p)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from dcclsc import (
-    BoxBoundary,
     DecisionSet,
     ModelId,
     MrDemandVariant,
@@ -138,8 +137,8 @@ class TestStackelbergSolve:
     @settings(max_examples=100, deadline=None)
     def test_closed_form_equals_exact_oracle(self, model, alpha_lo, alpha, c_m, cost_share, s):
         # admissible domain: costs and subsidies up to the figure presets'
-        # levels; model R keeps clear of its pole at 2/9, near which the
-        # optimum outgrows any cost-scaled box and BoxBoundary is correct
+        # levels; model R keeps clear of its pole at 2/9, where the decisions
+        # grow without bound (test_r_near_its_pole covers it)
         p = Params(alpha=alpha_lo + (0.99 - alpha_lo) * alpha, c_m=c_m,
                    c_r=cost_share * c_m, s=s)
         num = solve_stackelberg_numeric(model, p).decisions.as_dict()
@@ -229,26 +228,27 @@ class TestStackelbergSolve:
         assert a.provenance == "numeric_oracle"
         assert a.decisions == b.decisions  # bit-identical
 
-    def test_box_boundary_detected(self, params_m):
-        box = dict(WIDE_BOX)
-        box["p_m"] = (-1.0, 0.5)  # golden p_m* is about 0.648
-        with pytest.raises(BoxBoundary):
-            solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box=box))
-        # a variable the mapping leaves out takes its default interval
-        with pytest.raises(BoxBoundary, match="p_m"):
-            solve_stackelberg_numeric(ModelId.M, params_m,
-                                      OracleConfig(leader_box={"p_m": (-1.0, 0.5)}))
+    def test_box_excluding_the_optimum_does_not_bound_the_answer(self, params_m):
+        # golden p_m* is about 0.648, outside each p_m interval; the box sets
+        # the first stencil only (a variable the mapping leaves out takes its
+        # default interval), and once the solve raised BoxBoundary here
+        closed = equilibrium_m(params_m).decisions.as_dict()
+        for box in ({**WIDE_BOX, "p_m": (-1.0, 0.5)}, {"p_m": (-1.0, 0.5)},
+                    {"p_m": (100.0, 101.0)}):
+            num = solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box=box))
+            for name, value in closed.items():
+                assert num.decisions.as_dict()[name] == pytest.approx(value, rel=1e-12), (box, name)
 
     @pytest.mark.parametrize("model, alpha, outcome", [
         (ModelId.R, 0.21, NonConcave), (ModelId.R, 0.22, NonConcave), (ModelId.R, 0.23, None),
         (ModelId.MR, 0.26, NonConcave), (ModelId.MR, 0.27, NonConcave),
-        (ModelId.MR, 0.2768, NonConcave), (ModelId.MR, 0.277, BoxBoundary),
-        (ModelId.MR, 0.28, BoxBoundary), (ModelId.MR, 0.30, None)])
+        (ModelId.MR, 0.2768, NonConcave), (ModelId.MR, 0.277, None),
+        (ModelId.MR, 0.28, None), (ModelId.MR, 0.30, None)])
     def test_leader_existence_threshold(self, model, alpha, outcome):
         # above the follower bounds 1/5 (R) and 1/4 (MR) the leader's reduced
         # profit is still convex in one direction up to 2/9 (R) and
         # (15 - sqrt(193))/4 = 0.27689 (MR); just above the MR threshold the
-        # optimum blows up and leaves the search box
+        # optimum is large but solves (0.277 and 0.28 once raised BoxBoundary)
         params = Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2)
         if outcome is None:
             eq = solve_stackelberg_numeric(model, params)
@@ -257,8 +257,37 @@ class TestStackelbergSolve:
             soc = check_soc(model, eq, params)
             assert soc.follower_negative_definite and soc.leader_negative_definite
         else:
-            with pytest.raises(outcome, match="leader" if outcome is NonConcave else "box"):
+            with pytest.raises(outcome, match="leader"):
                 solve_stackelberg_numeric(model, params)
+
+    @pytest.mark.parametrize("costs", [(1.0, 0.5, 0.2), (6.0, 3.0, 1.0)])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_r_near_its_pole(self, costs, k):
+        # the decisions grow like 1/(9 alpha - 2), to about 1e7 at 1e-8 above
+        # the pole; the stencil step grows with the point, so the solve keeps
+        # to the exact closed form at the decisions' scale
+        p = Params(2.0 / 9.0 + 10.0 ** -k, *costs)
+        num = solve_stackelberg_numeric(ModelId.R, p).decisions.as_dict()
+        exact = decision_values(ModelId.R, Fraction(p.alpha), Fraction(p.c_m),
+                                Fraction(p.c_m) - Fraction(p.c_r), Fraction(p.s))
+        for name, value in exact.items():
+            assert abs(Fraction(num[name]) - value) <= 1e-6 * max(1, abs(value)), name
+
+    @pytest.mark.parametrize("costs", [(1.0, 0.5, 0.2), (6.0, 3.0, 1.0)])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_mr_near_its_pole(self, costs, k):
+        p = Params((15.0 - math.sqrt(193.0)) / 4.0 + 10.0 ** -k, *costs)
+        eq = solve_stackelberg_numeric(ModelId.MR, p)
+        assert max(stationarity_residuals(ModelId.MR, eq.decisions, p).values()) \
+            <= oracle.STATIONARITY_TOL
+
+    @pytest.mark.parametrize("costs", [(1.0, 0.5, 0.2), (6.0, 3.0, 1.0)])
+    @pytest.mark.parametrize("model, pole", [
+        (ModelId.R, 2.0 / 9.0), (ModelId.MR, (15.0 - math.sqrt(193.0)) / 4.0)])
+    def test_refused_at_the_pole(self, model, pole, costs):
+        # from 1e-10 above either pole the concavity rule refuses
+        with pytest.raises(NonConcave, match="leader"):
+            solve_stackelberg_numeric(model, Params(pole + 1e-10, *costs))
 
     @pytest.mark.parametrize("model, c_m, s", [(ModelId.R, 1e300, 1e300), (ModelId.M, 1e160, 0.0)])
     def test_profit_beyond_float_range_is_refused(self, model, c_m, s):

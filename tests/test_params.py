@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,32 @@ def test_numbers_are_stored_as_the_floats_they_equal():
         assert type(value) is float
     assert p == Params(0.6, 1.0, 0.5, 0.0)
     assert d == DecisionSet(model=ModelId.MR, p_m=1.0, p_r=1.0, w=1.2, b_m=0.35, b_r=0.25, t=0.5)
+
+
+#: numpy scalars of other types than float64 whose value is a finite float,
+#: each beside its Python twin
+NUMPY_TWINS = [(np.int64(1), 1), (np.int32(1), 1), (np.uint8(1), 1), (np.float32(0.5), 0.5),
+               (np.float16(0.5), 0.5), (np.longdouble(0.5), 0.5)]
+
+
+@pytest.mark.parametrize("value, twin", NUMPY_TWINS, ids=lambda v: repr(v))
+def test_numpy_scalars_are_read_as_their_python_twins(value, twin):
+    # once refused as "must be a finite real", while read_int took np.int64
+    assert Params(0.6, 2 * value, value, 0.2) == Params(0.6, 2 * twin, twin, 0.2)
+    assert Params(0.6, 1.0, 0.5, value) == Params(0.6, 1.0, 0.5, twin)
+    d = DecisionSet(model="M", p_m=value, p_r=0.6, w=value, b_m=0.2)
+    assert d == DecisionSet(model="M", p_m=twin, p_r=0.6, w=twin, b_m=0.2)
+
+
+@pytest.mark.parametrize("bad", [np.float32("inf"), np.bool_(True), np.longdouble("1e400"),
+                                 np.float16("nan")], ids=repr)
+def test_numpy_scalars_that_are_not_finite_floats_are_refused(bad):
+    # a float32 inf compared as itself with the float bound casts the bound to
+    # inf, passes, and warns of the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="^c_m=.* violates: must be a finite real$"):
+            Params(alpha=0.5, c_m=bad, c_r=0.5, s=0.0)
 
 
 def test_costs_that_round_to_one_float_are_refused():
