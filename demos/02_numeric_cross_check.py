@@ -21,7 +21,7 @@ from dcclsc import (
     stationarity_residuals,
 )
 from dcclsc.closed_form import retailer_reaction_m
-from dcclsc.oracle import best_response_retailer, default_leader_box
+from dcclsc.oracle import best_response_retailer
 
 # -- follower exactness ------------------------------------------------------
 params = Params(alpha=0.9, c_m=0.15, c_r=0.12, s=0.02)
@@ -62,22 +62,18 @@ print(f"  leader reduced eigenvalues:   {[round(e, 4) for e in soc.leader_reduce
 print(f"  negative definite (follower, leader): "
       f"({soc.follower_negative_definite}, {soc.leader_negative_definite})")
 
-# the default search box scales with the costs and sets the first stencil:
-# centred in the box, a step of 1/8 of its width; each later stencil steps
-# 1/8 of max(width, |decision|), so costly parameters (here the retailer-led
-# figure's) solve at roundoff
+# the difference stencil's step grows with the costs and with the point, so
+# costly parameters (here the retailer-led figure's) solve at roundoff
 fig4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
-print(f"\ndefault box at the retailer-led figure parameters: "
-      f"{default_leader_box(fig4)['p_r']}")
 solved = solve_stackelberg_numeric(ModelId.R, fig4).decisions.as_dict()
 closed = equilibrium(ModelId.R, fig4).decisions.as_dict()
+print(f"\nmodel R at the retailer-led figure parameters: numeric p_r = {solved['p_r']:.6f}")
 print(f"  max |numeric - closed| = {max(abs(solved[k] - closed[k]) for k in closed):.2e}")
 
-# the box bounds no answer: just above the retailer-led pole at alpha = 2/9
-# the optimum lies far outside it, and the solve still returns it
+# and so does a point far out: just above the retailer-led pole at alpha = 2/9
+# the decisions are large, and the solve still lands on them at roundoff
 near_pole = Params(alpha=0.2225, c_m=1.0, c_r=0.5, s=0.2)
 solved = solve_stackelberg_numeric(ModelId.R, near_pole).decisions.as_dict()
 closed = equilibrium(ModelId.R, near_pole).decisions.as_dict()
-print(f"model R at alpha = 0.2225: default box for p_m {default_leader_box(near_pole)['p_m']}, "
-      f"numeric p_m = {solved['p_m']:.6f}")
+print(f"model R at alpha = 0.2225: numeric p_m = {solved['p_m']:.6f}")
 print(f"  max |numeric - closed| = {max(abs(solved[k] - closed[k]) for k in closed):.2e}")

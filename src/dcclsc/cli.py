@@ -204,17 +204,11 @@ def cmd_solve(args) -> int:
     if args.verify:
         if eq.demand_variant is MrDemandVariant.AS_PRINTED:  # refused outside MR
             raise NonConcave("as-printed variant: the leader's reduced profit is convex along b_m")
-        cfg = oracle.OracleConfig(leader_box=oracle.default_leader_box(params))
-        numeric = oracle.solve_stackelberg_numeric(model, params, cfg)
+        numeric = oracle.solve_stackelberg_numeric(model, params)
         deltas = {name: numeric.decisions.as_dict()[name] - value
                   for name, value in eq.decisions.as_dict().items()}
-        payload["oracle"] = {
-            "decisions": numeric.decisions.as_dict(),
-            "deltas_vs_closed_form": deltas,
-            "config": cfg.as_dict(),
-        }
-        if certified is not None:
-            payload["oracle"]["certified_demand_variant"] = certified
+        payload["oracle"] = {"decisions": numeric.decisions.as_dict(),
+                             "deltas_vs_closed_form": deltas}
     _write_or_print(report.to_json(payload), args.out, "equilibrium")
     return EXIT_OK
 

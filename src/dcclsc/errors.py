@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -14,7 +16,9 @@ class Violation:
     constraint: str
 
     def __str__(self) -> str:
-        value = float(self.value) if isinstance(self.value, float) else self.value  # np.float64
+        # a numpy scalar reads as the Python value it equals; a longdouble
+        # beyond float range has none and keeps its numpy repr
+        value = self.value.item() if isinstance(self.value, np.generic) else self.value
         return f"{self.field}={value!r} violates: {self.constraint}"
 
 

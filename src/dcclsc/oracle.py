@@ -7,10 +7,10 @@ Segment masses enter the profits unclamped, so both players' profits are
 exactly quadratic in the decisions, and one call of the profit kernel on one
 central-difference stencil over all of the model's decisions identifies the
 game: both profits' exact gradients and Hessians. The stencil is centred at
-the centre of the search box or at a given point; its step is 1/8 of each
-variable's box width or of the point's own magnitude, whichever is larger,
-so its roundoff keeps to the decisions' scale at any cost level and near a
-pole. The rest is linear algebra on that model:
+a given point or in a box (``_bounds``); its step is 1/8 of each variable's
+box width or of the point's own magnitude, whichever is larger, so its
+roundoff keeps to the decisions' scale at any cost level and near a pole.
+The rest is linear algebra on that model:
 
 1. zeroing the retailer's gradient in its own variables gives its best
    response, an affine map y*(x) = y0 + K (x - x0) of the leader's variables;
@@ -25,10 +25,10 @@ pole. The rest is linear algebra on that model:
 The stationarity residuals and the second-order checks identify the game
 once at the point, the MR certification once per demand variant. Each
 model's stencil layout (``_layout``) is built once and reused by every
-identification, and a solve or an MR certification reads its search box
-once for all of its identifications. A
-quadratic has at most one stationary point, so negative-definite Hessians at
-both stages also decide uniqueness; no restarts are needed.
+identification, and a solve or an MR certification reads its box once for
+all of its identifications. A quadratic has at most one stationary point,
+so negative-definite Hessians at both stages also decide uniqueness; no
+restarts are needed.
 
 ``monte_carlo_demand`` simulates the discrete-choice model directly from the
 utility definitions and fixed tie-breaking rules, providing the independent
@@ -62,38 +62,40 @@ _POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
 _STENCIL_SHARE = 0.125
 
 
-def default_leader_box(params: Params) -> dict[str, tuple[float, float]]:
-    """Default search intervals: [-1, 3] scaled by (1 + c_m + s), for every variable.
+def _bounds(names: tuple[str, ...], params: Params,
+            box: Mapping[str, tuple[float, float]] | None = None) -> np.ndarray:
+    """(lo, hi) arrays of the named variables' box intervals.
 
-    Equilibrium prices and subsidies grow with the unit cost and the
-    government subsidy (the figure presets reach p_r above 16); the box sets
-    the first difference stencil, whose step keeps to their scale only if
-    the box grows with them.
+    A variable that ``box`` (an ``OracleConfig.leader_box``) leaves out takes
+    [-1, 3] scaled by (1 + c_m + s): equilibria grow with the unit cost and
+    the government subsidy (the figure presets reach p_r above 16), and the
+    first stencil's step keeps to their scale only if the box grows too.
     """
     scale = 1.0 + params.c_m + params.s
-    return dict.fromkeys(ALL_DECISION_FIELDS, (-1.0 * scale, 3.0 * scale))
+    default = (-1.0 * scale, 3.0 * scale)
+    box = box or {}
+    return np.array([box.get(name, default) for name in names], dtype=float).T
 
 
+# bound by name in perfbench/workloads.py
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search box and seed of the numeric solver.
+    """An explicit box for one :func:`solve_stackelberg_numeric` call; the package builds none.
 
     Parameters
     ----------
     leader_box : mapping of variable name to (lo, hi), optional
-        Search intervals. They set the first difference stencil only,
-        centred in the box with a step of 1/8 of each interval's width, and
-        bound no answer: the optimum may lie outside them. None (the
-        default) derives the box from the parameters via
-        :func:`default_leader_box`; a variable the mapping leaves out, such
-        as a follower's, takes its default interval.
+        Intervals that set the first difference stencil only, centred in
+        the box with a step of 1/8 of each interval's width, and bound no
+        answer: the optimum may lie outside them. A variable the mapping
+        leaves out, such as a follower's, takes its default interval.
         It must be a mapping, each name a decision variable and each
         interval one that ``read_interval`` reads and wide enough that its
         stencil step survives rounding at its centre; else one OutOfDomain
         names every bad name and interval.
     seed : int
-        Read by ``read_int`` (>= 0); recorded in :meth:`as_dict` only: the
-        solver draws nothing random.
+        Read by ``read_int`` (>= 0) and never used: the solver draws
+        nothing random.
     """
 
     leader_box: Mapping[str, tuple[float, float]] | None = None
@@ -104,18 +106,6 @@ class OracleConfig:
         fields["seed"] = read_int("seed", self.seed, 0)
         if self.leader_box is not None:
             fields["leader_box"] = _read_box(self.leader_box)
-
-    def bounds(self, names: tuple[str, ...], params: Params) -> np.ndarray:
-        """(lo, hi) arrays of the named variables' search intervals."""
-        box = {**default_leader_box(params), **(self.leader_box or {})}
-        return np.array([box[name] for name in names], dtype=float).T
-
-    def as_dict(self) -> dict:
-        box = self.leader_box
-        return {
-            "leader_box": None if box is None else {k: list(v) for k, v in box.items()},
-            "seed": self.seed,
-        }
 
 
 def _read_box(box) -> dict[str, tuple[float, float]]:
@@ -260,8 +250,8 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     """Identify the game from one evaluation of both profits on one stencil.
 
     ``box`` is the (lo, hi) arrays of the model's decisions, leader's first,
-    as ``OracleConfig.bounds`` reads them; None reads the default box. A
-    caller that identifies more than once reads its box once and passes it.
+    as ``_bounds`` reads them; None reads the default intervals. A caller
+    that identifies more than once reads its box once and passes it.
     The stencil is centred at the decisions ``centre``, else at the box's
     centre, z0, and steps 1/8 of max(box width, |z0|) in each variable, so
     the step grows with a point far out near a pole; its layout comes
@@ -278,7 +268,7 @@ def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
     """
     layout = _layout(model)
     k, n, diag, i, j = len(layout.leader), len(layout.names), layout.diag, layout.i, layout.j
-    lo, hi = OracleConfig().bounds(layout.names, params) if box is None else box
+    lo, hi = _bounds(layout.names, params) if box is None else box
     z0 = (lo / 2.0 + hi / 2.0 if centre is None
           else np.array([getattr(centre, name) for name in layout.names], dtype=float))
     step = _STENCIL_SHARE * np.maximum(hi - lo, np.abs(z0))
@@ -348,11 +338,12 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     """Numeric Stackelberg equilibrium by backward induction.
 
     Both profits are exactly quadratic, so one identification at the centre
-    of the search box and one linear solve of both players' first-order
-    conditions land on the equilibrium; a second identification at that
-    point and one clean-up solve remove the roundoff of the first.
-    Deterministic for a fixed config. The box bounds no answer: just above
-    a pole (2/9 for R, 0.276889 for MR) the optimum lies far outside it and
+    of a box and one linear solve of both players' first-order conditions
+    land on the equilibrium; a second identification at that point and one
+    clean-up solve remove the roundoff of the first. Deterministic for a
+    fixed ``cfg``; only an explicit one (an :class:`OracleConfig`) sets
+    another box than the default. The box bounds no answer: just above a
+    pole (2/9 for R, 0.276889 for MR) the optimum lies far outside it and
     is returned, and from about 1e-10 above it the leader's concavity rule
     refuses it (NonConcave).
 
@@ -361,12 +352,15 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
     NonConcave
         when either stage's objective has no interior maximum.
     OutOfDomain
-        when the parameters are so large that a profit overflows or its
-        curvature is lost to roundoff.
+        when ``cfg`` is neither None nor an OracleConfig, or the parameters
+        are so large that a profit overflows or its curvature is lost to
+        roundoff.
     """
     model = ModelId(model)
+    if cfg is not None and not isinstance(cfg, OracleConfig):
+        raise OutOfDomain.single("cfg", cfg, "must be None or an OracleConfig")
     layout = _layout(model)
-    box = (cfg or OracleConfig()).bounds(layout.names, params)  # read once, for both steps
+    box = _bounds(layout.names, params, None if cfg is None else cfg.leader_box)  # read once
     decisions = None
     for _ in range(2):  # the Newton step, then the clean-up step
         game = _identify(model, params, decisions, box)
@@ -494,7 +488,7 @@ def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
     another model.
     """
     model_of(ModelId.MR, decisions)
-    box = OracleConfig().bounds(_layout(ModelId.MR).names, params)  # read once, for both variants
+    box = _bounds(_layout(ModelId.MR).names, params)  # read once, for both variants
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
         try:

@@ -23,8 +23,8 @@ from . import audit, closed_form, market, oracle
 from .market import MrDemandVariant
 from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, read_int, read_nonneg
 
-#: Fixed search box of the agreement protocol, recorded in its report; the
-#: default cost-scaled box [-1, 3] * (1 + c_m + s) contains it.
+# bound by name in perfbench/workloads.py
+#: A fixed stencil box, [-1, 3] in every variable; nothing in the package reads it.
 WIDE_BOX = dict.fromkeys(ALL_DECISION_FIELDS, (-1.0, 3.0))
 
 #: Figure sweep parameter presets: (model, alpha_from, alpha_to, c_m, c_r, s).
@@ -119,13 +119,12 @@ def _suite(fn):
 
 @_suite
 def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunReport:
-    """Closed form vs numeric backward induction for models M and R.
+    """Closed form vs numeric backward induction, at its default stencil, for models M and R.
 
     Relative deviation per decision variable must stay within ``tol`` on
     every draw; a ``tol`` that is not finite and >= 0 is refused before any
     draw (no deviation could pass a NaN).
     """
-    cfg = oracle.OracleConfig(leader_box=WIDE_BOX, seed=seed)
     draws = oracle.sample_params(samples, seed)
     worst = 0.0
     worst_case = None
@@ -133,7 +132,7 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunRe
     for idx, p in enumerate(draws):
         for model in (ModelId.M, ModelId.R):
             closed = closed_form.equilibrium(model, p).decisions.as_dict()
-            numeric = oracle.solve_stackelberg_numeric(model, p, cfg).decisions.as_dict()
+            numeric = oracle.solve_stackelberg_numeric(model, p).decisions.as_dict()
             for name, value in closed.items():
                 rel = abs(numeric[name] - value) / max(abs(value), 1e-9)
                 comparisons += 1
@@ -142,7 +141,7 @@ def suite_oracle(samples: int = 100, seed: int = 42, tol: float = 1e-3) -> RunRe
                     worst_case = f"draw {idx} model {model.value} variable {name}"
     return RunReport(
         command="verify oracle", seed=seed,
-        config={"samples": samples, "tol": tol, "oracle": cfg.as_dict()},
+        config={"samples": samples, "tol": tol},
         counts={"draws": len(draws), "comparisons": comparisons},
         findings=[f"max relative deviation {worst:.3e} at {worst_case}"],
         ok=worst <= tol,

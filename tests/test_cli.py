@@ -86,8 +86,11 @@ class TestSolve:
                            "--cm", "1", "--cr", "0.5", "--s", "0.2", "--verify")
         assert code == 0
         payload = json.loads(out)
+        assert payload["certified_demand_variant"] == "none"
         oracle_block = payload["oracle"]
-        assert oracle_block["certified_demand_variant"] == "none"
+        # the box bounds no answer and the seed seeds nothing, so neither is
+        # echoed; the verdict is printed once, at the top level
+        assert set(oracle_block) == {"decisions", "deltas_vs_closed_form"}
         assert oracle_block["decisions"]["p_m"] == pytest.approx(1.0102803738, abs=1e-6)
         # printed closed form differs from the numeric optimum here
         assert abs(oracle_block["deltas_vs_closed_form"]["p_r"]) > 1.0
@@ -941,6 +944,13 @@ class TestSuiteInternals:
         assert report.ok
         assert report.counts["comparisons"] == 2 * 9
         assert report.as_dict()["ok"] is True
+
+    def test_oracle_suite_default_run_agrees_at_roundoff(self):
+        # the run of verify oracle: the default stencil solves every draw at
+        # roundoff, and the report echoes no box or seed of the solver
+        report = suite_oracle()
+        assert float(report.findings[0].split()[3]) < 1e-12
+        assert report.config == {"samples": 100, "tol": 1e-3}
 
     def test_endpoint_suite_pattern_is_exact(self):
         report = suite_endpoints(samples=3, seed=11)

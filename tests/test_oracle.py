@@ -173,12 +173,14 @@ class TestStackelbergSolve:
         assert 0 < len(points) <= calls
         assert max(points) <= 73  # one stencil over the six MR decisions: 1 + 12 + 60
 
-    @pytest.mark.parametrize("case", ["M", "R", "MR", "certify"])
+    @pytest.mark.parametrize("case", ["M", "R", "MR", "certify", "check_soc", "residuals"])
     def test_box_read_and_lapack_call_budget(self, case, params_mr, monkeypatch):
-        # a hardware-independent cost gate: a solve or a certification reads
-        # its box once for both identifications, and each identification makes
+        # a hardware-independent cost gate: a solve, a check or a certification
+        # reads its box once for all of its identifications and builds no
+        # OracleConfig (once each built one), and each identification makes
         # at most two eigendecompositions and two linear solves
-        calls = dict.fromkeys(("bounds", "eigvalsh", "solve"), 0)
+        eq = equilibrium(ModelId.MR, params_mr)
+        calls = dict.fromkeys(("_bounds", "__post_init__", "eigvalsh", "solve"), 0)
 
         def counting(name, function):
             def counted(*args, **kwargs):
@@ -186,15 +188,23 @@ class TestStackelbergSolve:
                 return function(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(OracleConfig, "bounds", counting("bounds", OracleConfig.bounds))
-        for name in ("eigvalsh", "solve"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        if case == "certify":
-            certify_mr_variant(equilibrium(ModelId.MR, params_mr).decisions, params_mr)
-        else:
-            solve_stackelberg_numeric(ModelId(case), params_mr)
-        assert calls["bounds"] == 1
+        for owner, name in ((oracle, "_bounds"), (OracleConfig, "__post_init__"),
+                            (np.linalg, "eigvalsh"), (np.linalg, "solve")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        {"certify": lambda: certify_mr_variant(eq.decisions, params_mr),
+         "check_soc": lambda: check_soc(ModelId.MR, eq, params_mr),
+         "residuals": lambda: stationarity_residuals(ModelId.MR, eq.decisions, params_mr),
+         }.get(case, lambda: solve_stackelberg_numeric(ModelId(case), params_mr))()
+        assert (calls["_bounds"], calls["__post_init__"]) == (1, 0)
         assert 0 < calls["eigvalsh"] <= 4 and 0 < calls["solve"] <= 4
+
+    @pytest.mark.parametrize("cfg", ["x", {"leader_box": None}, WIDE_BOX, 0], ids=repr)
+    def test_cfg_that_is_not_an_oracle_config_is_refused(self, params_m, cfg):
+        # once "x" and the mappings ended in an AttributeError traceback, and
+        # 0 silently meant the default
+        with pytest.raises(OutOfDomain) as exc:
+            solve_stackelberg_numeric(ModelId.M, params_m, cfg)
+        assert str(exc.value) == f"cfg={cfg!r} violates: must be None or an OracleConfig"
 
     def test_accuracy_against_the_exact_closed_forms(self, params_mr):
         # the published M and R expressions are the game's solution, and

@@ -215,15 +215,23 @@ def test_numpy_scalars_are_read_as_their_python_twins(value, twin):
     assert d == DecisionSet(model="M", p_m=twin, p_r=0.6, w=twin, b_m=0.2)
 
 
-@pytest.mark.parametrize("bad", [np.float32("inf"), np.bool_(True), np.longdouble("1e400"),
-                                 np.float16("nan")], ids=repr)
-def test_numpy_scalars_that_are_not_finite_floats_are_refused(bad):
+#: numpy scalars whose value is no finite float, each beside the value a refusal shows
+NOT_FINITE = [(np.float32("inf"), "inf"), (np.bool_(True), "True"), (np.float16("nan"), "nan"),
+              # beyond float range a longdouble has no Python twin and keeps its numpy repr
+              (np.longdouble("1e400"), repr(np.longdouble("1e400").item()))]
+
+
+@pytest.mark.parametrize("bad, shown", [pytest.param(bad, shown, id=repr(bad))
+                                        for bad, shown in NOT_FINITE])
+def test_numpy_scalars_that_are_not_finite_floats_are_refused(bad, shown):
     # a float32 inf compared as itself with the float bound casts the bound to
-    # inf, passes, and warns of the overflow
+    # inf, passes, and warns of the overflow; once the refusal named a numpy
+    # scalar other than a float64 by its repr (c_m=np.float32(inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfDomain, match="^c_m=.* violates: must be a finite real$"):
+        with pytest.raises(OutOfDomain) as exc:
             Params(alpha=0.5, c_m=bad, c_r=0.5, s=0.0)
+    assert str(exc.value) == f"c_m={shown} violates: must be a finite real"
 
 
 def test_costs_that_round_to_one_float_are_refused():
@@ -327,5 +335,6 @@ def test_readers_return_plain_values():
     mc = monte_carlo_demand("M", _M_DECISIONS, _GAME, n=np.int64(5), seed=np.uint8(3))
     assert (type(mc.n), type(mc.seed)) == (int, int)
     assert equilibrium("MR", _GAME, variant=" As-Printed ").demand_variant.value == "as_printed"
-    assert OracleConfig(leader_box={"p_m": (np.float64(-1), 3)}).as_dict() == {
-        "leader_box": {"p_m": [-1.0, 3.0]}, "seed": 0}
+    cfg = OracleConfig(leader_box={"p_m": (np.float64(-1), 3)})
+    assert (cfg.leader_box, cfg.seed) == ({"p_m": (-1.0, 3.0)}, 0)
+    assert [type(end) for end in cfg.leader_box["p_m"]] == [float, float]
