@@ -29,7 +29,9 @@ print(f"  interior valid: {eq.validity.interior}")
 
 # The same call at one of the published sensitivity rows. Costs above the
 # valuation scale drive the direct-channel demand negative; nothing is
-# clamped, the validity report carries the violation instead.
+# clamped, the validity report carries the violation instead. The report
+# checks each condition once, so the one failing check is q1_in_unit: the
+# order of the two primary thresholds is the mass q1 itself.
 rough = Params(alpha=0.7, c_m=1.2, c_r=1.0, s=0.1)
 eq_rough = equilibrium(ModelId.M, rough)
 print("\nmodel M at a published sensitivity row (c_m above the valuation scale)")

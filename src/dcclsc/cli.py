@@ -163,6 +163,9 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
             from_file.append(f"{action.option_strings[0]}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):  # a switch
             from_file.append(action.option_strings[0])
+        elif value.lower() not in ("0", "false", "no", "off"):
+            top.error(f"{path}:{line_no}: {key} is a switch: expected 1, true, yes or on, "
+                      "or 0, false, no or off")
     return [sub_name, *from_file, *rest[1:]]
 
 

@@ -140,7 +140,7 @@ class ValidityCheck:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """All per-constraint flags for one decision set.
+    """All per-constraint flags for one decision set, one per condition (``validity``).
 
     ``interior`` is True iff every non-informational check holds strictly;
     margin checks are informational and never gate interiority.
@@ -341,37 +341,27 @@ def _range_check(name: str, value: float) -> ValidityCheck:
 def validity(decisions: DecisionSet, params: Params) -> ValidityReport:
     """Evaluate every interiority constraint with signed slacks.
 
-    Never raises on constraint violations; the report carries them. Checks
-    cover segment masses in [0, 1], the ordering of the primary-channel
-    valuation thresholds, trade-in thresholds in [0, 1], t >= b_r where the
-    model has a transfer price, and (informationally) the per-unit margins of
-    the model's ``PROFIT_TERMS``. A threshold whose value is a segment mass
-    reads the mass. Raises OutOfDomain where ``demand`` does: a segment mass
-    that is not finite.
+    Never raises on constraint violations; the report carries them. Each
+    condition is checked once: each segment mass in [0, 1] (``q1_in_unit``
+    .. ``q4_in_unit``), p_m/alpha > 0 (``primary_threshold_nonneg``), in the
+    joint model b_r/alpha in [0, 1] (``tradein_threshold_in_unit``), t > b_r
+    where the model has a transfer price (``transfer_covers_subsidy``), and
+    (informationally) the per-unit margins of the model's ``PROFIT_TERMS``.
+    Every other valuation threshold, and their order, is a mass:
+    (p_r - p_m)/(1 - alpha) is 1 - q2 and exceeds p_m/alpha by q1; M's or
+    R's trade-in threshold is q3; MR's split (b_m - b_r)/(1 - alpha) is q3
+    (1 - q3 as printed) and b_r/alpha exceeds it by q4. Raises OutOfDomain
+    where ``demand`` does: a segment mass that is not finite.
     """
     return _validity(decisions, params, demand(decisions.model, decisions, params))
 
 
 def _validity(decisions: DecisionSet, params: Params, q: DemandProfile) -> ValidityReport:
-    a = params.alpha
     d = decisions
     checks = [_range_check(f"{name}_in_unit", mass) for name, mass in q.as_dict().items()]
-
-    lower = d.p_m / a
-    upper = (d.p_r - d.p_m) / (1 - a)
-    checks.append(ValidityCheck("primary_threshold_nonneg", lower))
-    checks.append(ValidityCheck("primary_thresholds_ordered", upper - lower))
-    checks.append(ValidityCheck("primary_threshold_below_one", q.q2))
-
-    if q.q4 is None:  # one trade-in threshold, and q3 is the mass below it
-        checks.append(_range_check("tradein_threshold_in_unit", q.q3))
-    else:
-        # explicit: under the as-printed variant q3 is not the split
-        gap = (d.b_m - d.b_r) / (1 - a)
-        checks.append(_range_check("tradein_split_in_unit", gap))
-        checks.append(_range_check("tradein_threshold_in_unit", d.b_r / a))
-        checks.append(ValidityCheck("tradein_thresholds_ordered", d.b_r / a - gap))
-
+    checks.append(ValidityCheck("primary_threshold_nonneg", d.p_m / params.alpha))
+    if q.q4 is not None:  # q3 and q4 below 1 leave b_r / alpha < 1 open
+        checks.append(_range_check("tradein_threshold_in_unit", d.b_r / params.alpha))
     if d.t is not None:
         checks.append(ValidityCheck("transfer_covers_subsidy", d.t - d.b_r))
     checks.extend(ValidityCheck(name, _MARGINS[margin](d, params), informational=True)

@@ -53,7 +53,9 @@ def read_nonneg(field: str, value) -> float:
 def read_interval(field: str, value, positive: bool = False) -> tuple[float, float]:
     """(lo, hi) floats of ``value``: finite, lo < hi, hi - lo finite, 0 < lo if ``positive``,
     each checked on the floats, so ends that round to one float are refused; else OutOfDomain."""
-    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    # a 0-d array is one number, not a pair (and iterating it raises TypeError)
+    listed = isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim
+    pair = tuple(value) if listed else ()
     if len(pair) == 2 and all(map(is_finite_real, pair)):
         lo, hi = float(pair[0]), float(pair[1])
         if lo < hi and hi - lo <= sys.float_info.max and (lo > 0.0 or not positive):

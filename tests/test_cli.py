@@ -838,13 +838,24 @@ class TestConfigFile:
         assert json.loads(out.read_text())["params"]["alpha"] == 0.9
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("value, verified", [("true", True), ("off", False)])
+    @pytest.mark.parametrize("value, verified", [("true", True), ("off", False), ("No", False)])
     def test_switch_set_in_config(self, tmp_path, capsys, value, verified):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model = m\nalpha = 0.9\ncm = 0.15\ncr = 0.12\nverify = {value}\n")
         code, out, _ = run(capsys, "--config", str(cfg), "solve")
         assert code == 0
         assert ("oracle" in json.loads(out)) is verified
+
+    @pytest.mark.parametrize("value", ["tru", "flase", ""])
+    def test_mistyped_switch_in_config_is_usage_error(self, tmp_path, capsys, value):
+        # once read as "off": exit 0 with no oracle block
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = m\nalpha = 0.9\ncm = 0.15\ncr = 0.12\nverify = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "solve")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (f"error: {cfg}:5: verify is a switch: expected 1, true, "
+                                        "yes or on, or 0, false, no or off")
 
     @pytest.mark.parametrize("argv, message", [
         ((), "--config requires a subcommand"),

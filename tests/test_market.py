@@ -1,8 +1,10 @@
 """Utilities, segment masses, profits, and validity flags."""
 
 import dataclasses
+import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,6 +370,55 @@ class TestValidity:
     def test_unknown_check_is_a_key_error(self, params_m):
         with pytest.raises(KeyError, match="nope"):
             equilibrium_m(params_m).validity.check("nope")
+
+    @pytest.mark.parametrize("model, variant", [
+        (ModelId.M, MrDemandVariant.ADOPTED), (ModelId.R, MrDemandVariant.ADOPTED),
+        (ModelId.MR, MrDemandVariant.ADOPTED), (ModelId.MR, MrDemandVariant.AS_PRINTED)])
+    def test_interior_is_exactly_the_ordered_thresholds(self, model, variant):
+        # in exact arithmetic the report is interior iff the choice model's
+        # valuation thresholds are ordered inside (0, 1) and t > b_r:
+        # 0 < p_m/alpha < (p_r - p_m)/(1 - alpha) < 1, then M: 0 < b_m < 1,
+        # R: 0 < b_r/alpha < 1, MR: 0 < (b_m - b_r)/(1 - alpha) < b_r/alpha < 1.
+        # The kernels read only attributes, so the records hold Fractions.
+        rng = random.Random(34)
+        grid = [Fraction(k, 8) for k in range(-1, 10)]  # 0 and 1 included: on a threshold
+        params = SimpleNamespace(alpha=None, c_m=Fraction(1), c_r=Fraction(1, 2),
+                                 delta=Fraction(1, 2), s=Fraction(1, 5))
+        hits, interior = set(), 0
+        for k in range(1500):
+            if k % 3:  # thresholds from the grid, in any order
+                lo, hi, split, up = (rng.choice(grid) for _ in range(4))
+                margin = rng.choice(grid) - Fraction(1, 4)
+            else:  # ordered thresholds inside (0, 1), most of them interior
+                lo, hi = sorted(Fraction(rng.randint(1, 99), 100) for _ in range(2))
+                split, up = sorted(Fraction(rng.randint(1, 99), 100) for _ in range(2))
+                margin = Fraction(rng.randint(1, 50), 100)
+            alpha = params.alpha = Fraction(rng.randint(1, 19), 20)
+            p_m = alpha * lo
+            b_m = b_r = t = None
+            if model is ModelId.M:
+                b_m = up
+            else:
+                b_r, t = alpha * up, alpha * up + margin
+            if model is ModelId.MR:
+                b_m = b_r + (1 - alpha) * split
+            d = SimpleNamespace(model=model, p_m=p_m, p_r=p_m + (1 - alpha) * hi,
+                                w=Fraction(1, 2), b_m=b_m, b_r=b_r, t=t)
+            report = market.make_equilibrium(model, d, params, "exact", 1.0, variant).validity
+            if variant is MrDemandVariant.ADOPTED:
+                assert validity(d, params) == report
+            assert all(type(c.slack) is Fraction for c in report.checks)
+            tradein = (0 < up < 1) if model is not ModelId.MR else (0 < split < up < 1)
+            expected = 0 < lo < hi < 1 and tradein and (t is None or margin > 0)
+            assert report.interior is expected, (alpha, d)
+            interior += expected
+            on = {"lo=0": lo == 0, "lo=hi": lo == hi, "hi=1": hi == 1, "up=0": up == 0,
+                  "up=1": up == 1, "t=b_r": t is not None and margin == 0,
+                  "split=0": model is ModelId.MR and split == 0,
+                  "split=up": model is ModelId.MR and split == up}
+            hits.update(name for name, hit in on.items() if hit)
+        assert interior >= 300
+        assert len(hits) == {ModelId.M: 5, ModelId.R: 6, ModelId.MR: 8}[model], hits
 
 
 #: The golden MR point; each model's closed-form decisions there.

@@ -286,11 +286,12 @@ _REFUSED = [
     ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
     *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0,
                                              (-1e308, 1e308), (2**60, 2**60 + 1),
-                                             (0.0, 5e-324), (1.0, 1.0000000000000002))],
+                                             (0.0, 5e-324), (1.0, 1.0000000000000002),
+                                             np.array(0.5))],
     ("OracleConfig name", "x_z"),
     *[("OracleConfig box", v) for v in ("x", [("p_m", (-1.0, 3.0))])],
     *[("sample_params c_m_range", v) for v in ((0.9, 0.3), (-1, 0.3), (0, 1), "x",
-                                               (2**60, 2**60 + 1))],
+                                               (2**60, 2**60 + 1), np.array(0.5))],
     *[("best_response_retailer p_m", v) for v in (math.nan, "x", True)],
     *[("best_response_retailer leader_vars", v) for v in (None, ["p_m", "w", "b_m"])],
     ("utilities v", "x"), ("choice_segment v", None),
