@@ -8,8 +8,9 @@ instances), 3 singular evaluation.
 A flat key=value file, where a line starting with ``#`` is a comment, preloads
 the subcommand's flags (``--config run.cfg`` or ``--config=run.cfg``); flags win.
 Reports go to stdout, data goes to ``--out`` paths, and output files are
-byte-stable for identical inputs. The CSV columns and the ``sweep --outputs``
-groups are defined once, in ``report``; sweep rows stay below alpha 1.
+byte-stable for identical inputs. The CSV columns are defined once, in
+``report``; sweep rows stay below alpha 1, and a row within the fixed band
+``closed_form.DEFAULT_GUARD`` of a pole is marked singular.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--cm", type=float, required=True, help="unit manufacturing cost")
     solve.add_argument("--cr", type=float, required=True, help="unit remanufacturing cost")
     solve.add_argument("--s", type=float, default=0.0, help="government unit subsidy (default 0)")
-    solve.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD,
-                       help="finite half-width (>= 0) of the singularity guard band on alpha")
     solve.add_argument("--variant", choices=("adopted", "as-printed"), default="adopted",
                        help="joint-model segment-3 demand variant")
     solve.add_argument("--verify", action="store_true",
@@ -80,10 +79,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--cm", type=float)
     sweep.add_argument("--cr", type=float)
     sweep.add_argument("--s", type=float)
-    sweep.add_argument("--guard", type=float, default=closed_form.DEFAULT_GUARD)
     sweep.add_argument("--variant", choices=("adopted", "as-printed"), default="adopted")
-    sweep.add_argument("--outputs", default="decisions,demands,profits,validity",
-                       help="comma list of column groups to fill")
     sweep.add_argument("--out", help="CSV path (default: stdout)")
     sweep.add_argument("--plot-dir", dest="plot_dir",
                        help="emit one SVG line chart per decision variable here")
@@ -95,8 +91,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--samples", type=int,
                         help="draws per suite, >= 1 (default: the suite's)")
     verify.add_argument("--seed", type=int, help="suite seed, >= 0 (default: the suite's)")
-    verify.add_argument("--tol", type=float, help="oracle agreement tolerance "
-                        "(default: the suite's)")
     verify.add_argument("--n", type=int, help="Monte Carlo sample count (default: the suite's)")
     verify.add_argument("--out", help="write the machine-readable report here")
 
@@ -148,8 +142,9 @@ def _apply_config(argv: list[str], top: _Parser) -> list[str]:
     sub_name = rest[0]
     if sub_name not in subparsers.choices:
         top.error(f"unknown subcommand {sub_name!r}")
+    # "config" is no key: a file does not load another
     flags = {a.dest: a for a in subparsers.choices[sub_name]._actions
-             if a.option_strings and a.dest != "help"}
+             if a.option_strings and a.dest not in ("help", "config")}
     from_file = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -194,7 +189,7 @@ def cmd_solve(args) -> int:
         _parser().error("--verify needs --format json: the CSV row has no oracle columns")
     model = ModelId(args.model)
     params = _params_from(args)
-    eq = closed_form.equilibrium(model, params, guard=args.guard, variant=args.variant)
+    eq = closed_form.equilibrium(model, params, args.variant)
     if args.format == "csv":  # the CSV row has no verdict column
         _write_or_print(report.rows_to_csv([report.equilibrium_row(eq)]), args.out, "equilibrium")
         return EXIT_OK
@@ -234,12 +229,6 @@ def cmd_sweep(args) -> int:
     model = ModelId(args.model)
     if not (0.0 < args.alpha_from <= args.alpha_to < 1.0 and 0.0 < args.alpha_step < math.inf):
         top_error("need 0 < --alpha-from <= --alpha-to < 1 and a finite --alpha-step > 0")
-    groups = set(g.strip() for g in args.outputs.split(",") if g.strip())
-    unknown = groups - set(report.OUTPUT_GROUPS)
-    if unknown:
-        top_error(f"unknown output groups {sorted(unknown)}")
-    hidden = dict.fromkeys(column for group, columns in report.OUTPUT_GROUPS.items()
-                           if group not in groups for column in columns)
 
     steps = (args.alpha_to - args.alpha_from) / args.alpha_step + 1e-9  # rounding slack
     if steps >= MAX_SWEEP_ROWS:  # refused before any row is built
@@ -252,8 +241,8 @@ def cmd_sweep(args) -> int:
     for alpha in alphas:
         params = Params(alpha=alpha, c_m=args.cm, c_r=args.cr, s=args.s)
         try:
-            eq = closed_form.equilibrium(model, params, args.guard, args.variant)
-            rows.append(report.equilibrium_row(eq) | hidden)
+            eq = closed_form.equilibrium(model, params, args.variant)
+            rows.append(report.equilibrium_row(eq))
         except Singularity:
             rows.append(report.singular_row(model, params))
 
@@ -266,10 +255,8 @@ def cmd_sweep(args) -> int:
         plot_dir.mkdir(parents=True, exist_ok=True)
         solved = [r for r in rows if not r["singular"]]
         xs = [r["alpha"] for r in solved]
-        for var in decision_fields(model):
+        for var in decision_fields(model) if solved else ():  # no chart of singular rows only
             ys = [r[var] for r in solved]
-            if all(y is None for y in ys):
-                continue
             svg = report.line_chart_svg(f"model {model.value}: {var} vs alpha", xs, ys,
                                         y_label=var)
             path = plot_dir / f"{model.value}_{var}.svg"
@@ -307,7 +294,7 @@ def cmd_table4(args) -> int:
 
 def cmd_verify(args) -> int:
     # only the flags the user set; "all" gives each suite the ones it takes
-    given = {"samples": args.samples, "seed": args.seed, "tol": args.tol, "n": args.n}
+    given = {"samples": args.samples, "seed": args.seed, "n": args.n}
     overrides = {k: v for k, v in given.items() if v is not None}
     fn = suites.SUITES.get(args.suite)
     unused = sorted(overrides.keys() - suites.suite_options(fn, overrides).keys()) if fn else []

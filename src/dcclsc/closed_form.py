@@ -9,7 +9,8 @@ judges whether an MR point is stationary under either segment-3 demand
 variant. The numeric oracle, not this module, is the ground truth for MR.
 
 Each model's denominator roots are stated once, in ``POLES``. Only
-:func:`decision_values` refuses an evaluation; :func:`equilibrium` adds a guard band.
+:func:`decision_values` refuses an evaluation; :func:`equilibrium` adds the
+fixed band ``DEFAULT_GUARD`` around each root.
 
 One deliberate correction is applied: the published reaction of the retailer
 in model M is inconsistent with both the equilibrium expressions and their
@@ -23,9 +24,10 @@ import numpy as np
 
 from .errors import Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite, require_variant
-from .params import DecisionSet, ModelId, Params, read_nonneg
+from .params import DecisionSet, ModelId, Params
 
-#: Default half-width of the guard band around denominator roots of alpha.
+#: Half-width of the band around each denominator root of alpha inside which
+#: :func:`equilibrium` refuses.
 DEFAULT_GUARD = 1e-6
 
 #: Real roots in alpha of each model's published denominators, ascending. The
@@ -126,6 +128,14 @@ _VALUE_FUNCTIONS = {
 }
 
 
+def _as_float(value):
+    """A numpy number or 0-d array as the Python float it equals, so that it
+    divides by zero as a float does; any other value as it is."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    return float(value) if isinstance(value, (np.integer, np.floating)) else value
+
+
 def decision_values(model: ModelId, alpha: float, c_m: float, delta: float,
                     s: float) -> dict[str, float]:
     """Equilibrium decision values for any model at raw primitives.
@@ -133,8 +143,10 @@ def decision_values(model: ModelId, alpha: float, c_m: float, delta: float,
     ``alpha`` is a float, a Fraction (exact with Fraction primitives) or a numpy
     grid, refused at its failing point nearest a pole as that float: Singularity
     (guard 0) at a zero denominator, whatever its numerator, else OutOfDomain.
+    A numpy number or 0-d array is read as the Python float it equals.
     """
     model = ModelId(model)
+    alpha, c_m, delta, s = map(_as_float, (alpha, c_m, delta, s))
     if isinstance(alpha, np.ndarray):
         with np.errstate(all="ignore"):
             values = _VALUE_FUNCTIONS[model](alpha, c_m, delta, s)
@@ -157,19 +169,18 @@ def limits(model: ModelId, params: Params) -> dict[str, tuple[float, float]]:
     return {name: (at0[name], at1[name]) for name in at0}
 
 
-def equilibrium(model: ModelId, params: Params, guard: float = DEFAULT_GUARD,
+def equilibrium(model: ModelId, params: Params,
                 variant: MrDemandVariant = MrDemandVariant.ADOPTED) -> Equilibrium:
     """Closed-form equilibrium of any model, with outcome and validity attached.
 
     Reads ``variant``, refused outside MR, where the outcome is computed under
-    it, and ``guard``; raises Singularity within ``guard`` of a denominator
-    root of alpha, then refuses as :func:`decision_values` does.
+    it; raises Singularity within ``DEFAULT_GUARD`` of a denominator root of
+    alpha, then refuses as :func:`decision_values` does.
     """
     model, variant = require_variant(model, variant)
-    guard = read_nonneg("guard", guard)
     dist = singularity_distance(model, params.alpha)
-    if dist < guard:
-        raise Singularity(f"model {model.value} closed form", params.alpha, dist, guard)
+    if dist < DEFAULT_GUARD:
+        raise Singularity(f"model {model.value} closed form", params.alpha, dist, DEFAULT_GUARD)
     decisions = DecisionSet(model=model, **decision_values(
         model, params.alpha, params.c_m, params.delta, params.s))
     return make_equilibrium(model, decisions, params, "closed_form", dist, variant=variant)

@@ -5,8 +5,8 @@ Everything downstream consumes the two value types defined here: ``Params``
 prices, subsidies and transfer price). Both are immutable and validated at
 construction, so they are safe to share between concurrent tasks. This module
 alone reads a value, one reader per input kind, each returning what it read:
-``read_id``, ``read_int``, ``read_nonneg``, ``read_interval``, and both types
-for finite reals.
+``read_id``, ``read_int``, ``read_interval``, and both types for finite
+reals.
 
 ``PLAYER_FIELDS`` is the one statement of which player sets which decision in
 each model; the report order of ``decision_fields`` and the oracle's split
@@ -41,13 +41,6 @@ def read_int(field: str, value, least: int) -> int:
         raise OutOfDomain.single(field, int(value) if is_int else value,
                                  f"must be {'' if is_int else 'an int '}>= {least}")
     return int(value)
-
-
-def read_nonneg(field: str, value) -> float:
-    """``value`` as a float if it is a finite real >= 0, else OutOfDomain."""
-    if not (is_finite_real(value) and value >= 0.0):
-        raise OutOfDomain.single(field, value, "must be finite and >= 0")
-    return float(value)
 
 
 def read_interval(field: str, value, positive: bool = False) -> tuple[float, float]:

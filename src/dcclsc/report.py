@@ -2,11 +2,9 @@
 
 This module states the CSV schema. One fixed set of columns serves all three
 models so files diff cleanly; fields a model does not use stay empty, never
-zero. ``CSV_COLUMNS`` derives from the ``sweep --outputs`` groups
-(``OUTPUT_GROUPS``). Floats are rendered with Python's shortest round-trip
-representation, line endings are '\n', and nothing time- or
-environment-dependent is ever written, so identical inputs yield
-byte-identical files.
+zero. Floats are rendered with Python's shortest round-trip representation,
+line endings are '\n', and nothing time- or environment-dependent is ever
+written, so identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,18 +17,11 @@ from typing import Iterable, Mapping, Sequence
 from .market import Equilibrium
 from .params import ALL_DECISION_FIELDS, ModelId, Params
 
-#: The ``sweep --outputs`` groups, in column order: the columns each one fills.
-OUTPUT_GROUPS = {
-    "decisions": ALL_DECISION_FIELDS,
-    "demands": ("q1", "q2", "q3", "q4"),
-    "profits": ("pi_m", "pi_r", "pi_s"),
-    "validity": ("interior_valid",),
-}
-
-#: Fixed column order of every sweep/solve CSV: the model, its parameters,
-#: the output groups, then whether the row fell in a singularity guard band.
-CSV_COLUMNS = ("model", "alpha", "c_m", "c_r", "delta", "s",
-               *(column for group in OUTPUT_GROUPS.values() for column in group), "singular")
+#: Fixed column order of every sweep/solve CSV: the model, its parameters, the
+#: decisions, the segment masses, the profits, whether the point is interior,
+#: then whether the row fell in a singularity guard band.
+CSV_COLUMNS = ("model", "alpha", "c_m", "c_r", "delta", "s", *ALL_DECISION_FIELDS,
+               "q1", "q2", "q3", "q4", "pi_m", "pi_r", "pi_s", "interior_valid", "singular")
 
 
 def format_value(value) -> str:
@@ -46,7 +37,7 @@ def _base_row(model: ModelId, params: Params, singular: bool) -> dict:
 
 
 def equilibrium_row(eq: Equilibrium) -> dict:
-    """One CSV row for a solved equilibrium: the base row with every group filled."""
+    """One CSV row for a solved equilibrium: the base row with its values filled."""
     return {**_base_row(eq.model, eq.params, False), **eq.decisions.as_dict(),
             **eq.demands.as_dict(), **eq.profit.as_dict(),
             "interior_valid": eq.validity.interior}

@@ -83,8 +83,8 @@ def test_a01_endpoint_identities():
 
 def test_a02_oracle_agreement():
     """Numeric backward induction matches closed forms, 1e-3 relative, M and R."""
-    report = suite_oracle(samples=100, seed=42, tol=1e-3)
-    ok = report.ok and report.elapsed_seconds < 60.0
+    report = suite_oracle(samples=100, seed=42)
+    ok = report.ok and report.config["tol"] == 1e-3 and report.elapsed_seconds < 60.0
     _report("A02 oracle agreement (M, R)", ok,
             f"{report.findings[0]}, {report.elapsed_seconds:.1f}s over 100 draws")
 

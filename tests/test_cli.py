@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shlex
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,7 +20,7 @@ from dcclsc import (ModelId, OutOfDomain, Params, cli, decision_fields, equilibr
                     oracle, report, suites)
 from dcclsc.cli import main
 from dcclsc.closed_form import decision_values
-from dcclsc.report import CSV_COLUMNS, OUTPUT_GROUPS
+from dcclsc.report import CSV_COLUMNS
 from dcclsc.suites import FIGURE_PRESETS, suite_endpoints, suite_mc, suite_oracle
 
 
@@ -186,34 +187,26 @@ class TestSolve:
         assert "cannot write output" in err
 
     def test_negative_guard_rejected(self, capsys):
-        code, _, err = run(capsys, "solve", "--model", "m", "--alpha", "0.9",
-                           "--cm", "0.15", "--cr", "0.12", "--guard", "-0.1")
-        assert code == 1
-        assert "guard" in err
-        code, _, _ = run(capsys, "sweep", "--preset", "fig4", "--guard", "-0.1")
-        assert code == 1
+        # the band is fixed (DEFAULT_GUARD): --guard is no flag of solve or sweep
+        for argv in (["solve", "--model", "m", "--alpha", "0.9", "--cm", "0.15", "--cr", "0.12"],
+                     ["sweep", "--preset", "fig4"]):
+            code, out, err = run(capsys, *argv, "--guard", "-0.1")
+            assert (code, out) == (1, "")
+            assert err.splitlines()[-1] == "error: unrecognized arguments: --guard -0.1"
 
     @pytest.mark.parametrize("command", ["solve --model m --alpha 0.9 --cm 0.15 --cr 0.12",
                                          "sweep --preset fig4"])
     def test_infinite_guard_rejected(self, capsys, command):
         # once the sweep wrote every row singular and exited 0, and solve exited 3
         code, out, err = run(capsys, *command.split(), "--guard", "inf")
-        assert (code, out, err) == (1, "", "error: guard=inf violates: must be finite and >= 0\n")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --guard inf"
 
     def test_singularity_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", "--model", "r", "--alpha", "0.2222222",
                            "--cm", "0.5", "--cr", "0.25", "--s", "0.1")
         assert code == 3
         assert "2.222e-08" in err or "singular" in err
-
-    @pytest.mark.parametrize("alpha", ["0.2222222222222222", "0.22222222222222224"])
-    def test_zero_denominator_outside_the_guard_is_singular(self, capsys, alpha):
-        # at --guard 0 the band is empty, but 9*alpha - 2 still evaluates to 0
-        code, out, err = run(capsys, "solve", "--model", "r", "--alpha", alpha,
-                             "--cm", "1", "--cr", "0.5", "--guard", "0")
-        assert (code, out) == (3, "")
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("singular:")
 
     def test_usage_exit_code(self, capsys):
         code, _, _ = run(capsys, "solve", "--model", "m", "--alpha", "0.9")
@@ -348,25 +341,17 @@ class TestSweep:
     def test_singular_rows_marked_not_dropped(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code, _, _ = run(capsys, "sweep", "--model", "r", "--alpha-from", "0.20",
-                         "--alpha-to", "0.25", "--alpha-step", "0.005",
-                         "--cm", "0.6", "--cr", "0.3", "--s", "0.1",
-                         "--guard", "0.004", "--out", str(out))
+                         "--alpha-to", "0.25", "--alpha-step", "0.0022222",
+                         "--cm", "0.6", "--cr", "0.3", "--s", "0.1", "--out", str(out))
         assert code == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-        assert len(rows) == 11
+        assert len(rows) == 23
         idx = {name: i for i, name in enumerate(CSV_COLUMNS)}
-        singular = [r for r in rows if r[idx["singular"]] == "true"]
-        assert len(singular) == 2  # alpha = 0.220 and 0.225 sit within 0.004 of 2/9
-        for r in singular:
-            assert r[idx["p_m"]] == "" and r[idx["pi_s"]] == ""
-
-    def test_zero_denominator_row_is_singular_at_guard_zero(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--model", "r", "--alpha-from", "0.2",
-                           "--alpha-to", "0.25", "--alpha-step", "0.02222222222222222",
-                           "--cm", "1", "--cr", "0.5", "--s", "0", "--guard", "0")
-        assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[3:]]
-        assert [r[CSV_COLUMNS.index("singular")] for r in rows] == ["false", "true", "false"]
+        singular = [i for i, r in enumerate(rows) if r[idx["singular"]] == "true"]
+        # only row 10, alpha = 0.222222, sits within the fixed band of 1e-6 around 2/9
+        assert singular == [10]
+        assert abs(float(rows[10][idx["alpha"]]) - 2 / 9) < 1e-6
+        assert rows[10][idx["p_m"]] == "" and rows[10][idx["pi_s"]] == ""
 
     def test_fig4_preset_subsidy_decreases(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
@@ -383,18 +368,6 @@ class TestSweep:
         assert CSV_COLUMNS == (
             "model", "alpha", "c_m", "c_r", "delta", "s", "p_m", "p_r", "w", "b_m", "b_r", "t",
             "q1", "q2", "q3", "q4", "pi_m", "pi_r", "pi_s", "interior_valid", "singular")
-
-    @pytest.mark.parametrize("group", sorted(OUTPUT_GROUPS))
-    def test_outputs_filter(self, capsys, group):
-        # MR fills every column, so the blank cells are exactly the hidden groups'
-        code, out, _ = run(capsys, "sweep", "--model", "mr", "--alpha-from", "0.5",
-                           "--alpha-to", "0.5", "--alpha-step", "1", "--cm", "0.6",
-                           "--cr", "0.3", "--s", "0.1", "--outputs", group)
-        assert code == 0
-        header, row = (l.split(",") for l in out.splitlines()[2:])
-        blank = {name for name, cell in zip(header, row) if cell == ""}
-        assert blank == {column for other, columns in OUTPUT_GROUPS.items() if other != group
-                         for column in columns}
 
     @pytest.mark.parametrize("alpha_from, alpha_to, step, last", [
         ("0.01", "0.99999999999", "0.01", "0.99"),
@@ -500,23 +473,24 @@ class TestSweep:
         assert "<svg" in (plot_dir / "M_p_m.svg").read_text()
 
     def test_no_chart_without_the_decisions(self, tmp_path, capsys):
-        # the decision columns are blank, so there is nothing to draw
+        # every row is singular, its decision columns blank: nothing to draw
         plot_dir = tmp_path / "charts"
-        code, out, _ = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.2",
-                           "--alpha-to", "0.8", "--alpha-step", "0.1", "--cm", "0.6",
-                           "--cr", "0.3", "--s", "0.1", "--outputs", "demands,profits",
-                           "--plot-dir", str(plot_dir))
+        code, out, _ = run(capsys, "sweep", "--model", "r", "--alpha-from", "0.2222222",
+                           "--alpha-to", "0.2222223", "--alpha-step", "0.0000001", "--cm", "0.6",
+                           "--cr", "0.3", "--s", "0.1", "--plot-dir", str(plot_dir))
         assert code == 0
+        assert out.splitlines()[1] == "rows=2 singular=2"
         assert list(plot_dir.iterdir()) == []
         assert "wrote chart" not in out
 
     def test_unknown_output_group_is_usage_error(self, capsys):
+        # every row fills every column its model uses: --outputs is no flag of sweep
         code, out, err = run(capsys, "sweep", "--model", "m", "--alpha-from", "0.2",
                              "--alpha-to", "0.8", "--cm", "0.6", "--cr", "0.3", "--s", "0.1",
                              "--outputs", "demands,nope")
         assert code == 1
         assert out == ""
-        assert err.splitlines()[-1] == "error: unknown output groups ['nope']"
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --outputs demands,nope"
 
 
 class TestCertificationCalls:
@@ -603,13 +577,14 @@ class TestVerify:
         assert code == 0
         assert "max relative deviation" in text
 
-    def test_unreachable_tolerance_fails(self, capsys):
+    def test_unreachable_tolerance_fails(self, capsys, monkeypatch):
         # below one ulp in relative terms: only exact agreement on every
         # decision could pass (the worst roundoff on these draws is 1.1e-15)
-        code, text, _ = run(capsys, "verify", "oracle", "--samples", "2",
-                            "--tol", "1e-17")
+        monkeypatch.setattr(suites, "ORACLE_TOL", 1e-17)
+        code, text, _ = run(capsys, "verify", "oracle", "--samples", "2")
         assert code == 2
         assert "FAIL" in text
+        assert "config tol = 1e-17" in text
 
     def test_mc_suite_small(self, capsys):
         code, text, _ = run(capsys, "verify", "mc", "--samples", "2", "--n", "200000")
@@ -699,11 +674,10 @@ class TestVerify:
         assert err == "error: samples=0 violates: must be >= 1\n"
 
     def test_flag_the_suite_does_not_take_is_a_usage_error(self, capsys):
-        # once exit 0, using neither flag
-        code, text, err = run(capsys, "verify", "endpoints", "--samples", "1", "--tol", "0.5",
-                              "--n", "3")
+        # once exit 0, not using the flag
+        code, text, err = run(capsys, "verify", "endpoints", "--samples", "1", "--n", "3")
         assert (code, text) == (1, "")
-        assert err.splitlines()[-1] == "error: verify endpoints does not take --n, --tol"
+        assert err.splitlines()[-1] == "error: verify endpoints does not take --n"
 
     @pytest.mark.parametrize("suite", list(suites.SUITES))
     def test_zero_draws_are_a_domain_error_in_the_library(self, suite):
@@ -711,22 +685,15 @@ class TestVerify:
         with pytest.raises(OutOfDomain, match=r"^samples=0 violates: must be >= 1$"):
             suites.SUITES[suite](samples=0)
 
-    def test_bad_tolerance_is_a_domain_error_in_the_library(self):
-        # once a run with ok=False and a NaN or infinite tol that report.to_json refuses
-        # True once ran, and was echoed as "tol": true
-        for tol in (math.nan, math.inf, -1.0, True):
-            with pytest.raises(OutOfDomain) as exc:
-                suite_oracle(samples=1, tol=tol)
-            assert str(exc.value) == f"tol={tol!r} violates: must be finite and >= 0"
-        assert suite_oracle(samples=1, tol=0.0).config["tol"] == 0.0
-
     @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_negative_or_nan_tolerance_is_a_domain_error(self, capsys, tol, shown):
-        # once a verification FAIL with exit 2
+        # once a verification FAIL with exit 2; the tolerance is fixed
+        # (suites.ORACLE_TOL), so --tol is no flag of verify and exits 1 unread
         code, text, err = run(capsys, "verify", "oracle", f"--tol={tol}", "--samples", "1")
         assert code == 1
         assert text == ""
-        assert err.splitlines() == [f"error: tol={shown} violates: must be finite and >= 0"]
+        assert err.splitlines()[-1] == f"error: unrecognized arguments: --tol={tol}"
+        assert f"error: tol={shown} violates" not in err
 
     def test_infinite_tolerance_is_a_domain_error(self, capsys, tmp_path):
         # once exit 0, writing "tol": Infinity into the report
@@ -734,7 +701,7 @@ class TestVerify:
         code, text, err = run(capsys, "verify", "oracle", "--samples", "1", "--tol", "inf",
                               "--out", str(out))
         assert (code, text) == (1, "")
-        assert err.splitlines() == ["error: tol=inf violates: must be finite and >= 0"]
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --tol inf"
         assert not out.exists()
 
     def test_one_draw_simulations_report_a_finite_worst_sigma(self, capsys, tmp_path):
@@ -746,9 +713,6 @@ class TestVerify:
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
         assert math.isfinite(json.loads(text)[0]["counts"]["worst_sigma"])
-
-    def test_zero_tolerance_is_valid(self, capsys):
-        assert run(capsys, "verify", "oracle", "--tol", "0", "--samples", "1")[0] in (0, 2)
 
     @pytest.mark.parametrize("suite", ["oracle", "props", "mc", "endpoints", "all"])
     def test_negative_seed_is_a_domain_error(self, capsys, suite):
@@ -875,6 +839,35 @@ class TestConfigFile:
         code, _, _ = run(capsys, "--config", str(cfg), "solve")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (("solve", "--model", "m", "--alpha", "0.9", "--cm", "0.15", "--cr", "0.12"),
+         "guard", "1e-06"),
+        (("sweep", "--preset", "fig4"), "guard", "1e-06"),
+        (("sweep", "--preset", "fig4"), "outputs", "decisions,demands,profits,validity"),
+        (("verify", "oracle", "--samples", "1"), "tol", "0.001"),
+    ], ids=["solve-guard", "sweep-guard", "sweep-outputs", "verify-tol"])
+    def test_removed_flag_in_config_is_usage_error(self, tmp_path, capsys, argv, key, value):
+        # the band, the columns and the oracle tolerance are fixed: even the
+        # value each flag once defaulted to names no option
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# the flag's old default\n{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (f"error: {cfg}:2: expected key = value with a "
+                                        f"{argv[0]} option as key")
+
+    def test_config_key_is_usage_error(self, tmp_path, capsys):
+        # "config = other.cfg" was once dropped unread, so other.cfg never loaded
+        other = tmp_path / "other.cfg"
+        other.write_text("alpha = 0.9\ncm = 0.15\ncr = 0.12\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"model = m\nconfig = {other}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "solve", "--alpha", "0.9",
+                             "--cm", "0.15", "--cr", "0.12")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (f"error: {cfg}:2: expected key = value with a solve "
+                                        "option as key")
+
     @pytest.mark.parametrize("case", ["not-utf8", "directory"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, case):
         # once a UnicodeDecodeError traceback, or "cannot write output" for a directory
@@ -907,6 +900,24 @@ class TestParser:
         assert run(capsys, "solve", "--model", "m", "--alpha", "0.5", "--cm", "1",
                    "--cr", "0.5")[0] == 0
         assert len(built) <= 1
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        # parsed, not run: verify mc and verify all take seconds
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("dcclsc ")]
+        assert len(lines) == 11
+        top = cli._parser()
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            with redirect_stderr(io.StringIO()) as err:
+                try:
+                    top.parse_args(cli._apply_config(argv, top))
+                except SystemExit as exc:
+                    pytest.fail(f"{line!r} exits {exc.code}: {err.getvalue()}")
 
 
 class TestDeterminism:
@@ -951,7 +962,7 @@ class TestDeterminism:
 
 class TestSuiteInternals:
     def test_oracle_suite_report_shape(self):
-        report = suite_oracle(samples=2, seed=3, tol=1e-3)
+        report = suite_oracle(samples=2, seed=3)
         assert report.ok
         assert report.counts["comparisons"] == 2 * 9
         assert report.as_dict()["ok"] is True
@@ -1069,14 +1080,14 @@ class TestFuzzedFlags:
             assert not cells & {"inf", "-inf", "nan"}
 
     @given(suite=st.sampled_from(["oracle", "props", "mc", "endpoints", "all"]),
-           samples=st.integers(-1, 2), seed=st.integers(-2, 2**64), tol=_EDGES,
-           n=st.integers(-1, 50), all_four=st.booleans())
+           samples=st.integers(-1, 2), seed=st.integers(-2, 2**64),
+           n=st.integers(-1, 50), all_three=st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_verify(self, suite, samples, seed, tol, n, all_four):
+    def test_verify(self, suite, samples, seed, n, all_three):
         # a flag the suite does not take is refused, so half the runs pass
-        # only the suite's own ("all" takes all four)
-        flags = {"samples": samples, "seed": seed, "tol": tol, "n": n}
-        if not all_four and suite != "all":
+        # only the suite's own ("all" takes all three)
+        flags = {"samples": samples, "seed": seed, "n": n}
+        if not all_three and suite != "all":
             flags = suites.suite_options(suites.SUITES[suite], flags)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "report.json"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,11 +160,6 @@ class TestModelR:
         with pytest.raises(Singularity):
             equilibrium_r(Params(alpha=0.2222222, c_m=0.5, c_r=0.25, s=0.0))
 
-    def test_guard_is_configurable(self):
-        p = Params(alpha=0.2222222, c_m=0.5, c_r=0.25, s=0.0)
-        eq = equilibrium(ModelId.R, p, guard=1e-9)
-        assert abs(eq.decisions.b_r) > 1e3  # blown-up but evaluable
-
     def test_limits_alpha_zero_true_values(self, params_r):
         c_m, delta, s = params_r.c_m, params_r.delta, params_r.s
         at0 = {k: v[0] for k, v in limits(ModelId.R, params_r).items()}
@@ -292,12 +288,35 @@ class TestRefusal:
         assert "model R closed form" in str(exc.value)
 
     def test_guard_zero_reaches_the_zero_denominator(self):
-        # numpy's float64 alpha once warned of a division by zero, then ended
-        # in OutOfDomain, not Singularity
+        # decision_values has no band (guard 0); numpy's float64 alpha once
+        # warned of a division by zero, then ended in OutOfDomain, not Singularity
         for alpha in (2.0 / 9.0, np.float64(2.0 / 9.0)):
             with pytest.raises(Singularity) as exc:
-                equilibrium(ModelId.R, Params(alpha, 1.0, 0.5, 0.0), guard=0.0)
+                decision_values(ModelId.R, alpha, 1.0, 0.5, 0.0)
             assert exc.value.guard == 0.0 and "model R closed form" in str(exc.value)
+
+    # MR's denominator at its float roots is 1e-15 to 1e-14, not 0
+    @pytest.mark.parametrize("model, pole", [(ModelId.M, 4.0), (ModelId.R, 2.0 / 9.0)])
+    def test_numpy_primitives_read_as_their_python_floats(self, model, pole):
+        # a numpy alpha or cost at a zero denominator once warned five times
+        # of a division by zero, then ended in OutOfDomain ("float arithmetic
+        # overflows"), and a 0-d array alpha in an IndexError traceback
+        at_pole = (pole, 1.0, 0.5, 0.2)
+        inside = (0.5, 1.0, 0.5, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Singularity) as twin:
+                decision_values(model, *at_pole)
+            for i in range(4):
+                for wrap in (np.float64, np.array):
+                    args = [wrap(v) if j == i else v for j, v in enumerate(at_pole)]
+                    with pytest.raises(Singularity) as exc:
+                        decision_values(model, *args)
+                    assert str(exc.value) == str(twin.value)
+                    args = [wrap(v) if j == i else v for j, v in enumerate(inside)]
+                    values = decision_values(model, *args)
+                    assert values == decision_values(model, *inside)
+                    assert all(type(v) is float for v in values.values())
 
     def test_grid_point_finite_only_as_a_float_is_still_refused(self, monkeypatch):
         # numpy's power may round differently from the float path's; a grid

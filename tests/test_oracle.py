@@ -374,7 +374,7 @@ class TestSecondOrderConditions:
     def test_near_pole_leader_stage_fails(self):
         # just below the pole the reduced leader problem is indefinite
         p = Params(alpha=2.0 / 9.0 - 1e-3, c_m=0.5, c_r=0.25, s=0.1)
-        eq = equilibrium(ModelId.R, p, guard=0.0)
+        eq = equilibrium(ModelId.R, p)
         soc = check_soc(ModelId.R, eq, p)
         assert soc.follower_negative_definite
         assert not soc.leader_negative_definite

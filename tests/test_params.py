@@ -257,7 +257,6 @@ _READS = {
     "OracleConfig seed": ("seed", lambda v: OracleConfig(seed=v)),
     "equilibrium MR variant": ("variant", lambda v: equilibrium("MR", _GAME, variant=v)),
     "equilibrium M variant": ("variant", lambda v: equilibrium("M", _GAME, variant=v)),
-    "equilibrium guard": ("guard", lambda v: equilibrium("MR", _GAME, guard=v)),
     "Params alpha": ("alpha", lambda v: Params(v, 1.0, 0.5, 0.2)),
     "DecisionSet p_m": ("p_m", lambda v: DecisionSet(model="M", p_m=v, p_r=0.6, w=0.4, b_m=0.2)),
     "OracleConfig interval": ("p_m", lambda v: OracleConfig(leader_box={"p_m": v})),
@@ -282,7 +281,6 @@ _REFUSED = [
     ("seeded_generator seed", np.int64(-1)), ("monte_carlo_demand seed", np.int64(-1)),
     *[(read, v) for read in ("equilibrium MR variant", "equilibrium M variant")
       for v in ("x", None)],
-    *[("equilibrium guard", v) for v in (math.inf, "x", True)],
     ("Params alpha", np.float64("nan")), ("DecisionSet p_m", np.float64("inf")),
     *[("OracleConfig interval", v) for v in ((1, 1), (3, -1), (-1,), (0.0, math.nan), 2.0,
                                              (-1e308, 1e308), (2**60, 2**60 + 1),
@@ -302,15 +300,14 @@ _REFUSED = [
                          ids=[f"{read}={value!r}" for read, value in _REFUSED])
 def test_each_input_kind_is_refused_by_its_reader(read, value):
     # once these ran (samples=True ran one draw, sample_params(1.5, 1) drew
-    # two, guard=inf made every point singular, a zero-width box divided by
-    # zero, a NaN leader price returned a NaN response, a c_m_range of (0, 1)
-    # was drawn from), ended in TypeError (leader_vars None), ValueError or
-    # AttributeError (a leader_box "x"), overflowed a box's width hi - lo,
-    # stored ends that round to one float as a zero-width interval
-    # ((2**60, 2**60 + 1)), divided by a stencil step that rounds to 0
-    # ((0.0, 5e-324)), raised NonConcave on junk eigenvalues from a step lost
-    # to rounding at the box centre ((1.0, 1.0000000000000002)), or named a
-    # numpy value by its repr (alpha=np.float64(nan))
+    # two, a zero-width box divided by zero, a NaN leader price returned a NaN
+    # response, a c_m_range of (0, 1) was drawn from), ended in TypeError
+    # (leader_vars None), ValueError or AttributeError (a leader_box "x"),
+    # overflowed a box's width hi - lo, stored ends that round to one float as
+    # a zero-width interval ((2**60, 2**60 + 1)), divided by a stencil step
+    # that rounds to 0 ((0.0, 5e-324)), raised NonConcave on junk eigenvalues
+    # from a step lost to rounding at the box centre ((1.0, 1.0000000000000002)),
+    # or named a numpy value by its repr (alpha=np.float64(nan))
     field, call = _READS[read]
     with pytest.raises(OutOfDomain) as exc:
         call(value)
