@@ -3,14 +3,18 @@ Numeric backward induction as an independent cross-check
 ========================================================
 
 Solves the leader/follower game without touching the closed forms. Every
-profit is quadratic, so one central-difference stencil of both profits
-identifies the game exactly: the retailer's best response, an affine map of
-the leader's variables, and the gradient and Hessian of the manufacturer's
-reduced profit. A Newton step lands on the optimum. For
-the manufacturer-led and retailer-led models the numeric optimum lands on
-the closed forms to ten significant digits; for the joint model it reveals
-that the published expressions are not the solution of the stated game.
+profit term is an affine margin times an affine mass, so those parts at a
+few points identify the game exactly: the retailer's best response, an
+affine map of the leader's variables, and the gradient and Hessian of the
+manufacturer's reduced profit. Gaussian elimination lands on the optimum,
+and the same code on Fractions is an exact solve. For the manufacturer-led
+and retailer-led models the numeric optimum lands on the closed forms to
+ten significant digits; for the joint model it reveals that the published
+expressions are not the solution of the stated game.
 """
+
+from fractions import Fraction
+
 
 from dcclsc import (
     ModelId,
@@ -21,7 +25,8 @@ from dcclsc import (
     stationarity_residuals,
 )
 from dcclsc.closed_form import retailer_reaction_m
-from dcclsc.oracle import best_response_retailer
+from dcclsc.oracle import best_response_retailer, stackelberg_decisions
+from dcclsc.params import Primitives
 
 # -- follower exactness ------------------------------------------------------
 params = Params(alpha=0.9, c_m=0.15, c_r=0.12, s=0.02)
@@ -62,8 +67,14 @@ print(f"  leader reduced eigenvalues:   {[round(e, 4) for e in soc.leader_reduce
 print(f"  negative definite (follower, leader): "
       f"({soc.follower_negative_definite}, {soc.leader_negative_definite})")
 
-# the difference stencil's step grows with the costs and with the point, so
-# costly parameters (here the retailer-led figure's) solve at roundoff
+# the same solve on Fractions is exact: the joint model's equilibrium at
+# alpha = 3/5, c_m = 1, delta = 1/2, s = 1/5, as rationals
+exact = stackelberg_decisions(ModelId.MR, Primitives(Fraction(3, 5), Fraction(1), Fraction(1, 2),
+                                                     Fraction(1, 5)))
+print("\nexact MR equilibrium: " + ", ".join(f"{k} = {v}" for k, v in exact.items()))
+
+# no step or box scales with the costs, so costly parameters (here the
+# retailer-led figure's) solve at roundoff
 fig4 = Params(alpha=0.5, c_m=10.0, c_r=6.0, s=6.0)
 solved = solve_stackelberg_numeric(ModelId.R, fig4).decisions.as_dict()
 closed = equilibrium(ModelId.R, fig4).decisions.as_dict()

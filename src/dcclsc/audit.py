@@ -282,7 +282,8 @@ def audit_uniqueness(theorem: str, params: Params) -> AuditVerdict:
     numeric optimum is the unique equilibrium exactly when the follower's
     Hessian and the leader's reduced Hessian are negative definite there.
     Where either is not, the solve has no optimum to offer: the verdict is
-    ``not_unique`` with no evidence and the solver's eigenvalues as its note.
+    ``not_unique`` with no evidence and the solver's refusal, with its
+    elimination pivots, as its note.
     """
     theorem, model = read_id(_THEOREM_MODEL, "theorem", theorem)
     try:

@@ -20,11 +20,13 @@ the retailer profit derived directly from its first-order condition.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .errors import Singularity
+from .errors import OutOfDomain, Singularity
 from .market import Equilibrium, MrDemandVariant, make_equilibrium, require_finite, require_variant
-from .params import DecisionSet, ModelId, Params
+from .params import DecisionSet, ModelId, Params, is_finite_real, read_params
 
 #: Half-width of the band around each denominator root of alpha inside which
 #: :func:`equilibrium` refuses.
@@ -39,7 +41,8 @@ POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
 
 
 def singularity_distance(model: ModelId, alpha: float) -> float:
-    """Distance from alpha to the nearest denominator root of the model."""
+    """Distance from alpha, read as ``decision_values`` reads it, to the model's nearest root."""
+    alpha = _read_number("alpha", alpha)
     return min(abs(alpha - root) for root in POLES[ModelId(model)])
 
 
@@ -128,11 +131,15 @@ _VALUE_FUNCTIONS = {
 }
 
 
-def _as_float(value):
-    """A numpy number or 0-d array as the Python float it equals, so that it
-    divides by zero as a float does; any other value as it is."""
+def _read_number(field: str, value, grid: bool = False):
+    """A Fraction, a finite real (a numpy number or 0-d array as the Python float it
+    equals, so it divides by zero as a float does) or with ``grid`` an array; else OutOfDomain."""
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value[()]
+    if isinstance(value, Fraction) or (grid and isinstance(value, np.ndarray)):
+        return value
+    if not is_finite_real(value):
+        raise OutOfDomain.single(field, value, "must be a finite real or a Fraction")
     return float(value) if isinstance(value, (np.integer, np.floating)) else value
 
 
@@ -143,10 +150,11 @@ def decision_values(model: ModelId, alpha: float, c_m: float, delta: float,
     ``alpha`` is a float, a Fraction (exact with Fraction primitives) or a numpy
     grid, refused at its failing point nearest a pole as that float: Singularity
     (guard 0) at a zero denominator, whatever its numerator, else OutOfDomain.
-    A numpy number or 0-d array is read as the Python float it equals.
+    Each primitive is read by ``_read_number``, only alpha as a grid.
     """
     model = ModelId(model)
-    alpha, c_m, delta, s = map(_as_float, (alpha, c_m, delta, s))
+    alpha = _read_number("alpha", alpha, grid=True)
+    c_m, delta, s = (_read_number(f, v) for f, v in (("c_m", c_m), ("delta", delta), ("s", s)))
     if isinstance(alpha, np.ndarray):
         with np.errstate(all="ignore"):
             values = _VALUE_FUNCTIONS[model](alpha, c_m, delta, s)
@@ -165,6 +173,7 @@ def decision_values(model: ModelId, alpha: float, c_m: float, delta: float,
 
 def limits(model: ModelId, params: Params) -> dict[str, tuple[float, float]]:
     """Each decision's limits as alpha -> 0 and alpha -> 1, both outside the domain."""
+    params = read_params(params)
     at0, at1 = (decision_values(model, a, params.c_m, params.delta, params.s) for a in (0.0, 1.0))
     return {name: (at0[name], at1[name]) for name in at0}
 

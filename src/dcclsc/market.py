@@ -30,9 +30,8 @@ b_r - alpha*u (retailer's subsidy), each subsidy's where the model sets it.
 ``utilities`` writes them out for one pair, the tests' reference;
 ``choice_masks`` computes them in place for one pair or a 1-D array of
 them, writing every block of the simulation's draws into one
-``choice_workspace``. ``segment_masses`` and ``profit_values`` broadcast
-over arrays; the numeric solver runs the profit kernel over whole
-difference stencils at once.
+``choice_workspace``. ``segment_masses``, ``profit_parts`` and
+``profit_values`` broadcast over arrays and run on Fractions too.
 """
 
 from __future__ import annotations
@@ -284,18 +283,27 @@ def profit_values(model: ModelId, p_m, p_r, w, b_m, b_r, t, params: Params,
 
     Returns (pi_m, pi_r), each the sum of its ``PROFIT_TERMS`` in order.
     """
-    model = ModelId(model)
-    q = segment_masses(model, p_m, p_r, b_m, b_r, params.alpha, variant)
     d = SimpleNamespace(p_m=p_m, p_r=p_r, w=w, b_m=b_m, b_r=b_r, t=t)
-    return _profit_sums(model, d, params, q)
+    return _profit_sums(profit_parts(model, d, params, variant))
 
 
-def _profit_sums(model: ModelId, d, params: Params, q):
-    """(pi_m, pi_r) from the decisions ``d`` and the segment masses ``q``."""
+def profit_parts(model: ModelId, d, params, variant: MrDemandVariant = MrDemandVariant.ADOPTED,
+                 q=None) -> list[tuple]:
+    """Each ``PROFIT_TERMS`` entry's (margin, segment mass, payer) at the decisions ``d``,
+    two affine functions of them; ``params`` is a ``Primitives`` record (a ``Params``
+    is one), and ``q``, the segment masses, is computed unless given."""
+    if q is None:
+        q = segment_masses(model, d.p_m, d.p_r, d.b_m, d.b_r, params.alpha, variant)
+    return [(_MARGINS[margin](d, params), q[segment - 1], payer)
+            for _, margin, payer, segment in PROFIT_TERMS[ModelId(model)]]
+
+
+def _profit_sums(parts):
+    """(pi_m, pi_r): each player's sum of margin * mass over its ``profit_parts``, in order."""
     pi = [None, None]
-    for _, margin, payer, segment in PROFIT_TERMS[model]:
+    for margin, mass, payer in parts:
         # each sum starts from its first term, not from 0 (0 + -0.0 is 0.0)
-        term = _MARGINS[margin](d, params) * q[segment - 1]
+        term = margin * mass
         pi[payer] = term if pi[payer] is None else pi[payer] + term
     return tuple(pi)
 
@@ -429,7 +437,7 @@ def make_equilibrium(model: ModelId, decisions: DecisionSet, params: Params,
         params=params,
         decisions=decisions,
         demands=demands,
-        profit=ProfitProfile(*_profit_sums(model, d, params, q)),
+        profit=ProfitProfile(*_profit_sums(profit_parts(model, d, params, q=q))),
         validity=_validity(d, params, demands),
         provenance=provenance,
         singularity_distance=singularity_distance,

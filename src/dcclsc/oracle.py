@@ -3,32 +3,25 @@
 Nothing in this module evaluates the closed-form equilibrium expressions or
 reads their poles: the singularity distance of a numeric equilibrium uses
 the game's own poles (``_POLES``).
-Segment masses enter the profits unclamped, so both players' profits are
-exactly quadratic in the decisions, and one call of the profit kernel on one
-central-difference stencil over all of the model's decisions identifies the
-game: both profits' exact gradients and Hessians. The stencil is centred at
-a given point or in a box (``_bounds``); its step is 1/8 of each variable's
-box width or of the point's own magnitude, whichever is larger, so its
-roundoff keeps to the decisions' scale at any cost level and near a pole.
-The rest is linear algebra on that model:
+
+Segment masses enter the profits unclamped, so each profit term is an
+affine margin times an affine mass (``market.profit_parts``), and both
+profits are exactly quadratic; ``_identify`` reads them from the parts at
+n + 2 points, with no step, box or cost scale. Gaussian elimination without
+row swaps (``_eliminate``) does the rest:
 
 1. zeroing the retailer's gradient in its own variables gives its best
-   response, an affine map y*(x) = y0 + K (x - x0) of the leader's variables;
-2. with Q = [I; K], the manufacturer's reduced profit has gradient
-   Q^T grad pi_m and Hessian Q^T H_m Q; one record (``_Game``) holds both
-   stages, and a stage that ``_negative_definite`` refuses raises NonConcave;
-3. the solve steps from the box centre to where both first-order conditions
-   hold, identifies the game again there and takes one clean-up step. The
-   box bounds no answer: the profits are quadratic, so a step from anywhere
-   lands on the stationary point.
+   response, an affine map y*(x) = y0 + K x of the leader's variables;
+2. with Q = [I; K], zeroing the leader's reduced gradient Q^T grad pi_m,
+   with Hessian Q^T H_m Q, gives the leader's decisions.
 
-The stationarity residuals and the second-order checks identify the game
-once at the point, the MR certification once per demand variant. Each
-model's stencil layout (``_layout``) is built once and reused by every
-identification, and a solve or an MR certification reads its box once for
-all of its identifications. A quadratic has at most one stationary point,
-so negative-definite Hessians at both stages also decide uniqueness; no
-restarts are needed.
+Each elimination's pivots are its stage's concavity verdict, and a stage
+that fails raises NonConcave; a quadratic has at most one stationary point,
+so both stages negative definite also decide uniqueness. The same code runs
+on floats and on Fractions (``stackelberg_decisions``, an exact solve on a
+``Primitives`` of Fractions). A solve, the residuals and the second-order
+checks identify the game once, the MR certification once per demand
+variant; only ``check_soc`` calls LAPACK, for its diagnostic eigenvalues.
 
 ``monte_carlo_demand`` simulates the discrete-choice model directly from the
 utility definitions and fixed tie-breaking rules, providing the independent
@@ -40,7 +33,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,7 +44,7 @@ from . import market
 from .errors import NonConcave, OutOfDomain, Violation
 from .market import DemandProfile, Equilibrium, MrDemandVariant, make_equilibrium, model_of
 from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, Params,
-                     is_finite_real, read_int, read_interval)
+                     Primitives, is_finite_real, read_int, read_interval, read_params)
 
 #: The game's own poles in alpha: the roots of the common denominators of its
 #: equilibria, alpha - 4 (M), 9 alpha - 2 (R) and 2 alpha^2 - 15 alpha + 4 (MR).
@@ -56,46 +52,16 @@ from .params import (ALL_DECISION_FIELDS, PLAYER_FIELDS, DecisionSet, ModelId, P
 _POLES = {ModelId.M: (4.0,), ModelId.R: (2.0 / 9.0,),
           ModelId.MR: ((15.0 - math.sqrt(193.0)) / 4.0, (15.0 + math.sqrt(193.0)) / 4.0)}
 
-#: Stencil step as a share of each variable's box width (0.5 on [-1, 3]) or of
-#: the stencil centre's magnitude, whichever is larger: any step is exact on a
-#: quadratic, one scaled to the box and the point keeps roundoff small.
-_STENCIL_SHARE = 0.125
-
-
-def _bounds(names: tuple[str, ...], params: Params,
-            box: Mapping[str, tuple[float, float]] | None = None) -> np.ndarray:
-    """(lo, hi) arrays of the named variables' box intervals.
-
-    A variable that ``box`` (an ``OracleConfig.leader_box``) leaves out takes
-    [-1, 3] scaled by (1 + c_m + s): equilibria grow with the unit cost and
-    the government subsidy (the figure presets reach p_r above 16), and the
-    first stencil's step keeps to their scale only if the box grows too.
-    """
-    scale = 1.0 + params.c_m + params.s
-    default = (-1.0 * scale, 3.0 * scale)
-    box = box or {}
-    return np.array([box.get(name, default) for name in names], dtype=float).T
-
-
 # bound by name in perfbench/workloads.py
 @dataclass(frozen=True)
 class OracleConfig:
-    """An explicit box for one :func:`solve_stackelberg_numeric` call; the package builds none.
+    """An explicit box for one :func:`solve_stackelberg_numeric` call, which reads none.
 
-    Parameters
-    ----------
-    leader_box : mapping of variable name to (lo, hi), optional
-        Intervals that set the first difference stencil only, centred in
-        the box with a step of 1/8 of each interval's width, and bound no
-        answer: the optimum may lie outside them. A variable the mapping
-        leaves out, such as a follower's, takes its default interval.
-        It must be a mapping, each name a decision variable and each
-        interval one that ``read_interval`` reads and wide enough that its
-        stencil step survives rounding at its centre; else one OutOfDomain
-        names every bad name and interval.
-    seed : int
-        Read by ``read_int`` (>= 0) and never used: the solver draws
-        nothing random.
+    Only the benchmark builds one. ``leader_box`` must be a mapping, each name
+    a decision variable and each interval one that ``read_interval`` reads
+    and wide enough that 1/8 of its width survives rounding at its centre;
+    else one OutOfDomain names every bad name and interval. ``seed`` is read
+    by ``read_int`` (>= 0) and never used.
     """
 
     leader_box: Mapping[str, tuple[float, float]] | None = None
@@ -123,10 +89,10 @@ def _read_box(box) -> dict[str, tuple[float, float]]:
         except OutOfDomain as exc:
             bad.extend(exc.violations)
             continue
-        centre, step = lo / 2.0 + hi / 2.0, _STENCIL_SHARE * (hi - lo)
+        centre, step = lo / 2.0 + hi / 2.0, (hi - lo) / 8.0
         if centre + step == centre or centre - step == centre:
             bad.append(Violation(name, interval, "too narrow: a stencil step of "
-                                 f"{_STENCIL_SHARE} of its width is lost to rounding at its centre"))
+                                 "0.125 of its width is lost to rounding at its centre"))
     if bad:
         raise OutOfDomain(bad)
     return out
@@ -134,13 +100,9 @@ def _read_box(box) -> dict[str, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class SocReport:
-    """Second-order-condition check of one equilibrium point.
-
-    Carries central-difference Hessian eigenvalues of the follower profit in
-    the follower variables and of the leader's reduced profit (follower
-    substituted) in the leader variables, each stage judged by the solver's
-    concavity rule, ``_negative_definite``.
-    """
+    """Second-order check of one equilibrium point: the pivot rule's verdicts
+    (``_eliminate``) on the follower's Hessian in its own variables and on the
+    leader's reduced Hessian, and the same Hessians' eigenvalues as diagnostics."""
 
     follower_hessian_eigs: tuple[float, ...]
     leader_reduced_hessian_eigs: tuple[float, ...]
@@ -151,159 +113,149 @@ class SocReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
-def _negative_definite(eigs: np.ndarray) -> bool:
-    """The oracle's one concavity rule: every eigenvalue below -1e-9 * max|eig|."""
-    return bool((eigs < -1e-9 * np.abs(eigs).max()).all())
+#: On floats every pivot must lie below -_PIVOT_SHARE * max |A_ij|. The
+#: answer's relative roundoff grows like eps * max |A_ij| / |pivot|, so this
+#: keeps it near 2e-8; the leader's last pivot crosses it between 1e-9 and
+#: 1e-10 above the R and MR poles.
+_PIVOT_SHARE = 1e-8
 
 
-#: Largest ratio max|profit| / max|second difference| on a stencil at which
-#: it still resolves the curvature: the roundoff of a difference,
-#: eps * max|profit|, stays below 1e-6 of the largest one.
-_RESOLVABLE = 1e-6 / float(np.finfo(float).eps)
+def _eliminate(A: list, B: list) -> tuple[list | None, list]:
+    """(X, pivots): X solves A X = B by Gauss-Jordan elimination without row swaps.
 
-
-@dataclass(frozen=True)
-class _Layout:
-    """One model's stencil layout, built once per model by ``_layout``; arrays read-only.
-
-    ``offsets``: the unit central-difference stencil over ``names`` (leader's
-    first): the origin, +e_i and -e_i for each i, then e_i + e_j, e_i - e_j,
-    -e_i + e_j and -e_i - e_j for each pair (``i``, ``j``), i < j. ``diag``
-    indexes the Hessian's diagonal, ``eye`` is Q's leader block, and
-    ``slots`` maps each ``profit_values`` decision to its column, or None.
+    A (a symmetric Hessian) and B are lists of rows, of floats or of
+    Fractions. A is negative definite iff every pivot is negative (Sylvester);
+    on floats each must lie below -``_PIVOT_SHARE`` * max |A_ij|, a scale no
+    eigenvalue exceeds by more than the order of A. X is None at the first
+    pivot that fails.
     """
+    rows = [a + b for a, b in zip(A, B)]
+    scale = max(map(abs, chain.from_iterable(A)))
+    bound = 0 if isinstance(scale, Fraction) else -_PIVOT_SHARE * scale
+    pivots = []
+    for i, row in enumerate(rows):
+        pivots.append(row[i])
+        if not row[i] < bound:
+            return None, pivots
+        for other in rows:
+            if other is not row and other[i]:
+                factor = other[i] / row[i]
+                other[i:] = [x - factor * y for x, y in zip(other[i:], row[i:])]
+    return [[x / row[i] for x in row[len(rows):]] for i, row in enumerate(rows)], pivots
 
-    leader: tuple[str, ...]
-    follower: tuple[str, ...]
-    names: tuple[str, ...]
-    offsets: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    diag: np.ndarray
-    eye: np.ndarray
-    slots: tuple[int | None, ...]
 
-
-@lru_cache(maxsize=None)
-def _layout(model: ModelId) -> _Layout:
-    leader, follower = PLAYER_FIELDS[model]
-    names = leader + follower
-    n = len(names)
-    unit = np.eye(n)
-    i, j = np.triu_indices(n, 1)
-    axes = np.stack([unit, -unit], axis=1).reshape(-1, n)
-    corners = np.stack([unit[i] + unit[j], unit[i] - unit[j], -unit[i] + unit[j],
-                        -unit[i] - unit[j]], axis=1).reshape(-1, n)
-    layout = _Layout(leader, follower, names, np.concatenate([np.zeros((1, n)), axes, corners]),
-                     i, j, np.arange(n), np.eye(len(leader)),
-                     tuple(names.index(f) if f in names else None for f in ALL_DECISION_FIELDS))
-    for array in (layout.offsets, i, j, layout.diag, layout.eye):
-        array.flags.writeable = False
-    return layout
+def _non_concave(stage: str, pivots: list) -> NonConcave:
+    shown = ", ".join(f"{float(p):.4g}" for p in pivots)
+    return NonConcave(f"{stage} not concave: its Hessian's eigenvalues are not all negative "
+                      f"(elimination pivots [{shown}])")
 
 
 @dataclass(frozen=True)
 class _Game:
-    """Both players' exact quadratic profits around ``z0`` (leader's variables first).
+    """Both players' quadratic profits at decisions 0, leader's variables first.
 
-    ``values``, ``grad`` and ``hess`` hold (pi_m, pi_r) and their gradients
-    and Hessians at z0. The retailer's best response is
-    y*(x) = z0_f + shift + K (x - z0_l), with Q = [I; K] and the eigenvalues
-    ``follower_eigs`` of its Hessian in its own variables. The leader's
-    reduced profit has gradient ``leader_grad`` (Q^T grad pi_m, taken at the
-    best response) and Hessian ``leader_hess`` (Q^T H_m Q).
+    ``values`` (2,), ``grad`` (2, n) and ``hess`` (2, n, n) hold (pi_m, pi_r)
+    and their gradients and Hessians, arrays of floats or of Fractions
+    (dtype object). The retailer's best response is y*(x) = shift + K x.
     """
 
     leader: tuple[str, ...]
     follower: tuple[str, ...]
-    z0: np.ndarray
     values: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     shift: np.ndarray
-    Q: np.ndarray
-    follower_eigs: np.ndarray
-    leader_grad: np.ndarray
-    leader_hess: np.ndarray
+    K: np.ndarray
 
     @cached_property
-    def leader_eigs(self) -> np.ndarray:
-        """Eigenvalues of ``leader_hess``, computed when a verdict first reads them."""
-        return np.linalg.eigvalsh(self.leader_hess)
+    def leader_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, c): the leader's reduced Hessian Q^T H_m Q and gradient at x = 0, Q = [I; K]."""
+        k, H, K = len(self.leader), self.hess[0], self.K
+        HQ, u = H[:, :k] + H[:, k:] @ K, self.grad[0] + H[:, k:] @ self.shift
+        return HQ[:k] + K.T @ HQ[k:], u[:k] + K.T @ u[k:]
 
-    def response(self, x: np.ndarray) -> np.ndarray:
-        """The retailer's best response to the leader point x."""
-        k = len(self.leader)
-        return self.z0[k:] + self.shift + (x - self.z0[:k]) @ self.Q[k:].T
+    def leader_point(self) -> tuple[np.ndarray | None, list]:
+        """(the leader's stationary decisions, or None where a pivot fails; the pivots)."""
+        L, c = self.leader_system
+        x, pivots = _eliminate(L.tolist(), (-c[:, None]).tolist())
+        return (None if x is None else np.array(x, L.dtype)[:, 0]), pivots
 
-    def stationary_point(self) -> np.ndarray:
-        """The point where both first-order conditions hold: the retailer's
-        gradient in its own variables and the leader's Q^T grad pi_m vanish."""
-        k, Q = len(self.leader), self.Q
-        jacobian = np.concatenate([Q.T @ self.hess[0], self.hess[1, k:]])
-        residual = np.concatenate([Q.T @ self.grad[0], self.grad[1, k:]])
-        return self.z0 - np.linalg.solve(jacobian, residual)
+    def at(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, gradients) of (pi_m, pi_r) at z. OutOfDomain unless the sum of
+        the quadratic forms' term magnitudes there is finite, which bounds every
+        partial sum of any evaluation of them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = self.grad + self.hess @ z
+            values = self.values + (self.grad + grads) @ z / 2
+            size = abs(self.values) + abs(self.grad) @ abs(z) + abs(z) @ abs(self.hess) @ abs(z)
+        if not size.max() < math.inf:
+            raise OutOfDomain.single("profit", float(max(size)),
+                                     "overflows in the game's quadratic form at the point")
+        return values, grads
 
 
-def _identify(model: ModelId, params: Params, centre: DecisionSet | None = None,
-              box: np.ndarray | None = None, variant=MrDemandVariant.ADOPTED) -> _Game:
-    """Identify the game from one evaluation of both profits on one stencil.
+@lru_cache(maxsize=None)
+def _design(model: ModelId, dtype: type):
+    """``_identify``'s read-only constants: points, cost factors, payers."""
+    names = sum(PLAYER_FIELDS[model], ())
+    unit = np.eye(len(names) + 2, dtype=dtype)
+    payers = unit[:2, :2][[payer for _, _, payer, _ in market.PROFIT_TERMS[model]]]
+    unit.flags.writeable = payers.flags.writeable = False
+    points = SimpleNamespace(**{**dict.fromkeys(ALL_DECISION_FIELDS), **dict(zip(names, unit[2:]))})
+    return points, unit[0], payers
 
-    ``box`` is the (lo, hi) arrays of the model's decisions, leader's first,
-    as ``_bounds`` reads them; None reads the default intervals. A caller
-    that identifies more than once reads its box once and passes it.
-    The stencil is centred at the decisions ``centre``, else at the box's
-    centre, z0, and steps 1/8 of max(box width, |z0|) in each variable, so
-    the step grows with a point far out near a pole; its layout comes
-    from ``_layout``, built once per model. Central differences are exact on
-    a quadratic up to roundoff. The retailer's best response has
-    shift = -H_ff^-1 g_f and K = -H_ff^-1 H_fl. This is the only place the
-    oracle evaluates a profit; ``variant`` matters for MR only.
 
-    Raises OutOfDomain when a profit, or a difference or gradient of the
-    profits, overflows on the stencil or the profits' roundoff swamps the
-    curvature, and NonConcave unless the retailer's Hessian in its own
-    variables is negative definite (relative to its largest eigenvalue);
-    that fails for model R at alpha <= 1/5 and for model MR at alpha <= 1/4.
+def _identify(model: ModelId, params, variant=MrDemandVariant.ADOPTED) -> _Game:
+    """Identify the game from one call of ``market.profit_parts`` on n + 2 points.
+
+    ``params`` is a primitive record of floats or of Fractions. Point 0, the
+    decisions 0 with its costs, gives each term's constants a0 and b0; point
+    1 (0) and point 2 + i (e_i), both with c_m = delta = s = 0, give its
+    slopes a and b, which read alpha only. The term a0 b0 + (a0 b + b0 a).z +
+    z.(a b^T).z adds to its payer's profit. Raises OutOfDomain when a value or
+    gradient at 0 overflows, and NonConcave unless the retailer's Hessian in
+    its own variables is negative definite (R: alpha > 1/5, MR: alpha > 1/4).
     """
-    layout = _layout(model)
-    k, n, diag, i, j = len(layout.leader), len(layout.names), layout.diag, layout.i, layout.j
-    lo, hi = _bounds(layout.names, params) if box is None else box
-    z0 = (lo / 2.0 + hi / 2.0 if centre is None
-          else np.array([getattr(centre, name) for name in layout.names], dtype=float))
-    step = _STENCIL_SHARE * np.maximum(hi - lo, np.abs(z0))
+    leader, follower = PLAYER_FIELDS[model]
+    k, dtype = len(leader), float if isinstance(params.alpha, float) else object
+    points, costs, payers = _design(model, dtype)
+    record = Primitives(params.alpha, params.c_m * costs, params.delta * costs, params.s * costs)
     with np.errstate(over="ignore", invalid="ignore"):
-        points = (z0 + step * layout.offsets).T
-        vals = np.array(market.profit_values(
-            model, *(None if slot is None else points[slot] for slot in layout.slots),
-            params, variant))
-        plus, minus = vals[:, 1:1 + 2 * n:2], vals[:, 2:1 + 2 * n:2]
-        hess = np.zeros((2, n, n))  # second differences first, in units of the step
-        hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
-        pp, pm, mp, mm = vals[:, 1 + 2 * n:].reshape(2, -1, 4).transpose(2, 0, 1)
-        hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / 4.0
-        grad = (plus - minus) / (2.0 * step)
-    size, curvature = np.abs(vals).max(axis=1), np.abs(hess).max(axis=(1, 2))
-    # every stencil value enters a second difference, so this also covers the profits
-    if not (np.isfinite(curvature).all() and np.isfinite(grad).all()):
-        raise OutOfDomain.single("profit", float(size.max()), "overflows on the difference stencil")
-    if (size / _RESOLVABLE > curvature).any():
-        raise OutOfDomain.single("profit", float(size.max()),
-                                 "too large to resolve its curvature with a difference "
-                                 f"step of {_STENCIL_SHARE} of each box width or |decision|")
-    hess /= step[:, None] * step
-    H_ff = hess[1, k:, k:]
-    eigs = np.linalg.eigvalsh(H_ff)
-    if not _negative_definite(eigs):
-        raise NonConcave(
-            f"retailer profit not concave in {', '.join(layout.follower)}: "
-            f"finite-difference Hessian eigenvalues {np.array2string(eigs, precision=4)}")
-    response = -np.linalg.solve(H_ff, np.concatenate([grad[1, k:, None], hess[1, k:, :k]], axis=1))
-    shift, Q = response[:, 0], np.concatenate([layout.eye, response[:, 1:]])
-    return _Game(leader=layout.leader, follower=layout.follower, z0=z0, values=vals[:, 0],
-                 grad=grad, hess=hess, shift=shift, Q=Q, follower_eigs=eigs,
-                 leader_grad=Q.T @ (grad[0] + hess[0][:, k:] @ shift),
-                 leader_hess=Q.T @ hess[0] @ Q)
+        parts = market.profit_parts(model, points, record, variant)
+        margin, mass = (np.array([part[i] for part in parts]) for i in (0, 1))
+        a, b = margin[:, 2:] - margin[:, 1:2], mass[:, 2:] - mass[:, 1:2]
+        values = (margin[:, 0] * mass[:, 0]) @ payers
+        grad = payers.T @ (margin[:, :1] * b + mass[:, :1] * a)
+        hess = (payers.T[:, :, None] * a).transpose(0, 2, 1) @ b
+        hess += hess.transpose(0, 2, 1)
+    if not abs(values).max() + abs(grad).max() < math.inf:
+        raise OutOfDomain.single("profit", float(abs(values).max()),
+                                 "overflows in the game's quadratic form at decisions 0")
+    H_r = hess[1]
+    response, pivots = _eliminate(H_r[k:, k:].tolist(),
+                                  np.column_stack([-grad[1, k:], -H_r[k:, :k]]).tolist())
+    if response is None:
+        raise _non_concave(f"retailer profit in {', '.join(follower)}", pivots)
+    response = np.array(response, dtype)
+    return _Game(leader, follower, values, grad, hess, response[:, 0], response[:, 1:])
+
+
+def stackelberg_decisions(model: ModelId, params,
+                          variant=MrDemandVariant.ADOPTED) -> dict[str, object]:
+    """The game's Stackelberg decisions, exact for a ``Primitives`` of Fractions.
+
+    Raises NonConcave when either stage has no interior maximum, and
+    OutOfDomain for a ``params`` that is not a ``Params`` or such a record,
+    or when a profit overflows at 0 or at the answer.
+    """
+    model, variant = market.require_variant(model, variant)
+    game = _identify(model, read_params(params, exact=True), variant)
+    x, pivots = game.leader_point()
+    if x is None:
+        raise _non_concave("leader reduced profit", pivots)
+    z = np.concatenate([x, game.shift + game.K @ x])
+    game.at(z)
+    return dict(zip(game.leader + game.follower, z.tolist()))
 
 
 # bound by name in perfbench/tracer.py LAYERS
@@ -313,9 +265,10 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
 
     ``leader_vars`` must be a mapping of exactly the leader's variables for
     the model, those of ``params.PLAYER_FIELDS``, each a finite real; one
-    OutOfDomain names every value that is not. The retailer's profit is the
-    same under both segment-3 variants. Raises NonConcave when the retailer
-    objective has no interior maximum.
+    OutOfDomain names every value that is not, or a ``params`` that is not a
+    ``Params``. The retailer's profit is the same under both segment-3
+    variants. Raises NonConcave when the retailer objective has no interior
+    maximum.
     """
     model = ModelId(model)
     leader, follower = PLAYER_FIELDS[model]
@@ -328,67 +281,44 @@ def best_response_retailer(model: ModelId, leader_vars: Mapping[str, float],
            if not is_finite_real(leader_vars[n])]
     if bad:
         raise OutOfDomain(bad)
-    x = np.array([leader_vars[n] for n in leader], dtype=float)
-    y = _identify(model, params).response(x)
-    return dict(zip(follower, map(float, y)))
+    game = _identify(model, read_params(params))
+    y = game.shift + game.K @ np.array([leader_vars[n] for n in leader], dtype=float)
+    return dict(zip(follower, y.tolist()))
 
 
 def solve_stackelberg_numeric(model: ModelId, params: Params,
                               cfg: OracleConfig | None = None) -> Equilibrium:
-    """Numeric Stackelberg equilibrium by backward induction.
+    """Numeric Stackelberg equilibrium: ``stackelberg_decisions`` on a ``Params``.
 
-    Both profits are exactly quadratic, so one identification at the centre
-    of a box and one linear solve of both players' first-order conditions
-    land on the equilibrium; a second identification at that point and one
-    clean-up solve remove the roundoff of the first. Deterministic for a
-    fixed ``cfg``; only an explicit one (an :class:`OracleConfig`) sets
-    another box than the default. The box bounds no answer: just above a
-    pole (2/9 for R, 0.276889 for MR) the optimum lies far outside it and
-    is returned, and from about 1e-10 above it the leader's concavity rule
-    refuses it (NonConcave).
-
-    Raises
-    ------
-    NonConcave
-        when either stage's objective has no interior maximum.
-    OutOfDomain
-        when ``cfg`` is neither None nor an OracleConfig, or the parameters
-        are so large that a profit overflows or its curvature is lost to
-        roundoff.
+    ``cfg`` (None or an :class:`OracleConfig`) changes nothing. Just above a
+    pole (2/9 for R, 0.276889 for MR) the far-out optimum is returned; from
+    about 1e-10 above it the leader's pivot rule refuses it (NonConcave).
+    Raises as ``stackelberg_decisions`` does, and OutOfDomain for another ``cfg``.
     """
     model = ModelId(model)
     if cfg is not None and not isinstance(cfg, OracleConfig):
         raise OutOfDomain.single("cfg", cfg, "must be None or an OracleConfig")
-    layout = _layout(model)
-    box = _bounds(layout.names, params, None if cfg is None else cfg.leader_box)  # read once
-    decisions = None
-    for _ in range(2):  # the Newton step, then the clean-up step
-        game = _identify(model, params, decisions, box)
-        if not _negative_definite(game.leader_eigs):
-            raise NonConcave(
-                "leader reduced profit not concave: finite-difference Hessian "
-                f"eigenvalues {np.array2string(game.leader_eigs, precision=4)}")
-        decisions = DecisionSet(model=model, **dict(zip(layout.names, game.stationary_point())))
+    decisions = DecisionSet(model=model, **stackelberg_decisions(model, read_params(params)))
     return make_equilibrium(model, decisions, params, "numeric_oracle",
                             min(abs(params.alpha - pole) for pole in _POLES[model]))
 
 
 def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
-    """Second-order conditions at an equilibrium point.
+    """Second-order conditions at an equilibrium point, from one identification.
 
-    One identification at the point gives the follower's Hessian and the
-    leader's reduced Hessian, each judged by the solver's concavity rule.
     Raises OutOfDomain unless ``model`` and ``params`` are the equilibrium's,
-    and NonConcave when the retailer has no best response to substitute.
+    and NonConcave when the retailer has no best response to substitute (so
+    the follower's verdict is always True).
     """
     model = model_of(model, eq.decisions)
     if params != eq.params:
         shown = params.as_dict() if isinstance(params, Params) else params
         raise OutOfDomain.single("params", shown, f"the equilibrium is at {eq.params.as_dict()}")
-    game = _identify(model, params, eq.decisions)
-    eig_f, eig_l = game.follower_eigs, game.leader_eigs
-    return SocReport(tuple(map(float, eig_f)), tuple(map(float, eig_l)),
-                     _negative_definite(eig_f), _negative_definite(eig_l))
+    game = _identify(model, params)
+    k = len(game.leader)
+    eig_f, eig_l = (tuple(np.linalg.eigvalsh(A).tolist())
+                    for A in (game.hess[1][k:, k:], game.leader_system[0]))
+    return SocReport(eig_f, eig_l, True, game.leader_point()[0] is not None)
 
 
 @dataclass(frozen=True)
@@ -426,10 +356,12 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
     ``_MC_BLOCK`` pairs, which moves no draw, and every block is drawn and
     classified in one workspace allocated per call (sliced for a partial
     last block). Raises OutOfDomain for an ``n`` (>= 1) or ``seed`` (>= 0)
-    that ``read_int`` refuses, or a ``model`` that is not the decisions' own.
+    that ``read_int`` refuses, decisions that are not a ``DecisionSet`` of
+    ``model``, or a ``params`` that is not a ``Params``.
     """
     n, seed = read_int("n", n, 1), read_int("seed", seed, 0)
-    model_of(model, decisions)
+    _read_point(model, decisions)
+    params = read_params(params)
     size = min(_MC_BLOCK, n)
     draws, (utils, flags) = np.empty((size, 2)), market.choice_workspace(size)
     counts = [0] * 4
@@ -448,6 +380,13 @@ def monte_carlo_demand(model: ModelId, decisions: DecisionSet, params: Params,
                             n=n, seed=seed)
 
 
+def _read_point(model: ModelId, decisions: DecisionSet) -> ModelId:
+    """The model of ``decisions``, a ``DecisionSet`` of ``model``; else OutOfDomain."""
+    if not isinstance(decisions, DecisionSet):
+        raise OutOfDomain.single("decisions", decisions, "must be a DecisionSet")
+    return model_of(model, decisions)
+
+
 def stationarity_residuals(model: ModelId, decisions: DecisionSet,
                            params: Params) -> dict[str, float]:
     """Scaled first-order residuals of a candidate equilibrium point.
@@ -455,20 +394,24 @@ def stationarity_residuals(model: ModelId, decisions: DecisionSet,
     Partials of the retailer profit in the follower's variables and of the
     leader's reduced profit (follower at its best response) in the leader's
     variables, divided by max(1, |profit|) at the point; one identification
-    at the point gives all of them. All residuals vanish at a true interior
-    Stackelberg solution. Raises OutOfDomain for another model than the
-    decisions', and NonConcave when the retailer has no best response.
+    gives all of them. All vanish at a true interior Stackelberg solution.
+    Raises OutOfDomain for decisions that are not a ``DecisionSet`` of
+    ``model``, another ``params``, or a profit that overflows at the point,
+    and NonConcave when the retailer has no best response.
     """
-    model = model_of(model, decisions)
-    return _residuals(_identify(model, params, decisions))
+    model = _read_point(model, decisions)
+    return _residuals(_identify(model, read_params(params)), decisions)
 
 
-def _residuals(game: _Game) -> dict[str, float]:
-    scale_m, scale_r = (max(1.0, abs(float(v))) for v in game.values)
-    out = {f"follower:{n}": abs(float(g)) / scale_r
-           for n, g in zip(game.follower, game.grad[1, len(game.leader):])}
-    out.update({f"leader:{n}": abs(float(g)) / scale_m
-                for n, g in zip(game.leader, game.leader_grad)})
+def _residuals(game: _Game, decisions: DecisionSet) -> dict[str, float]:
+    k = len(game.leader)
+    z = np.array([getattr(decisions, name) for name in game.leader + game.follower])
+    values, grads = game.at(z)
+    L, c = game.leader_system
+    scale_m, scale_r = np.maximum(1.0, abs(values)).tolist()
+    out = {f"follower:{n}": g / scale_r for n, g in zip(game.follower, abs(grads[1, k:]).tolist())}
+    out.update({f"leader:{n}": g / scale_m
+                for n, g in zip(game.leader, abs(c + L @ z[:k]).tolist())})
     return out
 
 
@@ -484,20 +427,20 @@ def certify_mr_variant(decisions: DecisionSet, params: Params) -> str:
     (alpha <= 1/4) or "leader_non_concave" (the leader's reduced profit
     under the adopted variant is not concave, alpha up to 0.27689). The
     verdict is a deterministic function of (decisions, params); it takes
-    one identification per variant. Raises OutOfDomain for decisions of
-    another model.
+    one identification per variant. Raises OutOfDomain for decisions that are
+    not an MR ``DecisionSet`` or a ``params`` that is not a ``Params``.
     """
-    model_of(ModelId.MR, decisions)
-    box = _bounds(_layout(ModelId.MR).names, params)  # read once, for both variants
+    _read_point(ModelId.MR, decisions)
+    params = read_params(params)
     passing = []
     for variant in (MrDemandVariant.ADOPTED, MrDemandVariant.AS_PRINTED):
         try:
-            game = _identify(ModelId.MR, params, decisions, box, variant)
+            game = _identify(ModelId.MR, params, variant)
         except NonConcave:
             return "follower_non_concave"
-        if variant is MrDemandVariant.ADOPTED and not _negative_definite(game.leader_eigs):
+        if variant is MrDemandVariant.ADOPTED and game.leader_point()[0] is None:
             return "leader_non_concave"
-        if max(_residuals(game).values()) <= STATIONARITY_TOL:
+        if max(_residuals(game, decisions).values()) <= STATIONARITY_TOL:
             passing.append(variant.value)
     if not passing:
         return "none"

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -159,6 +161,21 @@ class Params:
             "delta": self.delta,
             "s": self.s,
         }
+
+
+#: What the kernels read of the parameters, on any number type. A ``Params``
+#: serves as one; an exact solve passes one of Fractions.
+Primitives = namedtuple("Primitives", "alpha c_m delta s")
+
+
+def read_params(value, exact: bool = False):
+    """``value`` if a ``Params`` (or with ``exact`` a ``Primitives`` of Fractions), else
+    OutOfDomain."""
+    if isinstance(value, Params) or (exact and isinstance(value, Primitives)
+                                     and all(isinstance(v, Fraction) for v in value)):
+        return value
+    raise OutOfDomain.single("params", value, "must be a Params"
+                             + (" or a Primitives of Fractions" if exact else ""))
 
 
 def is_finite_real(value) -> bool:

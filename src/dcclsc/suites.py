@@ -25,7 +25,7 @@ from .market import MrDemandVariant
 from .params import ALL_DECISION_FIELDS, DecisionSet, ModelId, Params, read_int
 
 # bound by name in perfbench/workloads.py
-#: A fixed stencil box, [-1, 3] in every variable; nothing in the package reads it.
+#: A box of [-1, 3] in every variable; nothing in the package reads it.
 WIDE_BOX = dict.fromkeys(ALL_DECISION_FIELDS, (-1.0, 3.0))
 
 #: Figure sweep parameter presets: (model, alpha_from, alpha_to, c_m, c_r, s).
@@ -124,7 +124,7 @@ ORACLE_TOL = 1e-3
 
 @_suite
 def suite_oracle(samples: int = 100, seed: int = 42) -> RunReport:
-    """Closed form vs numeric backward induction, at its default stencil, for models M and R.
+    """Closed form vs numeric backward induction for models M and R.
 
     Relative deviation per decision variable must stay within ``ORACLE_TOL``
     on every draw.

@@ -57,15 +57,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("fmt,calls", [("json", 2), ("csv", 0)])
     def test_only_json_certifies(self, capsys, monkeypatch, fmt, calls):
-        # the CSV row has no verdict column, so it costs no certification
+        # the CSV row has no verdict column, so it costs no certification:
+        # no identification, one parts-kernel call on more than one point
         seen = []
-        kernel = market.profit_values
+        kernel = market.profit_parts
 
         def counting(*args, **kwargs):
-            seen.append(args)
-            return kernel(*args, **kwargs)
+            out = kernel(*args, **kwargs)
+            seen.extend([out] if np.size(out[0][0]) > 1 else [])
+            return out
 
-        monkeypatch.setattr(market, "profit_values", counting)
+        monkeypatch.setattr(market, "profit_parts", counting)
         code, _, _ = run(capsys, "solve", "--model", "mr", "--alpha", "0.6", "--cm", "1",
                          "--cr", "0.5", "--s", "0.2", "--format", fmt)
         assert code == 0
@@ -241,13 +243,14 @@ class TestSolve:
     def test_stencil_differences_beyond_float_range_are_a_domain_error(self, capsys, command):
         # profits just below the float limit: once RuntimeWarnings and a
         # LinAlgError traceback (m, r), or exit 0 with a false
-        # "follower_non_concave" verdict at alpha 0.75 (mr)
+        # "follower_non_concave" verdict at alpha 0.75 (mr); the quadratic
+        # form's curvature terms at the point overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "solve", *command.split())
         assert (code, out) == (1, "")
         assert err.startswith("error: profit=") and err.count("\n") == 1
-        assert "overflows on the difference stencil" in err
+        assert "overflows in the game's quadratic form" in err
 
     @pytest.mark.parametrize("model, alpha", [("r", "0.2225"), ("mr", "0.277"), ("mr", "0.28")])
     def test_verify_just_above_a_pole_answers(self, capsys, model, alpha):

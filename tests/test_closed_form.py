@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -331,6 +332,25 @@ class TestRefusal:
         with pytest.raises(OutOfDomain) as exc:
             decision_values(ModelId.M, np.array([0.3, 0.5, 0.7]), 1.0, 0.5, 0.2)
         assert [(v.field, v.value) for v in exc.value.violations] == [("w", np.inf)]
+
+    @pytest.mark.parametrize("value", [Decimal("0.5"), "0.5", None, 10 ** 400, True],
+                             ids=["decimal", "str", "none", "huge_int", "bool"])
+    @pytest.mark.parametrize("position", range(4))
+    def test_primitive_that_is_not_a_number_is_refused(self, value, position):
+        # once TypeError (a Decimal, a str, None) or OverflowError (an int
+        # beyond float range) from the arithmetic, under warnings as errors
+        args = [0.6, 1.0, 0.5, 0.2]
+        args[position] = value
+        field = ("alpha", "c_m", "delta", "s")[position]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain) as exc:
+                decision_values(ModelId.M, *args)
+            if position == 0:
+                with pytest.raises(OutOfDomain) as twin:
+                    singularity_distance(ModelId.R, value)
+                assert str(twin.value) == str(exc.value)
+        assert str(exc.value) == f"{field}={value!r} violates: must be a finite real or a Fraction"
 
     def test_fractions_stay_exact_beyond_float_range(self):
         values = decision_values(ModelId.M, Fraction(1, 2), Fraction(10) ** 400, Fraction(1),

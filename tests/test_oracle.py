@@ -32,10 +32,11 @@ from dcclsc.closed_form import (
     decision_values,
     equilibrium_m,
     equilibrium_r,
+    limits,
     retailer_reaction_m,
 )
 from dcclsc.oracle import best_response_retailer, sample_params
-from dcclsc.params import PLAYER_FIELDS
+from dcclsc.params import PLAYER_FIELDS, Primitives
 
 # true joint-model equilibrium under the adopted demand variant at
 # (alpha=0.6, c_m=1, c_r=0.5, s=0.2), frozen from an exact rational solve
@@ -44,6 +45,12 @@ GOLDEN_MR_EXACT = {"p_m": Fraction(1081, 1070), "p_r": Fraction(1587, 1070),
                    "w": Fraction(259, 214), "b_m": Fraction(38, 107),
                    "b_r": Fraction(45, 107), "t": Fraction(38, 107)}
 GOLDEN_MR_TRUE = {name: float(value) for name, value in GOLDEN_MR_EXACT.items()}
+
+
+def _exact(p: Params) -> Primitives:
+    """The primitive record of ``p``'s floats, read exactly as Fractions."""
+    return Primitives(Fraction(p.alpha), Fraction(p.c_m), Fraction(p.c_m) - Fraction(p.c_r),
+                      Fraction(p.s))
 
 WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
@@ -147,8 +154,12 @@ class TestStackelbergSolve:
 
     @pytest.mark.parametrize("case", ["solve", "certify", "soc", "residuals", "solve_verify"])
     def test_mr_solve_profit_point_budget(self, case, params_mr, monkeypatch):
-        # a hardware-independent cost gate: profit-kernel calls and points
-        calls = {"solve": 3, "certify": 2, "soc": 1, "residuals": 1, "solve_verify": 6}[case]
+        # a hardware-independent cost gate: each identification is one call
+        # of the parts kernel on n + 2 = 8 points (0 with the costs, 0 and the
+        # six unit vectors without), and a solve or a check makes one, a
+        # certification one per variant; make_equilibrium's calls are scalar
+        identifications = {"solve": 1, "certify": 2, "soc": 1, "residuals": 1,
+                           "solve_verify": 3}[case]
         numeric = solve_stackelberg_numeric(ModelId.MR, params_mr)
         run = {
             "solve": lambda: solve_stackelberg_numeric(ModelId.MR, params_mr),
@@ -160,43 +171,45 @@ class TestStackelbergSolve:
                                           "--cr", "0.5", "--s", "0.2", "--verify"]),
         }[case]
         points = []
-        kernel = market.profit_values
+        kernel = market.profit_parts
 
         def counting(*args, **kwargs):
             out = kernel(*args, **kwargs)
-            points.append(np.size(out[0]))
+            points.append(np.size(out[0][0]))
             return out
 
-        monkeypatch.setattr(market, "profit_values", counting)
+        monkeypatch.setattr(market, "profit_parts", counting)
         with contextlib.redirect_stdout(io.StringIO()):
             run()
-        assert 0 < len(points) <= calls
-        assert max(points) <= 73  # one stencil over the six MR decisions: 1 + 12 + 60
+        assert [n for n in points if n > 1] == [8] * identifications
+        assert set(points) <= {1, 8}
 
     @pytest.mark.parametrize("case", ["M", "R", "MR", "certify", "check_soc", "residuals"])
     def test_box_read_and_lapack_call_budget(self, case, params_mr, monkeypatch):
         # a hardware-independent cost gate: a solve, a check or a certification
-        # reads its box once for all of its identifications and builds no
-        # OracleConfig (once each built one), and each identification makes
-        # at most two eigendecompositions and two linear solves
+        # builds no OracleConfig and makes no numpy.linalg call (once each
+        # identification made up to two eigendecompositions and two linear
+        # solves); check_soc alone asks for the two Hessians' eigenvalues
         eq = equilibrium(ModelId.MR, params_mr)
-        calls = dict.fromkeys(("_bounds", "__post_init__", "eigvalsh", "solve"), 0)
+        calls = {"OracleConfig": 0}
 
         def counting(name, function):
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[name] = calls.get(name, 0) + 1
                 return function(*args, **kwargs)
             return counted
 
-        for owner, name in ((oracle, "_bounds"), (OracleConfig, "__post_init__"),
-                            (np.linalg, "eigvalsh"), (np.linalg, "solve")):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        monkeypatch.setattr(OracleConfig, "__post_init__",
+                            counting("OracleConfig", OracleConfig.__post_init__))
+        for name in np.linalg.__all__:
+            function = getattr(np.linalg, name)
+            if callable(function) and not isinstance(function, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, function))
         {"certify": lambda: certify_mr_variant(eq.decisions, params_mr),
          "check_soc": lambda: check_soc(ModelId.MR, eq, params_mr),
          "residuals": lambda: stationarity_residuals(ModelId.MR, eq.decisions, params_mr),
          }.get(case, lambda: solve_stackelberg_numeric(ModelId(case), params_mr))()
-        assert (calls["_bounds"], calls["__post_init__"]) == (1, 0)
-        assert 0 < calls["eigvalsh"] <= 4 and 0 < calls["solve"] <= 4
+        assert calls == {"OracleConfig": 0, **({"eigvalsh": 2} if case == "check_soc" else {})}
 
     @pytest.mark.parametrize("cfg", ["x", {"leader_box": None}, WIDE_BOX, 0], ids=repr)
     def test_cfg_that_is_not_an_oracle_config_is_refused(self, params_m, cfg):
@@ -302,32 +315,43 @@ class TestStackelbergSolve:
     @pytest.mark.parametrize("model, c_m, s", [(ModelId.R, 1e300, 1e300), (ModelId.M, 1e160, 0.0)])
     def test_profit_beyond_float_range_is_refused(self, model, c_m, s):
         # the solver's own refusal, independent of the closed form's
-        with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
+        with pytest.raises(OutOfDomain, match="profit=.*overflows in the game's quadratic form"):
             solve_stackelberg_numeric(model, Params(alpha=0.5, c_m=c_m, c_r=1.0, s=s))
 
     def test_differences_beyond_float_range_are_refused(self):
         # profits just below the float limit: once their second differences
         # overflowed to inf and NaN outside the errstate block, warned, and
-        # passed the curvature test into LAPACK
+        # passed the curvature test into LAPACK; now the quadratic form's
+        # gradient term at the point overflows, without a warning
         p = Params(alpha=0.5, c_m=1e154, c_r=1.0, s=0.0)
         d = equilibrium(ModelId.M, p).decisions
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
+            with pytest.raises(OutOfDomain,
+                               match="profit=.*overflows in the game's quadratic form"):
                 stationarity_residuals(ModelId.M, d, p)
 
-    @pytest.mark.parametrize("box", [(1e308, 1.7e308), (-1.7e308, -1e308)])
-    def test_box_centre_beyond_float_range_is_refused(self, params_m, box):
-        # once numpy's overflow RuntimeWarning on the centre (lo + hi) / 2;
-        # the profit there overflows, so the stencil refuses it
-        with pytest.raises(OutOfDomain, match="profit=.*overflows on the difference stencil"):
-            solve_stackelberg_numeric(ModelId.M, params_m, OracleConfig(leader_box={"p_m": box}))
+    @pytest.mark.parametrize("box", [{"p_m": (1e308, 1.7e308)}, {"p_m": (-1.7e308, -1e308)},
+                                     WIDE_BOX, {"p_m": (-1.0, 0.5)}, {"t": (100.0, 101.0)}])
+    def test_explicit_box_changes_no_bit(self, params_mr, box):
+        # the solver reads no box: once a box set the first difference
+        # stencil, and the first two ended in "overflows on the difference stencil"
+        cfg = OracleConfig(leader_box=box)
+        for model in ModelId:
+            plain = solve_stackelberg_numeric(model, params_mr)
+            assert solve_stackelberg_numeric(model, params_mr, cfg) == plain
 
-    def test_curvature_lost_to_roundoff_is_refused(self):
-        # a fixed box at a cost of 1e10: the stencil's profits dwarf its second differences
-        p = Params(alpha=0.5, c_m=1e10, c_r=5e9, s=0.0)
-        with pytest.raises(OutOfDomain, match="too large to resolve its curvature"):
-            solve_stackelberg_numeric(ModelId.M, p, OracleConfig(leader_box=WIDE_BOX))
+    @pytest.mark.parametrize("model", list(ModelId))
+    @pytest.mark.parametrize("c_m", [1e10, 1e16], ids=["1e10", "1e16"])
+    def test_huge_costs_match_the_exact_solve(self, model, c_m):
+        # the Hessians read alpha only, so no cost level loses the curvature:
+        # once a cost of 1e10 was refused as "too large to resolve its curvature"
+        p = Params(alpha=0.5, c_m=c_m, c_r=c_m / 2.0, s=0.0)
+        num = solve_stackelberg_numeric(model, p).decisions.as_dict()
+        exact = oracle.stackelberg_decisions(model, _exact(p))
+        scale = max(abs(v) for v in exact.values())
+        for name, value in exact.items():
+            assert abs(Fraction(num[name]) - value) <= Fraction(1e-12) * scale, name
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     def test_mr_singularity_distance_is_the_games(self, alpha):
@@ -338,15 +362,69 @@ class TestStackelbergSolve:
     def test_as_printed_variant_is_ill_posed(self):
         # the segment-3 "1 - gap" variant makes the leader's reduced profit
         # convex along b_m: its curvature there is 2(1 - kappa)/(1 - alpha) > 0,
-        # with kappa = alpha(1 - 2 alpha)/(1 - 4 alpha) the slope of b_r* in b_m
+        # with kappa = alpha(1 - 2 alpha)/(1 - 4 alpha) the slope of b_r* in b_m;
+        # exact on Fractions, and within roundoff on floats
         b_m = PLAYER_FIELDS[ModelId.MR][0].index("b_m")
-        for alpha in (0.26, 0.3, 0.45, 0.6, 0.9):
-            game = oracle._identify(ModelId.MR, Params(alpha=alpha, c_m=1.0, c_r=0.5, s=0.2),
-                                    variant=MrDemandVariant.AS_PRINTED)
+        for alpha in (Fraction(26, 100), Fraction(3, 10), Fraction(45, 100), Fraction(3, 5),
+                      Fraction(9, 10)):
+            p = Params(alpha=float(alpha), c_m=1.0, c_r=0.5, s=0.2)
             kappa = alpha * (1 - 2 * alpha) / (1 - 4 * alpha)
             curvature = 2 * (1 - kappa) / (1 - alpha)
             assert curvature > 0
-            assert game.leader_hess[b_m, b_m] == pytest.approx(curvature, rel=1e-9), alpha
+            exact = oracle._identify(ModelId.MR, Primitives(alpha, Fraction(1), Fraction(1, 2),
+                                                            Fraction(1, 5)),
+                                     MrDemandVariant.AS_PRINTED)
+            assert exact.leader_system[0][b_m, b_m] == curvature, alpha
+            game = oracle._identify(ModelId.MR, p, MrDemandVariant.AS_PRINTED)
+            assert game.leader_system[0][b_m, b_m] == pytest.approx(curvature, rel=1e-12), alpha
+            with pytest.raises(NonConcave, match="leader"):
+                oracle.stackelberg_decisions(ModelId.MR, p, MrDemandVariant.AS_PRINTED)
+
+
+class TestExactSolve:
+    """The solver's one code path on Fractions: an exact solve."""
+
+    def test_golden_mr_point(self):
+        exact = oracle.stackelberg_decisions(
+            ModelId.MR, Primitives(Fraction(3, 5), Fraction(1), Fraction(1, 2), Fraction(1, 5)))
+        assert exact == GOLDEN_MR_EXACT
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return [(p, {model: oracle.stackelberg_decisions(model, _exact(p)) for model in ModelId})
+                for p in sample_params(300, 11)]
+
+    def test_equals_the_published_m_and_r_expressions(self, draws):
+        # the published M and R expressions are the game's solution, exactly
+        for p, exact in draws:
+            for model in (ModelId.M, ModelId.R):
+                assert exact[model] == decision_values(model, *_exact(p)), (model, p)
+
+    def test_float_solve_is_within_roundoff_of_the_exact_one(self, draws):
+        for p, exact in draws:
+            for model, values in exact.items():
+                num = solve_stackelberg_numeric(model, p).decisions.as_dict()
+                scale = max(abs(v) for v in values.values())
+                for name, value in values.items():
+                    assert abs(Fraction(num[name]) - value) <= Fraction(1e-12) * scale, (model, p)
+
+    def test_stage_named_at_alpha_one_fifth(self):
+        # alpha = 0.2 is the float just above R's follower bound 1/5: exactly,
+        # the retailer is concave there and the leader (below 2/9) is not; in
+        # floats the retailer's pivot is roundoff, below the pivot rule's share
+        p = Params(alpha=0.2, c_m=1.0, c_r=0.5, s=0.2)
+        with pytest.raises(NonConcave, match="^leader reduced profit not concave"):
+            oracle.stackelberg_decisions(ModelId.R, _exact(p))
+        with pytest.raises(NonConcave, match="^retailer profit in p_r, b_r not concave"):
+            solve_stackelberg_numeric(ModelId.R, p)
+
+    @pytest.mark.parametrize("params", [Primitives(0.6, 1.0, 0.5, 0.2), (0.6, 1.0, 0.5, 0.2),
+                                        None], ids=["float record", "tuple", "none"])
+    def test_record_that_is_neither_is_refused(self, params):
+        with pytest.raises(OutOfDomain) as exc:
+            oracle.stackelberg_decisions(ModelId.M, params)
+        assert str(exc.value) == (f"params={params!r} violates: "
+                                  "must be a Params or a Primitives of Fractions")
 
 
 class TestSecondOrderConditions:
@@ -556,6 +634,48 @@ class TestOwnModel:
             check_soc(ModelId.M, eq, params)
         assert str(exc.value) == (f"params={params!r} violates: "
                                   f"the equilibrium is at {eq.params.as_dict()!r}")
+
+
+_ENTRIES = {
+    "solve_stackelberg_numeric": lambda p: solve_stackelberg_numeric(ModelId.M, p),
+    "stationarity_residuals": lambda p: stationarity_residuals(
+        ModelId.M, _OWN[ModelId.M].decisions, p),
+    "certify_mr_variant": lambda p: certify_mr_variant(_OWN[ModelId.MR].decisions, p),
+    "best_response_retailer": lambda p: best_response_retailer(
+        ModelId.M, {"p_m": 0.5, "w": 0.5, "b_m": 0.1}, p),
+    "monte_carlo_demand": lambda p: monte_carlo_demand(ModelId.M, _OWN[ModelId.M].decisions, p,
+                                                       n=10, seed=0),
+    "limits": lambda p: limits(ModelId.M, p),
+}
+
+
+class TestParamsReader:
+    """Every entry point reads its ``params`` through ``params.read_params``."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("params", [None, {"alpha": 0.6}, 3, (0.6, 1.0, 0.5, 0.2)],
+                             ids=["none", "dict", "int", "tuple"])
+    def test_params_that_are_not_params_are_refused(self, entry, params):
+        # once AttributeError (for all but check_soc, which names the value
+        # as not the equilibrium's), under warnings as errors as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain) as exc:
+                _ENTRIES[entry](params)
+        assert str(exc.value) == f"params={params!r} violates: must be a Params"
+
+    @pytest.mark.parametrize("entry", ["certify", "residuals", "monte_carlo"])
+    @pytest.mark.parametrize("decisions", [None, {"p_m": 0.5}], ids=["none", "dict"])
+    def test_decisions_that_are_not_a_decision_set_are_refused(self, entry, decisions):
+        # once AttributeError from model_of
+        p = _OWN[ModelId.MR].params
+        call = {"certify": lambda: certify_mr_variant(decisions, p),
+                "residuals": lambda: stationarity_residuals(ModelId.MR, decisions, p),
+                "monte_carlo": lambda: monte_carlo_demand(ModelId.MR, decisions, p, n=10,
+                                                          seed=0)}[entry]
+        with pytest.raises(OutOfDomain) as exc:
+            call()
+        assert str(exc.value) == f"decisions={decisions!r} violates: must be a DecisionSet"
 
 
 class TestSampling:
