@@ -15,7 +15,6 @@ expressions are not the solution of the stated game.
 
 from fractions import Fraction
 
-
 from dcclsc import (
     ModelId,
     Params,

@@ -184,9 +184,11 @@ def equilibrium(model: ModelId, params: Params,
 
     Reads ``variant``, refused outside MR, where the outcome is computed under
     it; raises Singularity within ``DEFAULT_GUARD`` of a denominator root of
-    alpha, then refuses as :func:`decision_values` does.
+    alpha, then refuses as :func:`decision_values` does, and OutOfDomain for a
+    ``params`` that is not a ``Params``.
     """
     model, variant = require_variant(model, variant)
+    params = read_params(params)
     dist = singularity_distance(model, params.alpha)
     if dist < DEFAULT_GUARD:
         raise Singularity(f"model {model.value} closed form", params.alpha, dist, DEFAULT_GUARD)

@@ -306,10 +306,13 @@ def solve_stackelberg_numeric(model: ModelId, params: Params,
 def check_soc(model: ModelId, eq: Equilibrium, params: Params) -> SocReport:
     """Second-order conditions at an equilibrium point, from one identification.
 
-    Raises OutOfDomain unless ``model`` and ``params`` are the equilibrium's,
-    and NonConcave when the retailer has no best response to substitute (so
-    the follower's verdict is always True).
+    Raises OutOfDomain for an ``eq`` that is not an ``Equilibrium`` and unless
+    ``model`` and ``params`` are the equilibrium's, and NonConcave when the
+    retailer has no best response to substitute (so the follower's verdict is
+    always True).
     """
+    if not isinstance(eq, Equilibrium):
+        raise OutOfDomain.single("eq", eq, "must be an Equilibrium")
     model = model_of(model, eq.decisions)
     if params != eq.params:
         shown = params.as_dict() if isinstance(params, Params) else params

@@ -100,8 +100,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("preset", ["fig3", "fig4"])
     def test_verify_at_figure_parameters(self, capsys, preset):
-        # the default search box scales with the costs, so the first stencil
-        # keeps to the scale of the figures' costly decisions
+        # the figures' costly parameters solve: the solver reads no step or
+        # box that scales with the costs
         model, lo, hi, c_m, c_r, s = FIGURE_PRESETS[preset]
         for alpha in (lo, 0.5, hi):
             code, out, _ = run(capsys, "solve", "--model", model.value,
@@ -971,7 +971,7 @@ class TestSuiteInternals:
         assert report.as_dict()["ok"] is True
 
     def test_oracle_suite_default_run_agrees_at_roundoff(self):
-        # the run of verify oracle: the default stencil solves every draw at
+        # the run of verify oracle: the solver solves every draw at
         # roundoff, and the report echoes no box or seed of the solver
         report = suite_oracle()
         assert float(report.findings[0].split()[3]) < 1e-12

@@ -52,6 +52,7 @@ def _exact(p: Params) -> Primitives:
     return Primitives(Fraction(p.alpha), Fraction(p.c_m), Fraction(p.c_m) - Fraction(p.c_r),
                       Fraction(p.s))
 
+
 WIDE_BOX = {k: (-1.0, 3.0) for k in ("p_m", "p_r", "w", "b_m", "b_r", "t")}
 
 _CHUNK, _BLOCK = 1 << 18, oracle._MC_BLOCK
@@ -252,9 +253,8 @@ class TestStackelbergSolve:
         assert a.decisions == b.decisions  # bit-identical
 
     def test_box_excluding_the_optimum_does_not_bound_the_answer(self, params_m):
-        # golden p_m* is about 0.648, outside each p_m interval; the box sets
-        # the first stencil only (a variable the mapping leaves out takes its
-        # default interval), and once the solve raised BoxBoundary here
+        # golden p_m* is about 0.648, outside each p_m interval; the solver
+        # reads no box, and once the solve raised BoxBoundary here
         closed = equilibrium_m(params_m).decisions.as_dict()
         for box in ({**WIDE_BOX, "p_m": (-1.0, 0.5)}, {"p_m": (-1.0, 0.5)},
                     {"p_m": (100.0, 101.0)}):
@@ -635,6 +635,14 @@ class TestOwnModel:
         assert str(exc.value) == (f"params={params!r} violates: "
                                   f"the equilibrium is at {eq.params.as_dict()!r}")
 
+    @pytest.mark.parametrize("eq", [None, 3, "decisions"], ids=["none", "int", "decisions"])
+    def test_soc_refuses_what_is_not_an_equilibrium(self, eq):
+        # once AttributeError on eq.decisions
+        eq = _OWN[ModelId.M].decisions if eq == "decisions" else eq
+        with pytest.raises(OutOfDomain) as exc:
+            check_soc(ModelId.M, eq, _OWN[ModelId.M].params)
+        assert str(exc.value) == f"eq={eq!r} violates: must be an Equilibrium"
+
 
 _ENTRIES = {
     "solve_stackelberg_numeric": lambda p: solve_stackelberg_numeric(ModelId.M, p),
@@ -646,6 +654,7 @@ _ENTRIES = {
     "monte_carlo_demand": lambda p: monte_carlo_demand(ModelId.M, _OWN[ModelId.M].decisions, p,
                                                        n=10, seed=0),
     "limits": lambda p: limits(ModelId.M, p),
+    "equilibrium": lambda p: equilibrium(ModelId.M, p),
 }
 
 
